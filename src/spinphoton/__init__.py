@@ -24,13 +24,10 @@ from .gates import (
     apply_gate,
     correction_unitary,
     hadamard,
-    hadamard_hv,
     ideal_gate,
     make_gate,
     realistic_gate,
-    to_45,
     trion_emission_map,
-    waveplate,
 )
 from .metrics import SweepSpec, concurrence, entanglement_entropy, run_sweep
 from .protocols import (

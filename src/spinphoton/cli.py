@@ -5,15 +5,12 @@ a plain-text ``key = value`` file ('#' starts a comment); frequencies and
 rates may be given in units of kappa with a ``_rel`` suffix. Data goes to
 --out (or stdout) as CSV or JSON; human messages go to stderr. Exit codes:
 0 success, 2 usage or configuration error, 1 internal error.
-
-The environment variable SPINPHOTON_THREADS caps sweep parallelism.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -73,14 +70,18 @@ def parse_config_text(text: str) -> dict:
 def _convert(key: str, value: str):
     try:
         if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _COMPLEX_KEYS:
+            x = float(value)
+        elif key in _COMPLEX_KEYS:
             return complex(value.replace(" ", ""))
-        if key in _INT_KEYS:
+        elif key in _INT_KEYS:
             return int(value)
-        return value
+        else:
+            return value
     except ValueError:
         raise ConfigError(f"cannot parse value for {key!r}: {value!r}")
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -299,8 +300,7 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     spec = SweepSpec(parameter=args.sweep, grid=tuple(grid), config=run.config,
                      protocol=run.protocol, n_photons=run.n_photons)
-    workers = int(os.environ.get("SPINPHOTON_THREADS", "1") or "1")
-    rows = run_sweep(spec, max_workers=workers)
+    rows = run_sweep(spec)
     lines = ["swept_name,swept_value,branch_label,probability,fidelity,"
              "concurrence,success_probability"]
     for r in rows:

@@ -7,14 +7,13 @@ pick up the cold one. In the ideal limit that is a pure conditional phase
 (coupled coefficient e^{i delta_phi}, uncoupled coefficient 1, the common cold
 phase dropped as an unobservable global factor).
 
-Also here: the polarization and spin unitaries the protocols need (Hadamards,
-pi/2 spin pulses, wave plates, the feed-forward correction unitaries) and the
+Also here: the polarization and spin unitaries the protocols need (Hadamard,
+pi/2 spin pulses, the feed-forward correction unitaries) and the
 trion-emission map that converts a stored spin qubit into a flying
 polarization qubit (selection rule: up -> L, down -> R).
 
 All 2x2 photon matrices are expressed in the circular {R, L} computational
-basis; wave plates are specified by their fast-axis angle in the H/V frame and
-converted.
+basis.
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ import numpy as np
 
 from .cavity import CavityParams, reflect
 from .qstate import (
-    DensityState,
     KET_H,
     KET_M45,
     KET_P45,
@@ -105,11 +103,6 @@ def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=np.complex128) / SQ2
 
 
-def hadamard_hv() -> np.ndarray:
-    """Photon basis change between {R,L} and {H,V} (a PBS network); same matrix."""
-    return hadamard()
-
-
 def phase_gate(phi: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=np.complex128)
 
@@ -124,42 +117,20 @@ def circular_to_z() -> np.ndarray:
     """Maps (|0>+i|1>)/sqrt2 to |0> and (|0>-i|1>)/sqrt2 to |1>.
 
     As a spin pulse this reads out the circular superpositions left behind by
-    a pi/2 conditional phase; equals hadamard() @ phase_gate(-pi/2).
+    a pi/2 conditional phase; equals hadamard() @ phase_gate(-pi/2). As a
+    polarization rotation it sends |+45> to |R> and |-45> to |L>.
     """
     return np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / SQ2
-
-
-def to_45() -> np.ndarray:
-    """Polarization rotation sending |+45> to |R> and |-45> to |L>."""
-    return np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / SQ2
-
-
-def waveplate(kind: str, angle: float) -> np.ndarray:
-    """Wave plate with fast axis at ``angle`` to horizontal, as a {R,L} matrix.
-
-    kind is "half" or "quarter". The Jones matrix is built in the linear (H,V)
-    frame and conjugated into the circular basis.
-    """
-    if kind == "half":
-        retard = np.diag([1.0, -1.0]).astype(np.complex128)
-    elif kind == "quarter":
-        retard = np.diag([1.0, -1.0j]).astype(np.complex128)
-    else:
-        raise ValueError(f"unknown wave plate kind {kind!r} (use 'half' or 'quarter')")
-    c, s = math.cos(angle), math.sin(angle)
-    rot = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    jones_hv = rot @ retard @ rot.T
-    basis = hadamard()  # self-inverse change between RL and HV components
-    return basis @ jones_hv @ basis
 
 
 # --- trion emission ---------------------------------------------------------
 
-def trion_emission_map(state, spin: QubitLabel, new_photon: QubitLabel):
+def trion_emission_map(state: PureState, spin: QubitLabel,
+                       new_photon: QubitLabel) -> PureState:
     """Relabel a spin qubit as a photon qubit via the emission selection rule.
 
     up -> L and down -> R; coefficients are untouched, so the map is an
-    isometric relabeling. Works on pure and density states.
+    isometric relabeling.
     """
     if spin.kind is not QubitKind.SPIN:
         raise ValueError(f"{spin} is not a spin qubit")
@@ -171,16 +142,8 @@ def trion_emission_map(state, spin: QubitLabel, new_photon: QubitLabel):
     register = tuple(new_photon if i == pos else q
                      for i, q in enumerate(state.register))
     # up (index 0) becomes L (index 1): swap the basis index at this position
-    flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    n = state.n_qubits
-    if isinstance(state, PureState):
-        arr = state.amplitudes.reshape((2,) * n)
-        arr = np.flip(arr, axis=pos)
-        return PureState(register, arr.reshape(-1), state.norm_tracking)
-    arr = state.matrix.reshape((2,) * (2 * n))
-    arr = np.flip(np.flip(arr, axis=pos), axis=n + pos)
-    del flip
-    return DensityState(register, arr.reshape(2 ** n, 2 ** n), state.norm_tracking)
+    arr = np.flip(state.amplitudes.reshape((2,) * state.n_qubits), axis=pos)
+    return PureState(register, arr.reshape(-1), state.norm_tracking)
 
 
 # --- feed-forward corrections ----------------------------------------------

@@ -5,7 +5,6 @@ Entropies use the natural logarithm.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,12 +118,7 @@ def _rows_at(spec: SweepSpec, value: float) -> list[dict]:
     return rows
 
 
-def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[dict]:
-    """One row per (grid point, branch); row order follows the grid regardless
-    of execution order. Pure: identical specs give identical tables."""
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(pool.map(lambda v: _rows_at(spec, v), spec.grid))
-    else:
-        chunks = [_rows_at(spec, v) for v in spec.grid]
-    return [row for chunk in chunks for row in chunk]
+def run_sweep(spec: SweepSpec) -> list[dict]:
+    """One row per (grid point, branch), in grid order. Pure: identical specs
+    give identical tables."""
+    return [row for value in spec.grid for row in _rows_at(spec, value)]

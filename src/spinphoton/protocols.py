@@ -10,9 +10,16 @@ Protocols that read the spin out via an ancilla photon report the joint
 realistic mode the imperfect readout correlation can be attributed. With the
 ideal gate the mismatched combinations carry exactly zero probability.
 
-Waiting intervals enter only through optional pure dephasing of the stored
-spin (``t_over_t2`` per interval); once dephasing is switched on the run is
-carried through as a density matrix.
+Waiting intervals enter only through pure dephasing of the stored spin
+(``t_over_t2`` per interval), the Kraus pair {sqrt(1-q) I, sqrt(q) Z} with
+q = (1 - exp(-t/T2)) / 2. Z on the spin commutes with the reflection gate,
+which is diagonal in the spin basis whether lossy or not, so the intervals up
+to the next non-diagonal spin operation merge into one channel, and a dephased
+run is exactly the weighted mixture of two pure trajectories, (1-q, psi) and
+(q, Z psi). Every later step acts on each trajectory; a branch's probability
+is the weighted sum over trajectories, and only its kept register is turned
+into a density matrix. A branch state is a DensityState exactly when the run
+applied dephasing (t_over_t2 > 0), and a PureState otherwise.
 """
 from __future__ import annotations
 
@@ -32,7 +39,6 @@ from .gates import (
     hadamard,
     make_gate,
     ry,
-    to_45,
     trion_emission_map,
 )
 from .metrics import concurrence
@@ -43,7 +49,6 @@ from .qstate import (
     QubitKind,
     QubitLabel,
     apply_unitary,
-    dephase_spin,
     drop_qubit,
     fidelity,
     ket_state,
@@ -72,7 +77,7 @@ class ProtocolConfig:
     ``alpha1/beta1`` describe photon 1 (or the unknown input qubit in the
     transfer schemes), ``alpha2/beta2`` photon 2 / spin 2. Each pair must be
     normalized. ``t_over_t2`` is the dephasing exponent applied to a stored
-    spin per waiting interval.
+    spin per waiting interval; it must be finite and nonnegative.
     """
 
     gate: GateMode = IdealGate()
@@ -90,8 +95,9 @@ class ProtocolConfig:
         ):
             if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
                 raise ValueError(f"{name_a}/{name_b} are not normalized")
-        if self.t_over_t2 < 0:
-            raise ValueError("t_over_t2 must be nonnegative")
+        if not (math.isfinite(self.t_over_t2) and self.t_over_t2 >= 0):
+            raise ValueError(
+                f"t_over_t2 must be finite and nonnegative, got {self.t_over_t2!r}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,11 @@ class ProtocolBranch:
     target: PureState | None
     fidelity_vs_target: float
     concurrence: float | None
-    success_probability: float
+
+    @property
+    def success_probability(self) -> float:
+        """Probability that the run ends in this branch (same as ``probability``)."""
+        return self.probability
 
 
 @dataclass(frozen=True)
@@ -127,14 +137,6 @@ def _require_pi_over_2(mode: GateMode) -> None:
         raise ValueError("protocol requires a pi/2 conditional phase in ideal mode")
 
 
-def _dephase_interval(state, spin_q: QubitLabel, t_over_t2: float):
-    if t_over_t2 <= 0.0:
-        return state
-    if isinstance(state, PureState):
-        state = to_density(state)
-    return dephase_spin(state, spin_q, t_over_t2)
-
-
 def _target_state(register, amplitudes) -> PureState | None:
     vec = np.asarray(amplitudes, dtype=np.complex128)
     nrm = np.linalg.norm(vec)
@@ -148,38 +150,96 @@ _KET_45 = dict(measurement_basis(QubitKind.PHOTON, "45"))
 _KET_HV = dict(measurement_basis(QubitKind.PHOTON, "HV"))
 _KET_UD = dict(measurement_basis(QubitKind.SPIN, "updown"))
 
+_PAULI_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
-def _drop_measured(state, measured):
-    """Remove measured qubits, anchoring each drop on its known outcome ket
-    (for density states this reduces to a partial trace)."""
+
+# --- weighted pure trajectories ----------------------------------------------
+
+def _dephase_split(trajectories, spin_q: QubitLabel, t_over_t2: float):
+    """Unravel dephasing of ``spin_q`` over a total ``t_over_t2`` into the
+    (1-q, psi) and (q, Z psi) trajectories of every (weight, state) pair."""
+    if t_over_t2 <= 0.0:
+        return trajectories
+    q = (1.0 - math.exp(-t_over_t2)) / 2.0
+    return [pair for w, psi in trajectories
+            for pair in ((w * (1.0 - q), psi),
+                         (w * q, apply_unitary(psi, [spin_q], _PAULI_Z)))]
+
+
+def _mix(register, live, prob: float) -> DensityState:
+    """rho = sum_k w_k p_k |psi_k><psi_k| / p, with p_k each state's norm_tracking."""
+    dim = 2 ** len(register)
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for w, psi in live:
+        mat += (w * psi.norm_tracking / prob) * np.outer(psi.amplitudes,
+                                                         psi.amplitudes.conj())
+    return DensityState(tuple(register), mat, prob)
+
+
+def _zero_like(kept) -> PureState:
+    return PureState(tuple(kept), np.zeros(2 ** len(kept), dtype=np.complex128), 0.0)
+
+
+def _drop_measured(state: PureState, measured) -> PureState:
+    """Remove measured qubits, anchoring each drop on its known outcome ket."""
     for q, ket in measured:
-        if isinstance(state, PureState):
-            state = drop_qubit(state, q, onto=ket)
-        else:
-            state = drop_qubit(state, q)
+        state = drop_qubit(state, q, onto=ket)
     return state
 
 
-def _zero_like(kept, pure: bool):
-    dim = 2 ** len(kept)
-    if pure:
-        return PureState(tuple(kept), np.zeros(dim, dtype=np.complex128), 0.0)
-    return DensityState(tuple(kept), np.zeros((dim, dim), dtype=np.complex128), 0.0)
+def _leaf(label, reached, kept, measured, dephased: bool, correct=None):
+    """Close one measurement leaf and reduce it to the kept register.
 
-
-def _finish_branch(label, post, kept, target, measured=()) -> ProtocolBranch:
-    """Package a measurement leaf: reduce to the kept register, score it."""
-    prob = post.norm_tracking
+    ``reached`` holds the (weight, post state) of every trajectory that got
+    here. Returns (label, probability, state); trajectories below the floor
+    add to the probability but not to the state.
+    """
+    prob = sum(w * post.norm_tracking for w, post in reached)
     if prob <= PROBABILITY_FLOOR:
-        out = _zero_like(kept, isinstance(post, PureState))
-        prob = 0.0
-        fid = math.nan
-        conc = math.nan if len(kept) == 2 else None
-    else:
-        out = _drop_measured(post, measured)
-        fid = fidelity(target, out) if target is not None else math.nan
-        conc = concurrence(out) if len(kept) == 2 else None
-    return ProtocolBranch(label, prob, out, target, fid, conc, prob)
+        return label, 0.0, _mix(kept, [], 0.0) if dephased else _zero_like(kept)
+    live = []
+    for w, post in reached:
+        if post.norm_tracking > PROBABILITY_FLOOR:
+            if correct is not None:
+                post = correct(post)
+            live.append((w, _drop_measured(post, measured)))
+    return label, prob, _mix(kept, live, prob) if dephased else live[0][1]
+
+
+def _readout(trajectories, ancilla: QubitLabel, spin_q: QubitLabel, kept,
+             dephased: bool, announce=None, correct=None):
+    """The spin-readout tail: measure the ancilla photon in +-45, then the spin
+    in up/down, on every trajectory; apply the optional per-branch
+    ``correct(state, announced)``. Returns one (label, probability, state) leaf
+    per joint outcome, labeled "announced/spin", where ``announce`` renames
+    the detection outcome (default: the outcome itself).
+    """
+    first = [measure(psi, ancilla, "45") for _, psi in trajectories]
+    leaves = []
+    for j, (det, ket3) in enumerate(measurement_basis(QubitKind.PHOTON, "45")):
+        reached = {label: [] for label in _KET_UD}
+        for (w, _), outs in zip(trajectories, first):
+            post = outs[j].post_state
+            if post.norm_tracking > PROBABILITY_FLOOR:
+                for o in measure(post, spin_q, "updown"):
+                    reached[o.label].append((w, o.post_state))
+        announced = (announce or {}).get(det, det)
+        fix = None if correct is None else (lambda st, a=announced: correct(st, a))
+        for sl, ket_s in _KET_UD.items():
+            leaves.append(_leaf(f"{announced}/{sl}", reached[sl], kept,
+                                [(ancilla, ket3), (spin_q, ket_s)], dephased, fix))
+    return leaves
+
+
+def _branch(label, prob, state, target) -> ProtocolBranch:
+    """Score one leaf against its target; zero-probability leaves score NaN."""
+    two = state.n_qubits == 2
+    if prob <= 0.0:
+        return ProtocolBranch(label, 0.0, state, target, math.nan,
+                              math.nan if two else None)
+    fid = fidelity(target, state) if target is not None else math.nan
+    return ProtocolBranch(label, prob, state, target, fid,
+                          concurrence(state) if two else None)
 
 
 # --- scheme A: photon pairs via remote entangled spins ----------------------
@@ -215,8 +275,9 @@ def scheme_a_entangle_spins(config: ProtocolConfig,
         "H": _target_state((s1, s2), [0, a1 * b2, a2 * b1, 0]),
     }
     kept = (s1, s2)
-    branches = [_finish_branch(o.label, o.post_state, kept, targets[o.label],
-                               measured=[(probe, _KET_HV[o.label])])
+    branches = [_branch(*_leaf(o.label, [(1.0, o.post_state)], kept,
+                               [(probe, _KET_HV[o.label])], False),
+                        targets[o.label])
                 for o in measure(state, probe, "HV")]
     return ProtocolResult("scheme-a-spins", tuple(branches))
 
@@ -234,24 +295,17 @@ def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig) -> Protocol
         "V": _target_state((p1, p2), [-b1 * b2, 0, 0, a1 * a2]),
         "H": _target_state((p1, p2), [0, a2 * b1, a1 * b2, 0]),
     }
+
+    def emit(st):
+        return trion_emission_map(trion_emission_map(st, s1, p1), s2, p2)
+
     branches = []
     for br in entangled.branches:
-        state = br.state
-        if br.probability > 0.0 and config.t_over_t2 > 0.0:
-            state = to_density(state)
-            state = dephase_spin(state, s1, config.t_over_t2)
-            state = dephase_spin(state, s2, config.t_over_t2)
-        state = trion_emission_map(state, s1, p1)
-        state = trion_emission_map(state, s2, p2)
-        target = targets[br.label]
-        if br.probability <= 0.0:
-            fid = math.nan
-            conc = math.nan
-        else:
-            fid = fidelity(target, state) if target is not None else math.nan
-            conc = concurrence(state)
-        branches.append(ProtocolBranch(br.label, br.probability, state, target,
-                                       fid, conc, br.success_probability))
+        trajectories = [(1.0, br.state)]
+        for s in (s1, s2):
+            trajectories = _dephase_split(trajectories, s, config.t_over_t2)
+        leaf = _leaf(br.label, trajectories, (p1, p2), (), config.t_over_t2 > 0.0, emit)
+        branches.append(_branch(*leaf, targets[br.label]))
     return ProtocolResult("scheme-a", tuple(branches))
 
 
@@ -261,7 +315,7 @@ def scheme_a_photon_pairs(config: ProtocolConfig,
     return scheme_a_emit(scheme_a_entangle_spins(config, second_cavity), config)
 
 
-# --- scheme B: photon pairs via a single spin -------------------------------
+# --- scheme B and its multi-photon chain -------------------------------------
 
 def _emission_targets_b(config, p1, p2):
     a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
@@ -269,6 +323,44 @@ def _emission_targets_b(config, p1, p2):
         "+45": _target_state((p1, p2), [a1 * a2, 0, 0, -b1 * b2]),
         "-45": _target_state((p1, p2), [0, a1 * b2, a2 * b1, 0]),
     }
+
+
+def _chain_leaves(config: ProtocolConfig, n: int):
+    """Reflect photons 1..n off one spin, then read the spin out with ancilla
+    photon n+1; returns the (label, probability, kept photons' state) leaves.
+
+    For n = 2 (scheme B) the branch states are already the canonical pairs.
+    For n >= 3 they are product states in the +-45 basis pair, so
+    deterministic feed-forward plates (a +-45 -> R/L rotation on every photon
+    plus one phase plate on photon 1) bring them to canonical form.
+    """
+    _require_pi_over_2(config.gate)
+    photons = [photon(i) for i in range(1, n + 1)]
+    ancilla = photon(n + 1)
+    s = spin(1)
+    pairs = {1: (config.alpha1, config.beta1), 2: (config.alpha2, config.beta2)}
+    state = tensor_all(
+        [qubit_state(p, *pairs.get(i + 1, (SQH, SQH))) for i, p in enumerate(photons)]
+        + [ket_state(ancilla, "H"), ket_state(s, "+x")]
+    )
+    for p in photons:
+        state = apply_gate(state, make_gate(p, s, config.gate))
+    # one waiting interval after each photon, merged ahead of the pi/2 pulse;
+    # the pulse sends (up-down)/sqrt2 -> up, so the correlated-pair branch
+    # reads out as spin-up / +45
+    readout_gate = make_gate(ancilla, s, config.gate)
+    trajectories = [(w, apply_gate(apply_unitary(psi, [s], ry(math.pi / 2)), readout_gate))
+                    for w, psi in _dephase_split([(1.0, state)], s, n * config.t_over_t2)]
+
+    phase_fix = np.diag([1.0, (-1j) ** n]).astype(np.complex128)
+
+    def plates(st, _announced):
+        for p in photons:
+            st = apply_unitary(st, [p], circular_to_z())
+        return apply_unitary(st, [photons[0]], phase_fix)
+
+    return _readout(trajectories, ancilla, s, photons, config.t_over_t2 > 0.0,
+                    correct=plates if n > 2 else None)
 
 
 def scheme_b_entangle_photons(config: ProtocolConfig) -> ProtocolResult:
@@ -282,37 +374,35 @@ def scheme_b_entangle_photons(config: ProtocolConfig) -> ProtocolResult:
     beta1 |LR> with the spin in |down>. The spin is measured afterwards so the
     result carries the joint (photon-3, spin) distribution.
     """
-    _require_pi_over_2(config.gate)
-    p1, p2, p3, s = photon(1), photon(2), photon(3), spin(1)
-    state = tensor_all([
-        qubit_state(p1, config.alpha1, config.beta1),
-        qubit_state(p2, config.alpha2, config.beta2),
-        ket_state(p3, "H"),
-        ket_state(s, "+x"),
-    ])
-    state = apply_gate(state, make_gate(p1, s, config.gate))
-    state = _dephase_interval(state, s, config.t_over_t2)
-    state = apply_gate(state, make_gate(p2, s, config.gate))
-    state = _dephase_interval(state, s, config.t_over_t2)
-    # pi/2 pulse: sends (up-down)/sqrt2 -> up, so the correlated-pair branch
-    # reads out as spin-up / +45
-    state = apply_unitary(state, [s], ry(math.pi / 2))
-    state = apply_gate(state, make_gate(p3, s, config.gate))
+    targets = _emission_targets_b(config, photon(1), photon(2))
+    return ProtocolResult("scheme-b", tuple(
+        _branch(label, prob, st, targets[label.split("/")[0]])
+        for label, prob, st in _chain_leaves(config, 2)))
 
-    targets = _emission_targets_b(config, p1, p2)
-    kept = (p1, p2)
-    branches = []
-    for o3 in measure(state, p3, "45"):
-        if o3.post_state.norm_tracking <= PROBABILITY_FLOOR:
-            for sl in ("up", "down"):
-                branches.append(_finish_branch(f"{o3.label}/{sl}", o3.post_state,
-                                               kept, targets[o3.label]))
-            continue
-        for os_ in measure(o3.post_state, s, "updown"):
-            branches.append(_finish_branch(
-                f"{o3.label}/{os_.label}", os_.post_state, kept, targets[o3.label],
-                measured=[(p3, _KET_45[o3.label]), (s, _KET_UD[os_.label])]))
-    return ProtocolResult("scheme-b", tuple(branches))
+
+def chain_multiphoton(config: ProtocolConfig, n_photons: int) -> ProtocolResult:
+    """Entangle ``n_photons`` photons against one spin (scheme B generalized).
+
+    Photons 1 and 2 carry the configured amplitudes, photons 3..n enter as
+    |H>. For n = 2 this is exactly scheme B. For n >= 3 the feed-forward wave
+    plates bring the branch states to canonical form; with uniform inputs the
+    +45 branch is then (|R...R> - |L...L>)/sqrt2. Targets are the branch
+    states of the ideal, undephased run.
+    """
+    if not 2 <= n_photons <= 6:
+        raise ValueError("register overflow: n_photons must be in [2, 6]")
+    if n_photons == 2:
+        res = scheme_b_entangle_photons(config)
+        return ProtocolResult("ghz", res.branches)
+
+    leaves = _chain_leaves(config, n_photons)
+    ideal = leaves
+    if not (isinstance(config.gate, IdealGate) and config.t_over_t2 == 0.0):
+        ideal = _chain_leaves(replace(config, gate=IdealGate(), t_over_t2=0.0), n_photons)
+    targets = {label.split("/")[0]: normalize(st) for label, p, st in ideal if p > 0.0}
+    return ProtocolResult("ghz", tuple(
+        _branch(label, p, st, targets.get(label.split("/")[0]))
+        for label, p, st in leaves))
 
 
 # --- scheme C: photon state onto the spin ------------------------------------
@@ -333,12 +423,11 @@ def transfer_photon_to_spin(config: ProtocolConfig) -> ProtocolResult:
     target = _target_state((s,), [config.alpha1, config.beta1])
     branches = []
     for o in measure(state, ph, "HV"):
-        post = o.post_state
-        if post.norm_tracking > PROBABILITY_FLOOR:
-            post = apply_unitary(post, [s], circular_to_z())
-            post = apply_correction(post, s, o.label, "C")
-        branches.append(_finish_branch(o.label, post, (s,), target,
-                                       measured=[(ph, _KET_HV[o.label])]))
+        def correct(st, label=o.label):
+            return apply_correction(apply_unitary(st, [s], circular_to_z()), s, label, "C")
+        leaf = _leaf(o.label, [(1.0, o.post_state)], (s,), [(ph, _KET_HV[o.label])],
+                     False, correct)
+        branches.append(_branch(*leaf, target))
     return ProtocolResult("transfer-ps", tuple(branches))
 
 
@@ -361,34 +450,21 @@ def transfer_spin_to_photon(config: ProtocolConfig) -> ProtocolResult:
         ket_state(p3, "H"),
     ])
     state = apply_gate(state, make_gate(p1, s, config.gate))
-    state = _dephase_interval(state, s, config.t_over_t2)
-    state = apply_unitary(state, [s], hadamard())
-    state = apply_gate(state, make_gate(p3, s, config.gate))
+    readout_gate = make_gate(p3, s, config.gate)
+    trajectories = [(w, apply_gate(apply_unitary(psi, [s], hadamard()), readout_gate))
+                    for w, psi in _dephase_split([(1.0, state)], s, config.t_over_t2)]
 
     a, b = config.alpha1, config.beta1
     target = _target_state((p1,), [(a + b) * SQH, (a - b) * SQH])  # alpha|H> + beta|V>
-    kept = (p1,)
-    branches = []
-    for o3 in measure(state, p3, "45"):
-        announced = "up" if o3.label == "+45" else "down"
-        if o3.post_state.norm_tracking <= PROBABILITY_FLOOR:
-            for sl in ("up", "down"):
-                branches.append(_finish_branch(f"{announced}/{sl}", o3.post_state,
-                                               kept, target))
-            continue
-        for os_ in measure(o3.post_state, s, "updown"):
-            post = os_.post_state
-            if post.norm_tracking > PROBABILITY_FLOOR:
-                post = apply_correction(post, p1, announced, "D")
-            branches.append(_finish_branch(
-                f"{announced}/{os_.label}", post, kept, target,
-                measured=[(p3, _KET_45[o3.label]), (s, _KET_UD[os_.label])]))
-    return ProtocolResult("transfer-sp", tuple(branches))
+    leaves = _readout(trajectories, p3, s, (p1,), config.t_over_t2 > 0.0,
+                      announce={"+45": "up", "-45": "down"},
+                      correct=lambda st, announced: apply_correction(st, p1, announced, "D"))
+    return ProtocolResult("transfer-sp", tuple(_branch(*leaf, target) for leaf in leaves))
 
 
 # --- non-demolition spin readout as a standalone operation -------------------
 
-def gfr_spin_readout(state, spin_q: QubitLabel, ancilla_photon: QubitLabel,
+def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: QubitLabel,
                      gate: GateMode = IdealGate()) -> list[ProjectiveOutcome]:
     """Read a spin out with a fresh |H> ancilla photon; the spin survives.
 
@@ -402,96 +478,11 @@ def gfr_spin_readout(state, spin_q: QubitLabel, ancilla_photon: QubitLabel,
     outcomes = []
     for o in measure(full, ancilla_photon, "45"):
         if o.post_state.norm_tracking > PROBABILITY_FLOOR:
-            post = drop_qubit(o.post_state, ancilla_photon,
-                              onto=_KET_45[o.label] if isinstance(
-                                  o.post_state, PureState) else None)
+            post = drop_qubit(o.post_state, ancilla_photon, onto=_KET_45[o.label])
         else:
-            post = _zero_like(state.register, isinstance(state, PureState))
+            post = _zero_like(state.register)
         outcomes.append(ProjectiveOutcome(o.label, o.probability, post))
     return outcomes
-
-
-# --- multi-photon chaining ---------------------------------------------------
-
-def chain_multiphoton(config: ProtocolConfig, n_photons: int) -> ProtocolResult:
-    """Entangle ``n_photons`` photons against one spin (scheme B generalized).
-
-    Photons 1 and 2 carry the configured amplitudes, photons 3..n enter as
-    |H>. For n = 2 this is exactly scheme B. For n >= 3 the raw branch states
-    are product states in the +-45 basis pair, so deterministic feed-forward
-    wave plates (a +-45 -> R/L rotation on every photon plus one phase plate
-    on photon 1) bring them to canonical form; with uniform inputs the +45
-    branch is then (|R...R> - |L...L>)/sqrt2.
-    """
-    if not 2 <= n_photons <= 6:
-        raise ValueError("register overflow: n_photons must be in [2, 6]")
-    if n_photons == 2:
-        res = scheme_b_entangle_photons(config)
-        return ProtocolResult("ghz", res.branches)
-
-    branches_raw = _chain_run(config, n_photons)
-    if isinstance(config.gate, IdealGate) and config.t_over_t2 == 0.0:
-        targets = {lbl.split("/")[0]: st for lbl, st, p in branches_raw if p > 0.0}
-    else:
-        ideal = _chain_run(replace(config, gate=IdealGate(), t_over_t2=0.0), n_photons)
-        targets = {lbl.split("/")[0]: st for lbl, st, p in ideal if p > 0.0}
-    targets = {k: normalize(v) if isinstance(v, PureState) else v
-               for k, v in targets.items()}
-
-    branches = []
-    for lbl, st, p in branches_raw:
-        det = lbl.split("/")[0]
-        target = targets.get(det)
-        if p <= 0.0:
-            fid = math.nan
-            conc = math.nan if st.n_qubits == 2 else None
-        else:
-            fid = fidelity(target, st) if target is not None else math.nan
-            conc = concurrence(st) if st.n_qubits == 2 else None
-        branches.append(ProtocolBranch(lbl, p, st, target, fid, conc, p))
-    return ProtocolResult("ghz", tuple(branches))
-
-
-def _chain_run(config: ProtocolConfig, n: int):
-    """Run the chain circuit; returns (label, corrected kept state, probability)."""
-    _require_pi_over_2(config.gate)
-    photons = [photon(i) for i in range(1, n + 1)]
-    ancilla = photon(n + 1)
-    s = spin(1)
-    pairs = {1: (config.alpha1, config.beta1), 2: (config.alpha2, config.beta2)}
-    state = tensor_all(
-        [qubit_state(p, *pairs.get(i + 1, (SQH, SQH))) for i, p in enumerate(photons)]
-        + [ket_state(ancilla, "H"), ket_state(s, "+x")]
-    )
-    for i, p in enumerate(photons):
-        if i:
-            state = _dephase_interval(state, s, config.t_over_t2)
-        state = apply_gate(state, make_gate(p, s, config.gate))
-    state = _dephase_interval(state, s, config.t_over_t2)
-    state = apply_unitary(state, [s], ry(math.pi / 2))
-    state = apply_gate(state, make_gate(ancilla, s, config.gate))
-
-    phase_fix = np.diag([1.0, (-1j) ** n]).astype(np.complex128)
-    out = []
-    for o3 in measure(state, ancilla, "45"):
-        if o3.post_state.norm_tracking <= PROBABILITY_FLOOR:
-            for sl in ("up", "down"):
-                out.append((f"{o3.label}/{sl}", _zero_like(photons, True), 0.0))
-            continue
-        for os_ in measure(o3.post_state, s, "updown"):
-            post = os_.post_state
-            prob = post.norm_tracking
-            if prob <= PROBABILITY_FLOOR:
-                out.append((f"{o3.label}/{os_.label}",
-                            _zero_like(photons, isinstance(post, PureState)), 0.0))
-                continue
-            for p in photons:
-                post = apply_unitary(post, [p], to_45())
-            post = apply_unitary(post, [photons[0]], phase_fix)
-            post = _drop_measured(post, [(ancilla, _KET_45[o3.label]),
-                                         (s, _KET_UD[os_.label])])
-            out.append((f"{o3.label}/{os_.label}", post, prob))
-    return out
 
 
 # --- dispatch and branch merging ---------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense state-vector and density-matrix engine for small labeled qubit registers.
+"""Dense state-vector engine for small labeled qubit registers.
 
 Basis conventions, fixed once and relied on everywhere:
 
@@ -12,6 +12,10 @@ are capped at 8 qubits. Trace-decreasing maps (partial reflection, projection)
 keep the amplitudes unnormalized and accumulate the survival probability in
 ``norm_tracking``, so post-selection probabilities can always be read from one
 place.
+
+Circuits evolve kets only. Density operators describe results: mixtures of
+pure runs, reduced states (``partial_trace``) and the dephasing channel
+(``dephase_spin``), scored by ``fidelity`` and normalized by ``normalize``.
 """
 from __future__ import annotations
 
@@ -213,7 +217,7 @@ class ProjectiveOutcome:
 
     label: str
     probability: float
-    post_state: PureState | DensityState | None
+    post_state: PureState | None
 
 
 def qubit_state(label: QubitLabel, alpha: complex, beta: complex) -> PureState:
@@ -275,29 +279,20 @@ def _apply_on_axes(arr: np.ndarray, mat: np.ndarray, axes: list[int]) -> np.ndar
     return np.moveaxis(out, list(range(k)), axes)
 
 
-def apply_unitary(state, targets, matrix):
-    """Apply a small unitary to the target qubits; norm is preserved.
-
-    Works on both PureState and DensityState (conjugation for the latter).
-    """
+def apply_unitary(state: PureState, targets, matrix) -> PureState:
+    """Apply a small unitary to the target qubits; norm is preserved."""
     targets = list(targets)
     if len(set(targets)) != len(targets):
         raise ValueError("repeated target qubit")
     pos = [state.index_of(t) for t in targets]
     mat = _check_unitary(matrix, len(targets))
-    n = state.n_qubits
-    if isinstance(state, PureState):
-        arr = state.amplitudes.reshape((2,) * n)
-        arr = _apply_on_axes(arr, mat, pos)
-        return PureState(state.register, arr.reshape(-1), state.norm_tracking)
-    arr = state.matrix.reshape((2,) * (2 * n))
+    arr = state.amplitudes.reshape((2,) * state.n_qubits)
     arr = _apply_on_axes(arr, mat, pos)
-    arr = _apply_on_axes(arr, mat.conj(), [p + n for p in pos])
-    return DensityState(state.register, arr.reshape(2 ** n, 2 ** n), state.norm_tracking)
+    return PureState(state.register, arr.reshape(-1), state.norm_tracking)
 
 
-def apply_diagonal_pair(state, photon_q: QubitLabel, spin_q: QubitLabel,
-                        coeff_coupled: complex, coeff_uncoupled: complex):
+def apply_diagonal_pair(state: PureState, photon_q: QubitLabel, spin_q: QubitLabel,
+                        coeff_coupled: complex, coeff_uncoupled: complex) -> PureState:
     """Multiply the |L,up> and |R,down> components by ``coeff_coupled`` and the
     |R,up> and |L,down> components by ``coeff_uncoupled``.
 
@@ -320,21 +315,12 @@ def apply_diagonal_pair(state, photon_q: QubitLabel, spin_q: QubitLabel,
     shape[s] = 2
     f_nd = f.reshape(shape)  # f is symmetric, so axis order does not matter
 
-    if isinstance(state, PureState):
-        before = state.squared_norm()
-        arr = state.amplitudes.reshape((2,) * n) * f_nd
-        arr = arr.reshape(-1)
-        after = float(np.vdot(arr, arr).real)
-        nt = state.norm_tracking * (after / before) if before > 0 else 0.0
-        return PureState(state.register, arr, min(nt, 1.0))
-
-    d = np.ones((2,) * n, dtype=np.complex128) * f_nd
-    d = d.reshape(-1)
-    before = state.trace()
-    mat = state.matrix * np.outer(d, d.conj())
-    after = float(np.trace(mat).real)
+    before = state.squared_norm()
+    arr = state.amplitudes.reshape((2,) * n) * f_nd
+    arr = arr.reshape(-1)
+    after = float(np.vdot(arr, arr).real)
     nt = state.norm_tracking * (after / before) if before > 0 else 0.0
-    return DensityState(state.register, mat, min(nt, 1.0))
+    return PureState(state.register, arr, min(nt, 1.0))
 
 
 def _pure_branch(state: PureState, pos: int, ket: np.ndarray):
@@ -348,53 +334,26 @@ def _pure_branch(state: PureState, pos: int, ket: np.ndarray):
     return p_raw, proj.reshape(-1)
 
 
-def measure(state, target: QubitLabel, basis: str) -> list[ProjectiveOutcome]:
+def measure(state: PureState, target: QubitLabel, basis: str) -> list[ProjectiveOutcome]:
     """Enumerate every branch of a projective measurement (no sampling).
 
     Probabilities are absolute, i.e. not renormalized: they sum to the state's
-    squared norm (trace for density input). Post states are renormalized, with
-    norm_tracking scaled down by the conditional branch probability.
+    squared norm. Post states are renormalized, with norm_tracking scaled down
+    by the conditional branch probability.
     """
     pos = state.index_of(target)
     pairs = measurement_basis(target.kind, basis)
-    n = state.n_qubits
-
-    outcomes = []
-    if isinstance(state, PureState):
-        total = state.squared_norm()
-        if total <= 0.0:
-            raise ValueError("cannot measure a zero-norm state")
-        for label, ket in pairs:
-            p_raw, proj = _pure_branch(state, pos, ket)
-            if p_raw > 0.0:
-                post = PureState(state.register, proj / math.sqrt(p_raw),
-                                 state.norm_tracking * (p_raw / total))
-            else:
-                post = PureState(state.register, proj, 0.0)
-            outcomes.append(ProjectiveOutcome(label, p_raw, post))
-        return outcomes
-
-    total = state.trace()
+    total = state.squared_norm()
     if total <= 0.0:
-        raise ValueError("cannot measure a zero-trace state")
-    arr = state.matrix.reshape((2,) * (2 * n))
+        raise ValueError("cannot measure a zero-norm state")
+    outcomes = []
     for label, ket in pairs:
-        rows = np.tensordot(ket.conj(), arr, axes=([0], [pos]))
-        # rows axes: n-1 row axes, then n col axes; the target col axis sits
-        # at index (n - 1) + pos
-        sub = np.tensordot(rows, ket, axes=([n - 1 + pos], [0]))
-        dim_rest = 2 ** (n - 1)
-        p_raw = float(np.trace(sub.reshape(dim_rest, dim_rest)).real)
-        full = np.multiply.outer(np.outer(ket, ket.conj()), sub)
-        # axes (e_row, e_col, rows', cols'): put e_col back first, then e_row
-        full = np.moveaxis(full, 1, n + pos)
-        full = np.moveaxis(full, 0, pos)
-        mat = full.reshape(2 ** n, 2 ** n)
+        p_raw, proj = _pure_branch(state, pos, ket)
         if p_raw > 0.0:
-            post = DensityState(state.register, mat / p_raw,
-                                state.norm_tracking * (p_raw / total))
+            post = PureState(state.register, proj / math.sqrt(p_raw),
+                             state.norm_tracking * (p_raw / total))
         else:
-            post = DensityState(state.register, mat, 0.0)
+            post = PureState(state.register, proj, 0.0)
         outcomes.append(ProjectiveOutcome(label, p_raw, post))
     return outcomes
 
@@ -501,21 +460,14 @@ def partial_trace(state, keep) -> DensityState:
     return DensityState(new_reg, arr.reshape(2 ** k, 2 ** k), rho.norm_tracking)
 
 
-def drop_qubit(state, label: QubitLabel, onto=None):
+def drop_qubit(state: PureState, label: QubitLabel, onto=None) -> PureState:
     """Remove one qubit that is in a product state with the rest.
 
-    For pure states the qubit must factorize (checked). When ``onto`` gives
-    the qubit's known single-qubit state (e.g. the ket it was just projected
-    onto), the remainder is extracted by exact contraction, which also pins
-    the otherwise conventional split of the global phase. For density states
-    this is a partial trace over the dropped qubit.
+    The qubit must factorize (checked). When ``onto`` gives the qubit's known
+    single-qubit state (e.g. the ket it was just projected onto), the
+    remainder is extracted by exact contraction, which also pins the otherwise
+    conventional split of the global phase.
     """
-    if isinstance(state, DensityState):
-        keep = [q for q in state.register if q != label]
-        if len(keep) == len(state.register):
-            raise ValueError(f"qubit {label} not in register")
-        return partial_trace(state, keep)
-
     pos = state.index_of(label)
     n = state.n_qubits
     arr = np.moveaxis(state.amplitudes.reshape((2,) * n), pos, 0).reshape(2, -1)

@@ -67,11 +67,34 @@ def branch(psi, pos, n, ket):
     return p, rest
 
 
+def conjugate(u, rho):
+    return u @ rho @ u.conj().T
+
+
+def dephase(rho, pos, n, t_over_t2):
+    """One waiting interval of pure spin dephasing as the dense Kraus sum
+    (1 - q) rho + q Z rho Z, with q = (1 - exp(-t/T2)) / 2."""
+    q = (1.0 - math.exp(-t_over_t2)) / 2.0
+    return (1.0 - q) * rho + q * conjugate(embed(Z, pos, n), rho)
+
+
+def branch_rho(rho, pos, n, ket):
+    """Density-matrix version of ``branch``: <ket| at ``pos`` is the explicit
+    2^(n-1) x 2^n operator I x <ket| x I."""
+    bra = kron_all([np.eye(2 ** pos), ket.conj()[None, :], np.eye(2 ** (n - 1 - pos))])
+    rest = conjugate(bra, rho)
+    p = float(np.trace(rest).real)
+    if p > 0:
+        rest = rest / p
+    return p, rest
+
+
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQH
 RY90 = np.array([[1, -1], [1, 1]], dtype=complex) * SQH
 CIRC_TO_Z = np.array([[1, -1j], [1, 1j]], dtype=complex) * SQH
 TO_45 = CIRC_TO_Z
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Z = np.diag([1, -1]).astype(complex)
 
 CORR_C = {"H": np.diag([1, -1j]).astype(complex), "V": np.diag([1, 1j]).astype(complex)}
 CORR_D = {

@@ -165,6 +165,13 @@ def test_protocol_noisy_run_emits_density_matrix(tmp_path):
     assert "density_matrix" in doc["branches"][0]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_dephasing_rejected(tmp_path, capsys, value):
+    cfg = write(tmp_path / "c.cfg", f"protocol = scheme-b\nnoise.t_over_t2 = {value}\n")
+    assert run_cli(["protocol", "--config", cfg]) == 2
+    assert "noise.t_over_t2" in capsys.readouterr().err
+
+
 def test_protocol_json_round_trip_amplitudes(tmp_path):
     cfg = write(tmp_path / "c.cfg", IDEAL_B)
     out = tmp_path / "p.json"
@@ -200,12 +207,11 @@ def test_sweep_unknown_parameter_lists_valid_names(tmp_path, capsys):
     assert "g_rel" in err and "t_over_t2" in err
 
 
-def test_sweep_deterministic_output(tmp_path, monkeypatch):
+def test_sweep_deterministic_output(tmp_path):
     cfg = write(tmp_path / "c.cfg", "protocol = scheme-b\ngate.mode = realistic\n")
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["sweep", "--config", cfg, "--sweep", "g_rel", "--grid", "1:5:3",
              "--out", str(out1)])
-    monkeypatch.setenv("SPINPHOTON_THREADS", "4")
     run_cli(["sweep", "--config", cfg, "--sweep", "g_rel", "--grid", "1:5:3",
              "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()

@@ -10,14 +10,11 @@ from spinphoton.gates import (
     circular_to_z,
     correction_unitary,
     hadamard,
-    hadamard_hv,
     ideal_gate,
     phase_gate,
     realistic_gate,
     ry,
-    to_45,
     trion_emission_map,
-    waveplate,
 )
 from reference_states import double_reflection_state, rand_amp_pair
 
@@ -113,20 +110,6 @@ def test_realistic_gate_records_survival_in_norm_tracking():
     assert out.norm_tracking < 1.0
 
 
-def test_realistic_gate_pure_and_density_paths_agree():
-    # the same circuit evolved as a ket and as a density matrix must give the
-    # same branch fidelities
-    p = CavityParams(g=2.4, kappa=1.0, gamma=0.1)
-    g = realistic_gate(P1, S1, p, 0.5)
-    st = qs.tensor(qs.ket_state(P1, "H"), qs.qubit_state(S1, SQH, SQH))
-    pure = apply_gate(st, g)
-    rho = apply_gate(qs.to_density(st), g)
-    assert np.max(np.abs(qs.to_density(pure).matrix - rho.matrix)) < 1e-12
-    target = qs.tensor(qs.ket_state(P1, "V"), qs.ket_state(S1, "up"))
-    assert qs.fidelity(target, pure) == pytest.approx(
-        qs.fidelity(target, rho), abs=1e-10)
-
-
 # --- spin pulses and polarization unitaries ------------------------------------------
 
 def test_ry_half_pulse_maps_interference_branches_to_poles():
@@ -146,34 +129,11 @@ def test_circular_to_z_maps_circular_superpositions_to_poles():
     assert np.allclose(u, hadamard() @ phase_gate(-math.pi / 2), atol=1e-12)
 
 
-def test_hadamard_hv_exchanges_circular_and_linear():
-    u = hadamard_hv()
-    assert np.allclose(u @ qs.KET_R, qs.KET_H, atol=1e-12)
-    assert np.allclose(u @ qs.KET_H, qs.KET_R, atol=1e-12)
-
-
 def test_to_45_sends_circular_diagonals_to_poles():
-    u = to_45()
+    # as a polarization rotation, circular_to_z takes the +-45 photon states to R/L
+    u = circular_to_z()
     assert np.allclose(u @ qs.KET_P45, qs.KET_R, atol=1e-12)
     assert np.allclose(u @ qs.KET_M45, qs.KET_L, atol=1e-12)
-
-
-def test_waveplates_are_unitary():
-    rng = np.random.default_rng(13)
-    for kind in ("half", "quarter"):
-        for _ in range(20):
-            u = waveplate(kind, float(rng.uniform(0, math.pi)))
-            assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
-
-
-def test_half_waveplate_at_zero_swaps_circular_components():
-    u = waveplate("half", 0.0)
-    assert np.allclose(np.abs(u), [[0, 1], [1, 0]], atol=1e-12)
-
-
-def test_waveplate_unknown_kind():
-    with pytest.raises(ValueError, match="wave plate"):
-        waveplate("third", 0.0)
 
 
 # --- trion emission map ----------------------------------------------------------------

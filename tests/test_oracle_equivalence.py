@@ -16,6 +16,7 @@ from spinphoton.gates import IdealGate, RealisticGate
 from spinphoton.protocols import (
     ProtocolConfig,
     chain_multiphoton,
+    run_protocol,
     scheme_a_emit,
     scheme_a_entangle_spins,
     scheme_b_entangle_photons,
@@ -32,6 +33,9 @@ from matrix_oracle import (
     TO_45,
     X,
     branch,
+    branch_rho,
+    conjugate,
+    dephase,
     diag_pair_matrix,
     embed,
     kron_all,
@@ -251,3 +255,101 @@ def test_noisy_scheme_a_matches_kraus_matrix_oracle():
         br = res.branch(label)
         assert abs(br.probability - p) < ATOL
         assert np.max(np.abs(br.state.matrix - rho)) < ATOL
+
+
+# --- every dephased protocol against the Kraus oracle ------------------------------------
+#
+# The oracle evolves the full density matrix and applies each waiting interval
+# where it occurs in the circuit, so it also checks that the package may merge
+# the intervals up to the next non-diagonal spin pulse.
+
+def _pure_rho(vectors):
+    psi = kron_all([np.asarray(v, dtype=complex) for v in vectors])
+    return np.outer(psi, psi.conj())
+
+
+def _kraus_scheme_a(cc, cu, amps, t):
+    (a1, b1), (a2, b2) = amps
+    # register (spin1, spin2, probe); the probe is read out in H/V
+    rho = _pure_rho([[a1, b1], [a2, b2], KET["H"]])
+    rho = conjugate(diag_pair_matrix(3, 2, 0, cc, cu), rho)
+    rho = conjugate(diag_pair_matrix(3, 2, 1, cc, cu), rho)
+    leaves = {}
+    for label in ("H", "V"):
+        p, rest = branch_rho(rho, 2, 3, KET[label])
+        rest = dephase(dephase(rest, 0, 2, t), 1, 2, t)
+        leaves[label] = (p, conjugate(kron_all([X, X]), rest))
+    return leaves
+
+
+def _kraus_chain(cc, cu, amps, t, n):
+    # register (photon 1..n, ancilla, spin); n = 2 is scheme B
+    (a1, b1), (a2, b2) = amps
+    m = n + 2
+    anc, sp = n, n + 1
+    rho = _pure_rho([[a1, b1], [a2, b2]] + [KET["H"]] * (n - 1) + [[SQH, SQH]])
+    for k in range(n):
+        if k:
+            rho = dephase(rho, sp, m, t)
+        rho = conjugate(diag_pair_matrix(m, k, sp, cc, cu), rho)
+    rho = dephase(rho, sp, m, t)
+    rho = conjugate(embed(RY90, sp, m), rho)
+    rho = conjugate(diag_pair_matrix(m, anc, sp, cc, cu), rho)
+    plates = np.eye(2 ** n)
+    if n > 2:
+        plates = kron_all([TO_45] * n)
+        plates = embed(np.diag([1.0, (-1j) ** n]), 0, n) @ plates
+    leaves = {}
+    for l3 in ("+45", "-45"):
+        p3, rest3 = branch_rho(rho, anc, m, KET[l3])
+        for ls in ("up", "down"):
+            ps, rest = branch_rho(rest3, anc, m - 1, KET[ls])
+            leaves[f"{l3}/{ls}"] = (p3 * ps, conjugate(plates, rest))
+    return leaves
+
+
+def _kraus_transfer_sp(cc, cu, amps, t):
+    (a, b), _ = amps
+    # register (photon 1, spin, ancilla photon 3)
+    rho = _pure_rho([KET["H"], [a, b], KET["H"]])
+    rho = conjugate(diag_pair_matrix(3, 0, 1, cc, cu), rho)
+    rho = dephase(rho, 1, 3, t)
+    rho = conjugate(embed(HADAMARD, 1, 3), rho)
+    rho = conjugate(diag_pair_matrix(3, 2, 1, cc, cu), rho)
+    leaves = {}
+    for l3, announced in (("+45", "up"), ("-45", "down")):
+        p3, rest3 = branch_rho(rho, 2, 3, KET[l3])
+        for ls in ("up", "down"):
+            ps, rest = branch_rho(rest3, 1, 2, KET[ls])
+            leaves[f"{announced}/{ls}"] = (p3 * ps, conjugate(CORR_D[announced], rest))
+    return leaves
+
+
+KRAUS_ORACLES = {
+    "scheme-a": _kraus_scheme_a,
+    "scheme-b": lambda cc, cu, amps, t: _kraus_chain(cc, cu, amps, t, 2),
+    "transfer-sp": _kraus_transfer_sp,
+    **{f"ghz{n}": (lambda cc, cu, amps, t, n=n: _kraus_chain(cc, cu, amps, t, n))
+       for n in range(3, 7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRAUS_ORACLES))
+def test_dephased_protocol_matches_kraus_matrix_oracle(name):
+    rng = np.random.default_rng(97)
+    protocol, n_photons = ("ghz", int(name[3:])) if name.startswith("ghz") else (name, 3)
+    for mode in modes():
+        cc, cu = gate_coeffs(mode)
+        for t in (0.05, 0.3, 2.0):
+            amps = (rand_amp_pair(rng), rand_amp_pair(rng))
+            (a1, b1), (a2, b2) = amps
+            cfg = ProtocolConfig(gate=mode, alpha1=a1, beta1=b1, alpha2=a2, beta2=b2,
+                                 t_over_t2=t)
+            res = run_protocol(protocol, cfg, n_photons=n_photons)
+            leaves = KRAUS_ORACLES[name](cc, cu, amps, t)
+            assert sorted(b.label for b in res.branches) == sorted(leaves)
+            for label, (p, rho) in leaves.items():
+                br = res.branch(label)
+                assert abs(br.probability - p) < ATOL
+                if p > 1e-20:
+                    assert np.max(np.abs(br.state.matrix - rho)) < ATOL

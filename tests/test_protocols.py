@@ -116,6 +116,18 @@ def test_scheme_a_emission_with_small_dephasing_keeps_fidelity():
     assert v.fidelity_vs_target == pytest.approx((1 + math.exp(-2e-3)) / 2, abs=1e-12)
 
 
+def test_branch_state_is_density_exactly_when_dephased():
+    # alpha1 = beta2 = 1 leaves scheme-a's V branch at probability zero
+    for t in (0.0, 0.3):
+        cfg = ProtocolConfig(alpha1=1.0, beta1=0.0, alpha2=0.0, beta2=1.0, t_over_t2=t)
+        assert scheme_a_photon_pairs(cfg).branch("V").probability == 0.0
+        for name in ("scheme-a", "scheme-b", "transfer-sp", "ghz", "transfer-ps"):
+            dephased = t > 0.0 and name != "transfer-ps"  # transfer-ps has no wait
+            expected = qs.DensityState if dephased else qs.PureState
+            for br in run_protocol(name, cfg).branches:
+                assert isinstance(br.state, expected), (name, t, br.label)
+
+
 def test_scheme_a_dephasing_monotone_and_continuous():
     fids = []
     for t in (0.0, 1e-3, 1e-1, 1.0):
