@@ -32,6 +32,7 @@ from .gates import (
 from .metrics import SweepSpec, concurrence, entanglement_entropy, run_sweep
 from .protocols import (
     MergedBranch,
+    ProtocolBatch,
     ProtocolBranch,
     ProtocolConfig,
     ProtocolResult,
@@ -64,6 +65,7 @@ from .qstate import (
     partial_trace,
     photon,
     qubit_state,
+    sample_indices,
     sample_outcome,
     spin,
     tensor,

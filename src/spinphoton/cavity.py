@@ -22,7 +22,6 @@ field and dipole decay rates respectively.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Physical parameters of one dot-cavity system (angular frequency units)."""
+    """Physical parameters of one dot-cavity system (angular frequency units).
+
+    A field may be an array: a batch of cavities, one per element, that
+    broadcast against each other and against the probe frequency.
+    """
 
     g: float
     kappa: float
@@ -41,9 +44,9 @@ class CavityParams:
     kappa_s: float = 0.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
+        if np.any(np.asarray(self.kappa) <= 0):
             raise ValueError("kappa must be positive")
-        if self.g < 0 or self.gamma < 0 or self.kappa_s < 0:
+        if any(np.any(np.asarray(v) < 0) for v in (self.g, self.gamma, self.kappa_s)):
             raise ValueError("g, gamma and kappa_s must be nonnegative")
         if self.omega_x is None:
             object.__setattr__(self, "omega_x", self.omega_c)
@@ -60,20 +63,32 @@ class ReflectionResponse:
 
 
 def reflection_coefficient(params: CavityParams, omega, coupled: bool):
-    """Complex r(omega); accepts scalar or ndarray omega."""
-    omega = np.asarray(omega, dtype=float) if np.ndim(omega) else omega
-    c = 1j * (params.omega_c - omega) + (params.kappa + params.kappa_s) / 2.0
-    if not coupled or params.g == 0.0:
-        # the dipole factor cancels, which also avoids 0/0 at omega = omega_x
-        return 1.0 - params.kappa / c
-    h = 1j * (params.omega_x - omega) + params.gamma / 2.0
-    return 1.0 - params.kappa * h / (h * c + params.g ** 2)
+    """Complex r(omega). ``omega`` and the cavity fields may be arrays; the
+    result has their broadcast shape (a numpy scalar when all are scalars).
+
+    Everything is evaluated as arrays of at least one element, so a single
+    frequency gets exactly the arithmetic of each element of a grid.
+    """
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    c = 1j * (params.omega_c - w) + (params.kappa + params.kappa_s) / 2.0
+    # the dipole factor cancels without coupling, which also avoids 0/0 at
+    # omega = omega_x
+    r = 1.0 - params.kappa / c
+    g = np.asarray(params.g, dtype=float)
+    if coupled and g.any():
+        h = 1j * (params.omega_x - w) + params.gamma / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(g != 0.0, 1.0 - params.kappa * h / (h * c + g * g), r)
+    shape = np.broadcast(omega, params.g, params.kappa, params.gamma, params.omega_c,
+                         params.omega_x, params.kappa_s).shape
+    return (np.broadcast_to(r, shape) if shape else r.reshape(()))[()]
 
 
-def reflect(params: CavityParams, omega: float, coupled: bool) -> ReflectionResponse:
-    """Reflection amplitude, magnitude and principal-value phase at one frequency."""
-    r = complex(reflection_coefficient(params, omega, coupled))
-    return ReflectionResponse(r, abs(r), cmath.phase(r))
+def reflect(params: CavityParams, omega, coupled: bool) -> ReflectionResponse:
+    """Reflection amplitude, magnitude and principal-value phase; arrays in,
+    arrays out."""
+    r = reflection_coefficient(params, omega, coupled)
+    return ReflectionResponse(r, np.abs(r), np.angle(r))
 
 
 def cold_phase_closed_form(params: CavityParams, omega: float) -> float:
@@ -83,15 +98,13 @@ def cold_phase_closed_form(params: CavityParams, omega: float) -> float:
     return (math.pi if d <= 0 else -math.pi) + base
 
 
-def _wrap(angle: float) -> float:
-    """Wrap to the principal interval (-pi, pi]."""
-    w = (angle + math.pi) % (2.0 * math.pi) - math.pi
-    if w <= -math.pi:
-        w += 2.0 * math.pi
-    return w
+def _wrap(angle):
+    """Wrap to the principal interval (-pi, pi], elementwise."""
+    w = np.mod(np.asarray(angle) + math.pi, 2.0 * math.pi) - math.pi
+    return np.where(w <= -math.pi, w + 2.0 * math.pi, w)[()]
 
 
-def conditional_phase(params: CavityParams, omega: float) -> float:
+def conditional_phase(params: CavityParams, omega):
     """Phase difference arg r_hot - arg r_cold, wrapped to (-pi, pi]."""
     hot = reflect(params, omega, coupled=True)
     cold = reflect(params, omega, coupled=False)

@@ -5,6 +5,12 @@ a plain-text ``key = value`` file ('#' starts a comment); frequencies and
 rates may be given in units of kappa with a ``_rel`` suffix. Data goes to
 --out (or stdout) as CSV or JSON; human messages go to stderr. Exit codes:
 0 success, 2 usage or configuration error, 1 internal error.
+
+``reflectance`` evaluates its whole grid as one array, and ``sweep`` runs its
+grid as one batched protocol pass; each sweep row equals the ``protocol`` run
+at that grid point bit for bit. ``sample`` draws all its trials at once; its
+``--seed`` (default: the config's ``seed`` key) is the only seed any
+subcommand reads.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from .protocols import (
     ProtocolResult,
     run_protocol,
 )
-from .qstate import DensityState, ProjectiveOutcome, PureState, sample_outcome
+from .qstate import ProjectiveOutcome, PureState, sample_indices
 
 
 class ConfigError(ValueError):
@@ -147,11 +153,11 @@ def resolve_config(raw: dict) -> RunConfig:
             alpha1=vals.get("alpha1", sq), beta1=vals.get("beta1", sq),
             alpha2=vals.get("alpha2", sq), beta2=vals.get("beta2", sq),
             t_over_t2=vals.get("noise.t_over_t2", 0.0),
-            seed=vals.get("seed", 0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
 
+    seed = vals.get("seed", 0)
     trials = vals.get("trials", 1)
     n_photons = vals.get("ghz.n_photons", 3)
 
@@ -173,12 +179,11 @@ def resolve_config(raw: dict) -> RunConfig:
         "alpha2": _c2pair(config.alpha2), "beta2": _c2pair(config.beta2),
     }
     echo["noise"] = {"t_over_t2": config.t_over_t2}
-    echo["seed"] = config.seed
+    echo["seed"] = seed
     if protocol == "ghz":
         echo["ghz"] = {"n_photons": n_photons}
 
-    return RunConfig(protocol, gate, cavity, config, config.seed, trials,
-                     n_photons, echo)
+    return RunConfig(protocol, gate, cavity, config, seed, trials, n_photons, echo)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -216,15 +221,30 @@ def parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"cannot parse grid {spec!r}")
     if n <= 0:
         raise ConfigError("empty range: grid count must be >= 1")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"--grid start and stop must be finite, got {spec!r}")
+    if n == 1 and a != b:
+        raise ConfigError(f"--grid with count 1 needs start == stop, got {spec!r}")
     return list(np.linspace(a, b, n))
 
 
-def _emit(text: str, out_path: str | None) -> None:
+_CHUNK_ROWS = 4096  # rows formatted per write, to bound the text held at once
+
+
+def _emit(parts, out_path: str | None) -> None:
+    """Write the text pieces, in order, to ``out_path`` or stdout."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
+
+
+def _csv_chunks(header: str, n_rows: int, format_rows):
+    """The header line, then ``format_rows(start, stop)`` chunk by chunk."""
+    yield header + "\n"
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        yield format_rows(start, min(start + _CHUNK_ROWS, n_rows))
 
 
 def _sanitize(obj):
@@ -242,20 +262,19 @@ def _sanitize(obj):
 
 def cmd_reflectance(args) -> int:
     run = load_config(args.config)
-    grid = parse_grid(args.grid)
+    grid = np.array(parse_grid(args.grid))
     params = run.cavity
-    lines = ["detuning_rel,r_cold_re,r_cold_im,phase_cold,"
-             "r_hot_re,r_hot_im,phase_hot,delta_phi"]
-    for d in grid:
-        omega = params.omega_c + d * params.kappa
-        cold = reflect(params, omega, coupled=False)
-        hot = reflect(params, omega, coupled=True)
-        dphi = conditional_phase(params, omega)
-        lines.append(",".join(_fmt(v) for v in (
-            d, cold.r.real, cold.r.imag, cold.phase,
-            hot.r.real, hot.r.imag, hot.phase, dphi,
-        )))
-    _emit("\n".join(lines) + "\n", args.out)
+    omega = params.omega_c + grid * params.kappa
+    cold = reflect(params, omega, coupled=False)
+    hot = reflect(params, omega, coupled=True)
+    table = np.column_stack([grid, cold.r.real, cold.r.imag, cold.phase,
+                             hot.r.real, hot.r.imag, hot.phase,
+                             conditional_phase(params, omega)])
+    row = ",".join(["%.17g"] * 8) + "\n"
+    _emit(_csv_chunks("detuning_rel,r_cold_re,r_cold_im,phase_cold,"
+                      "r_hot_re,r_hot_im,phase_hot,delta_phi", len(table),
+                      lambda a, b: "".join(row % tuple(r) for r in table[a:b].tolist())),
+          args.out)
     return 0
 
 
@@ -286,7 +305,7 @@ def cmd_protocol(args) -> int:
         "config": run.echo,
         "branches": [_branch_payload(b) for b in result.branches],
     }
-    _emit(json.dumps(_sanitize(doc), indent=2) + "\n", args.out)
+    _emit([json.dumps(_sanitize(doc), indent=2) + "\n"], args.out)
     return 0
 
 
@@ -309,7 +328,7 @@ def cmd_sweep(args) -> int:
             _fmt(r["probability"]), _fmt(r["fidelity"]),
             _fmt(r["concurrence"]), _fmt(r["success_probability"]),
         ]))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -326,11 +345,12 @@ def cmd_sample(args) -> int:
     if missing > 1e-9:
         # photon loss in realistic mode: no detector fires
         outcomes.append(ProjectiveOutcome("no_detection", missing, None))
-    rng = np.random.default_rng(seed)
-    lines = ["trial_index,branch_label"]
-    for i in range(trials):
-        lines.append(f"{i},{sample_outcome(outcomes, rng).label}")
-    _emit("\n".join(lines) + "\n", args.out)
+    endings = np.array([f",{o.label}\n" for o in outcomes], dtype=object)
+    draws = endings[sample_indices(outcomes, np.random.default_rng(seed), trials)]
+    _emit(_csv_chunks("trial_index,branch_label", trials,
+                      lambda a, b: "".join(map(str.__add__, map(str, range(a, b)),
+                                               draws[a:b].tolist()))),
+          args.out)
     return 0
 
 
@@ -346,7 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key = value config file")
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    common.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p_refl = sub.add_parser("reflectance", parents=[common],
                             help="cold/hot reflection sweep as CSV")
@@ -368,6 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", parents=[common],
                               help="seeded draws of detection outcomes as CSV")
     p_sample.add_argument("--trials", type=int, default=None)
+    p_sample.add_argument("--seed", type=int, default=None, help="override config seed")
     p_sample.set_defaults(func=cmd_sample)
 
     return parser

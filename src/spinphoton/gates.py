@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams, reflect
+from .cavity import CavityParams, reflection_coefficient
 from .qstate import (
     KET_H,
     KET_M45,
@@ -47,7 +47,11 @@ class IdealGate:
 
 @dataclass(frozen=True)
 class RealisticGate:
-    """Gate mode: reflection coefficients evaluated from cavity parameters."""
+    """Gate mode: reflection coefficients evaluated from cavity parameters.
+
+    ``params`` fields and ``omega`` may be arrays: a batch of gates, one per
+    element, evaluated in one array call.
+    """
 
     params: CavityParams
     omega: float
@@ -80,9 +84,10 @@ def ideal_gate(photon: QubitLabel, spin: QubitLabel, delta_phi: float) -> Condit
 
 def realistic_gate(photon: QubitLabel, spin: QubitLabel,
                    params: CavityParams, omega: float) -> ConditionalReflectionGate:
-    hot = reflect(params, omega, coupled=True)
-    cold = reflect(params, omega, coupled=False)
-    return ConditionalReflectionGate(photon, spin, hot.r, cold.r, "realistic")
+    return ConditionalReflectionGate(photon, spin,
+                                     reflection_coefficient(params, omega, coupled=True),
+                                     reflection_coefficient(params, omega, coupled=False),
+                                     "realistic")
 
 
 def make_gate(photon: QubitLabel, spin: QubitLabel, mode: GateMode) -> ConditionalReflectionGate:
@@ -142,8 +147,10 @@ def trion_emission_map(state: PureState, spin: QubitLabel,
     register = tuple(new_photon if i == pos else q
                      for i, q in enumerate(state.register))
     # up (index 0) becomes L (index 1): swap the basis index at this position
-    arr = np.flip(state.amplitudes.reshape((2,) * state.n_qubits), axis=pos)
-    return PureState(register, arr.reshape(-1), state.norm_tracking)
+    amps = state.amplitudes
+    arr = np.flip(amps.reshape(amps.shape[:-1] + (2,) * state.n_qubits),
+                  axis=amps.ndim - 1 + pos)
+    return PureState(register, arr.reshape(amps.shape), state.norm_tracking)
 
 
 # --- feed-forward corrections ----------------------------------------------

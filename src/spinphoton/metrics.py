@@ -1,6 +1,9 @@
 """Entanglement metrics and parameter-sweep drivers.
 
-Entropies use the natural logarithm.
+Entropies use the natural logarithm. A sweep runs batched: the whole grid is
+one batched config and one ``run_protocol`` call (split into passes of at
+most ``MAX_BATCH_AMPLITUDES`` amplitudes), and each row equals the unbatched
+run at its grid point bit for bit.
 """
 from __future__ import annotations
 
@@ -16,8 +19,9 @@ _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _YY = np.kron(_PAULI_Y, _PAULI_Y)
 
 
-def concurrence(state) -> float:
-    """Wootters concurrence of a two-qubit state, in [0, 1].
+def concurrence(state):
+    """Wootters concurrence of a two-qubit state, in [0, 1]; one value per
+    batch element.
 
     For pure amplitudes (a, b, c, d) this is 2|ad - bc|; mixed states use the
     spin-flip eigenvalue construction on rho (Y x Y) rho* (Y x Y).
@@ -25,16 +29,18 @@ def concurrence(state) -> float:
     if state.n_qubits != 2:
         raise ValueError("concurrence is defined for exactly 2 qubits")
     if isinstance(state, PureState):
-        a, b, c, d = normalize(state).amplitudes
-        return float(min(2.0 * abs(a * d - b * c), 1.0))
+        v = normalize(state).amplitudes
+        c = 2.0 * np.abs(v[..., 0] * v[..., 3] - v[..., 1] * v[..., 2])
+        return np.minimum(c, 1.0)
     rho = normalize(state).matrix
     # factor rho = M M+; the eigenvalues of rho (YY) rho* (YY) are then the
     # squared singular values of M^T (YY) M, which stays accurate at the
     # (defective) zero eigenvalues where a direct eigvals call loses digits
     evals, evecs = np.linalg.eigh(rho)
-    m = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    lam = np.linalg.svd(m.T @ _YY @ m, compute_uv=False)
-    return float(min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0))
+    m = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    lam = np.linalg.svd(np.swapaxes(m, -1, -2) @ _YY @ m, compute_uv=False)
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return np.clip(c, 0.0, 1.0)
 
 
 def entanglement_entropy(state, partition) -> float:
@@ -72,53 +78,70 @@ class SweepSpec:
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ValueError("sweep grid must be nonempty")
+        if not all(map(math.isfinite, grid)):
+            raise ValueError("sweep grid values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
 
 
-def _config_at(spec: SweepSpec, value: float):
+# Upper bound on batch elements x register amplitudes in one protocol pass;
+# longer grids run in several passes.
+MAX_BATCH_AMPLITUDES = 2 ** 14
+
+
+def _batched_config(spec: SweepSpec, values: np.ndarray):
+    """The sweep's config with the swept parameter set to ``values`` (a batch)."""
     cfg = spec.config
     if spec.parameter == "t_over_t2":
-        return replace(cfg, t_over_t2=value)
+        return replace(cfg, t_over_t2=values)
     if not isinstance(cfg.gate, RealisticGate):
         raise ValueError(
             f"sweeping {spec.parameter!r} requires a realistic gate configuration"
         )
     p = cfg.gate.params
-    if spec.parameter == "g_rel":
-        p2 = replace(p, g=value * p.kappa)
-        return replace(cfg, gate=RealisticGate(p2, cfg.gate.omega))
-    if spec.parameter == "gamma_rel":
-        p2 = replace(p, gamma=value * p.kappa)
-        return replace(cfg, gate=RealisticGate(p2, cfg.gate.omega))
-    if spec.parameter == "kappa_s_rel":
-        p2 = replace(p, kappa_s=value * p.kappa)
-        return replace(cfg, gate=RealisticGate(p2, cfg.gate.omega))
-    # detuning_rel: move the probe frequency
-    return replace(cfg, gate=RealisticGate(p, p.omega_c + value * p.kappa))
+    if spec.parameter == "detuning_rel":  # move the probe frequency
+        return replace(cfg, gate=RealisticGate(p, p.omega_c + values * p.kappa))
+    field = {"g_rel": "g", "gamma_rel": "gamma", "kappa_s_rel": "kappa_s"}[spec.parameter]
+    p2 = replace(p, **{field: values * p.kappa})
+    # one (cavity, probe frequency) point per element
+    return replace(cfg, gate=RealisticGate(p2, np.full(values.shape, cfg.gate.omega)))
 
 
-def _rows_at(spec: SweepSpec, value: float) -> list[dict]:
-    from . import protocols  # local import; protocols also uses this module
+def _passes(spec: SweepSpec) -> list[np.ndarray]:
+    """The grid in order, split into the batches of one protocol pass each.
 
-    result = protocols.run_protocol(spec.protocol, _config_at(spec, value),
-                                    n_photons=spec.n_photons)
-    rows = []
-    for br in result.branches:
-        rows.append({
-            "swept_name": spec.parameter,
-            "swept_value": value,
-            "branch_label": br.label,
-            "probability": br.probability,
-            "fidelity": br.fidelity_vs_target,
-            "concurrence": br.concurrence,
-            "success_probability": br.success_probability,
-        })
-    return rows
+    The t_over_t2 = 0 point runs apart from the dephased ones, since its
+    branch states are pure. Each pass holds at most MAX_BATCH_AMPLITUDES
+    amplitudes of the largest register the protocol builds (n photons, the
+    ancilla and the spin for ghz; four qubits for the others).
+    """
+    grid = np.array(spec.grid)
+    groups = [grid]
+    if spec.parameter == "t_over_t2":
+        groups = [grid[grid == 0.0], grid[grid != 0.0]]
+    qubits = spec.n_photons + 2 if spec.protocol == "ghz" else 4
+    size = max(1, MAX_BATCH_AMPLITUDES >> qubits)
+    return [g[i:i + size] for g in groups for i in range(0, len(g), size)]
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per (grid point, branch), in grid order. Pure: identical specs
     give identical tables."""
-    return [row for value in spec.grid for row in _rows_at(spec, value)]
+    from . import protocols  # local import; protocols also uses this module
+
+    rows = []
+    for values in _passes(spec):
+        batch = protocols.run_protocol(spec.protocol, _batched_config(spec, values),
+                                       n_photons=spec.n_photons)
+        for value, result in zip(values.tolist(), batch.results):
+            rows += [{
+                "swept_name": spec.parameter,
+                "swept_value": value,
+                "branch_label": br.label,
+                "probability": br.probability,
+                "fidelity": br.fidelity_vs_target,
+                "concurrence": br.concurrence,
+                "success_probability": br.success_probability,
+            } for br in result.branches]
+    return rows

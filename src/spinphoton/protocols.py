@@ -20,11 +20,20 @@ run is exactly the weighted mixture of two pure trajectories, (1-q, psi) and
 is the weighted sum over trajectories, and only its kept register is turned
 into a density matrix. A branch state is a DensityState exactly when the run
 applied dephasing (t_over_t2 > 0), and a PureState otherwise.
+
+A config may be batched: ``t_over_t2``, or the cavity fields and probe
+frequency of a realistic gate, given as arrays of one batch shape. The drivers
+then run the whole batch in one pass over batched states (see ``qstate``):
+each per-run decision (a branch below the probability floor, a zero branch, a
+NaN score, a trajectory left out of a mixture) is a per-element mask, so each
+batch element equals the unbatched run at its parameters bit for bit. An
+unbatched config is the batch of shape ``()``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +70,7 @@ from .qstate import (
     tensor,
     tensor_all,
     to_density,
+    unstack,
 )
 
 SQH = 1.0 / math.sqrt(2.0)
@@ -77,7 +87,9 @@ class ProtocolConfig:
     ``alpha1/beta1`` describe photon 1 (or the unknown input qubit in the
     transfer schemes), ``alpha2/beta2`` photon 2 / spin 2. Each pair must be
     normalized. ``t_over_t2`` is the dephasing exponent applied to a stored
-    spin per waiting interval; it must be finite and nonnegative.
+    spin per waiting interval; it must be finite and nonnegative. An array of
+    ``t_over_t2`` values is a batch, and is either all zero or all positive,
+    so that every element has the same output type.
     """
 
     gate: GateMode = IdealGate()
@@ -85,8 +97,7 @@ class ProtocolConfig:
     beta1: complex = SQH
     alpha2: complex = SQH
     beta2: complex = SQH
-    t_over_t2: float = 0.0
-    seed: int = 0
+    t_over_t2: float | np.ndarray = 0.0
 
     def __post_init__(self):
         for name_a, name_b, a, b in (
@@ -95,9 +106,26 @@ class ProtocolConfig:
         ):
             if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
                 raise ValueError(f"{name_a}/{name_b} are not normalized")
-        if not (math.isfinite(self.t_over_t2) and self.t_over_t2 >= 0):
+        t = np.asarray(self.t_over_t2, dtype=float)
+        bad = ~(np.isfinite(t) & (t >= 0))
+        if bad.any():
             raise ValueError(
-                f"t_over_t2 must be finite and nonnegative, got {self.t_over_t2!r}")
+                f"t_over_t2 must be finite and nonnegative, got {float(t[bad].flat[0])!r}")
+        if (t > 0).any() and not (t > 0).all():
+            raise ValueError("a batch of t_over_t2 values must be all zero or all positive")
+
+    @cached_property
+    def dephased(self) -> bool:
+        """Whether the run applies dephasing (branch states are then DensityStates)."""
+        return bool((np.asarray(self.t_over_t2) > 0).any())
+
+    @cached_property
+    def batch_shape(self) -> tuple[int, ...]:
+        shapes = [np.shape(self.t_over_t2)]
+        if isinstance(self.gate, RealisticGate):
+            shapes.append(np.shape(self.gate.omega))
+            shapes += [np.shape(v) for v in vars(self.gate.params).values()]
+        return np.broadcast_shapes(*shapes)
 
 
 @dataclass(frozen=True)
@@ -132,6 +160,21 @@ class ProtocolResult:
         raise KeyError(f"no branch labeled {label!r}")
 
 
+@dataclass(frozen=True)
+class ProtocolBatch:
+    """The runs of a batched config: one ProtocolResult per batch element, in
+    C order."""
+
+    protocol: str
+    results: tuple[ProtocolResult, ...]
+
+    @property
+    def branches(self) -> tuple[ProtocolBranch, ...]:
+        """Every branch of every element, element by element: the flat form of
+        ``ProtocolResult.branches``."""
+        return tuple(b for r in self.results for b in r.branches)
+
+
 def _require_pi_over_2(mode: GateMode) -> None:
     if isinstance(mode, IdealGate) and abs(mode.delta_phi - math.pi / 2) > 1e-12:
         raise ValueError("protocol requires a pi/2 conditional phase in ideal mode")
@@ -155,29 +198,43 @@ _PAULI_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
 # --- weighted pure trajectories ----------------------------------------------
 
-def _dephase_split(trajectories, spin_q: QubitLabel, t_over_t2: float):
+def _dephase_split(trajectories, spin_q: QubitLabel, t_over_t2):
     """Unravel dephasing of ``spin_q`` over a total ``t_over_t2`` into the
     (1-q, psi) and (q, Z psi) trajectories of every (weight, state) pair."""
-    if t_over_t2 <= 0.0:
+    t = np.asarray(t_over_t2, dtype=float)
+    if not (t > 0.0).any():
         return trajectories
-    q = (1.0 - math.exp(-t_over_t2)) / 2.0
+    q = (1.0 - np.exp(-t)) / 2.0
     return [pair for w, psi in trajectories
             for pair in ((w * (1.0 - q), psi),
                          (w * q, apply_unitary(psi, [spin_q], _PAULI_Z)))]
 
 
-def _mix(register, live, prob: float) -> DensityState:
-    """rho = sum_k w_k p_k |psi_k><psi_k| / p, with p_k each state's norm_tracking."""
+def _mix(register, live, prob) -> DensityState:
+    """rho = sum_k w_k p_k |psi_k><psi_k| / p, with p_k each state's
+    norm_tracking, over the (weight, state, mask) triples in ``live``;
+    elements outside a mask, and elements of probability 0, add nothing."""
     dim = 2 ** len(register)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for w, psi in live:
-        mat += (w * psi.norm_tracking / prob) * np.outer(psi.amplitudes,
-                                                         psi.amplitudes.conj())
+    scale = np.where(prob > 0.0, prob, 1.0)
+    mat = np.zeros(np.shape(prob) + (dim, dim), dtype=np.complex128)
+    for w, psi, mask in live:
+        coef = np.where(mask, w * psi.norm_tracking / scale, 0.0)
+        a = psi.amplitudes
+        mat = mat + coef[..., None, None] * (a[..., :, None] * a.conj()[..., None, :])
     return DensityState(tuple(register), mat, prob)
 
 
-def _zero_like(kept) -> PureState:
-    return PureState(tuple(kept), np.zeros(2 ** len(kept), dtype=np.complex128), 0.0)
+def _zero_like(kept, batch=()) -> PureState:
+    return PureState(tuple(kept), np.zeros(batch + (2 ** len(kept),), dtype=np.complex128),
+                     0.0)
+
+
+def _keep(state: PureState, mask) -> PureState:
+    """``state`` with the batch elements outside ``mask`` set to zero."""
+    if mask.all():
+        return state
+    return PureState(state.register, np.where(mask[..., None], state.amplitudes, 0.0),
+                     np.where(mask, state.norm_tracking, 0.0))
 
 
 def _drop_measured(state: PureState, measured) -> PureState:
@@ -187,32 +244,43 @@ def _drop_measured(state: PureState, measured) -> PureState:
     return state
 
 
-def _leaf(label, reached, kept, measured, dephased: bool, correct=None):
+def _leaf(label, reached, kept, measured, dephased: bool, batch, correct=None):
     """Close one measurement leaf and reduce it to the kept register.
 
     ``reached`` holds the (weight, post state) of every trajectory that got
-    here. Returns (label, probability, state); trajectories below the floor
-    add to the probability but not to the state.
+    here. Returns (label, probability, state) with probability of the run's
+    ``batch`` shape; elements at or below the floor get probability 0 and a
+    zero state, and trajectories below the floor add to the probability but
+    not to the state.
     """
-    prob = sum(w * post.norm_tracking for w, post in reached)
-    if prob <= PROBABILITY_FLOOR:
-        return label, 0.0, _mix(kept, [], 0.0) if dephased else _zero_like(kept)
+    prob = sum((w * post.norm_tracking for w, post in reached), np.zeros(batch))
+    alive = prob > PROBABILITY_FLOOR
+    if not alive.any():
+        zero = np.zeros(batch)
+        return label, zero, _mix(kept, [], zero) if dephased else _zero_like(kept, batch)
     live = []
     for w, post in reached:
-        if post.norm_tracking > PROBABILITY_FLOOR:
+        own = post.norm_tracking > PROBABILITY_FLOOR
+        if own.any():
+            post = _keep(post, own)
             if correct is not None:
                 post = correct(post)
-            live.append((w, _drop_measured(post, measured)))
-    return label, prob, _mix(kept, live, prob) if dephased else live[0][1]
+            live.append((w, _drop_measured(post, measured), alive & own))
+    prob = np.where(alive, prob, 0.0)
+    if dephased:
+        return label, prob, _mix(kept, live, prob)
+    (_, state, _), = live  # an undephased run has one trajectory
+    return label, prob, state
 
 
 def _readout(trajectories, ancilla: QubitLabel, spin_q: QubitLabel, kept,
-             dephased: bool, announce=None, correct=None):
+             dephased: bool, batch, announce=None, correct=None):
     """The spin-readout tail: measure the ancilla photon in +-45, then the spin
     in up/down, on every trajectory; apply the optional per-branch
     ``correct(state, announced)``. Returns one (label, probability, state) leaf
     per joint outcome, labeled "announced/spin", where ``announce`` renames
-    the detection outcome (default: the outcome itself).
+    the detection outcome (default: the outcome itself). Trajectory elements
+    whose ancilla branch is below the floor get weight 0.
     """
     first = [measure(psi, ancilla, "45") for _, psi in trajectories]
     leaves = []
@@ -220,39 +288,60 @@ def _readout(trajectories, ancilla: QubitLabel, spin_q: QubitLabel, kept,
         reached = {label: [] for label in _KET_UD}
         for (w, _), outs in zip(trajectories, first):
             post = outs[j].post_state
-            if post.norm_tracking > PROBABILITY_FLOOR:
+            live = post.norm_tracking > PROBABILITY_FLOOR
+            if live.any():
+                w = np.where(live, w, 0.0)
                 for o in measure(post, spin_q, "updown"):
                     reached[o.label].append((w, o.post_state))
         announced = (announce or {}).get(det, det)
         fix = None if correct is None else (lambda st, a=announced: correct(st, a))
         for sl, ket_s in _KET_UD.items():
             leaves.append(_leaf(f"{announced}/{sl}", reached[sl], kept,
-                                [(ancilla, ket3), (spin_q, ket_s)], dephased, fix))
+                                [(ancilla, ket3), (spin_q, ket_s)], dephased, batch, fix))
     return leaves
 
 
-def _branch(label, prob, state, target) -> ProtocolBranch:
-    """Score one leaf against its target; zero-probability leaves score NaN."""
+def _branch(label, prob, state, target):
+    """Score one leaf against its target: (label, probability, state, target,
+    fidelity, concurrence), batched like the leaf. Elements of probability
+    zero score NaN; concurrence is None unless the state has two qubits."""
     two = state.n_qubits == 2
-    if prob <= 0.0:
-        return ProtocolBranch(label, 0.0, state, target, math.nan,
-                              math.nan if two else None)
-    fid = fidelity(target, state) if target is not None else math.nan
-    return ProtocolBranch(label, prob, state, target, fid,
-                          concurrence(state) if two else None)
+    alive = prob > 0.0
+    fid = conc = np.full(np.shape(prob), math.nan)
+    if alive.any():
+        if target is not None:
+            fid = np.where(alive, fidelity(target, state), math.nan)
+        if two:
+            conc = np.where(alive, concurrence(state), math.nan)
+    return label, prob, state, target, fid, conc if two else None
+
+
+def _result(name: str, config: ProtocolConfig, scored):
+    """Unstack scored leaves (see ``_branch``) into one ProtocolResult per
+    batch element: the result itself for an unbatched config, else a
+    ProtocolBatch."""
+    batch = config.batch_shape
+
+    def flat(x):
+        x = np.asarray(x)
+        return (x if x.shape == batch else np.broadcast_to(x, batch)).reshape(-1).tolist()
+
+    columns = [(label, flat(prob), unstack(state, batch), target, flat(fid),
+                None if conc is None else flat(conc))
+               for label, prob, state, target, fid, conc in scored]
+    results = tuple(
+        ProtocolResult(name, tuple(
+            ProtocolBranch(label, p[i], states[i], target, f[i], None if c is None else c[i])
+            for label, p, states, target, f, c in columns))
+        for i in range(math.prod(batch)))
+    return ProtocolBatch(name, results) if batch else results[0]
 
 
 # --- scheme A: photon pairs via remote entangled spins ----------------------
 
-def scheme_a_entangle_spins(config: ProtocolConfig,
-                            second_cavity: CavityParams | None = None) -> ProtocolResult:
-    """Entangle two remote spins with one linearly polarized probe photon.
-
-    The |H> probe reflects off cavity 1 then cavity 2 and is detected in the
-    H/V basis. The V click heralds alpha1 alpha2 |up,up> - beta1 beta2
-    |down,down>; the H click heralds alpha1 beta2 |up,down> + alpha2 beta1
-    |down,up| (up to a global phase).
-    """
+def _spin_pair_leaves(config: ProtocolConfig, second_cavity: CavityParams | None):
+    """Scheme A's heralded spin pairs: the (label, probability, state) leaves
+    and their targets."""
     _require_pi_over_2(config.gate)
     s1, s2, probe = spin(1), spin(2), photon(0)
     mode2 = config.gate
@@ -274,20 +363,28 @@ def scheme_a_entangle_spins(config: ProtocolConfig,
         "V": _target_state((s1, s2), [a1 * a2, 0, 0, -b1 * b2]),
         "H": _target_state((s1, s2), [0, a1 * b2, a2 * b1, 0]),
     }
-    kept = (s1, s2)
-    branches = [_branch(*_leaf(o.label, [(1.0, o.post_state)], kept,
-                               [(probe, _KET_HV[o.label])], False),
-                        targets[o.label])
-                for o in measure(state, probe, "HV")]
-    return ProtocolResult("scheme-a-spins", tuple(branches))
+    leaves = [_leaf(o.label, [(1.0, o.post_state)], (s1, s2),
+                    [(probe, _KET_HV[o.label])], False, config.batch_shape)
+              for o in measure(state, probe, "HV")]
+    return leaves, targets
 
 
-def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig) -> ProtocolResult:
-    """Convert each heralded spin pair into a polarization-entangled photon pair.
+def scheme_a_entangle_spins(config: ProtocolConfig,
+                            second_cavity: CavityParams | None = None):
+    """Entangle two remote spins with one linearly polarized probe photon.
 
-    Optional dephasing (one emission interval per spin) is applied first, then
-    the emission relabeling up -> L, down -> R on both spins.
+    The |H> probe reflects off cavity 1 then cavity 2 and is detected in the
+    H/V basis. The V click heralds alpha1 alpha2 |up,up> - beta1 beta2
+    |down,down>; the H click heralds alpha1 beta2 |up,down> + alpha2 beta1
+    |down,up| (up to a global phase).
     """
+    leaves, targets = _spin_pair_leaves(config, second_cavity)
+    return _result("scheme-a-spins", config,
+                   [_branch(*leaf, targets[leaf[0]]) for leaf in leaves])
+
+
+def _emit_pairs(spin_pairs, config: ProtocolConfig):
+    """Scored emission branches from (label, spin-pair state) pairs."""
     s1, s2 = spin(1), spin(2)
     p1, p2 = photon(1), photon(2)
     a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
@@ -300,30 +397,35 @@ def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig) -> Protocol
         return trion_emission_map(trion_emission_map(st, s1, p1), s2, p2)
 
     branches = []
-    for br in entangled.branches:
-        trajectories = [(1.0, br.state)]
+    for label, state in spin_pairs:
+        trajectories = [(1.0, state)]
         for s in (s1, s2):
             trajectories = _dephase_split(trajectories, s, config.t_over_t2)
-        leaf = _leaf(br.label, trajectories, (p1, p2), (), config.t_over_t2 > 0.0, emit)
-        branches.append(_branch(*leaf, targets[br.label]))
-    return ProtocolResult("scheme-a", tuple(branches))
+        leaf = _leaf(label, trajectories, (p1, p2), (), config.dephased,
+                     config.batch_shape, emit)
+        branches.append(_branch(*leaf, targets[label]))
+    return branches
+
+
+def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
+    """Convert each heralded spin pair into a polarization-entangled photon pair.
+
+    Optional dephasing (one emission interval per spin) is applied first, then
+    the emission relabeling up -> L, down -> R on both spins.
+    """
+    return _result("scheme-a", config,
+                   _emit_pairs([(b.label, b.state) for b in entangled.branches], config))
 
 
 def scheme_a_photon_pairs(config: ProtocolConfig,
-                          second_cavity: CavityParams | None = None) -> ProtocolResult:
+                          second_cavity: CavityParams | None = None):
     """Full scheme A: spin-spin entanglement followed by emission."""
-    return scheme_a_emit(scheme_a_entangle_spins(config, second_cavity), config)
+    leaves, _ = _spin_pair_leaves(config, second_cavity)
+    return _result("scheme-a", config,
+                   _emit_pairs([(label, st) for label, _, st in leaves], config))
 
 
 # --- scheme B and its multi-photon chain -------------------------------------
-
-def _emission_targets_b(config, p1, p2):
-    a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
-    return {
-        "+45": _target_state((p1, p2), [a1 * a2, 0, 0, -b1 * b2]),
-        "-45": _target_state((p1, p2), [0, a1 * b2, a2 * b1, 0]),
-    }
-
 
 def _chain_leaves(config: ProtocolConfig, n: int):
     """Reflect photons 1..n off one spin, then read the spin out with ancilla
@@ -359,11 +461,22 @@ def _chain_leaves(config: ProtocolConfig, n: int):
             st = apply_unitary(st, [p], circular_to_z())
         return apply_unitary(st, [photons[0]], phase_fix)
 
-    return _readout(trajectories, ancilla, s, photons, config.t_over_t2 > 0.0,
+    return _readout(trajectories, ancilla, s, photons, config.dephased, config.batch_shape,
                     correct=plates if n > 2 else None)
 
 
-def scheme_b_entangle_photons(config: ProtocolConfig) -> ProtocolResult:
+def _scheme_b_branches(config: ProtocolConfig):
+    a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
+    p1, p2 = photon(1), photon(2)
+    targets = {
+        "+45": _target_state((p1, p2), [a1 * a2, 0, 0, -b1 * b2]),
+        "-45": _target_state((p1, p2), [0, a1 * b2, a2 * b1, 0]),
+    }
+    return [_branch(label, prob, st, targets[label.split("/")[0]])
+            for label, prob, st in _chain_leaves(config, 2)]
+
+
+def scheme_b_entangle_photons(config: ProtocolConfig):
     """Entangle two photons through successive reflections off one spin.
 
     Photons 1 and 2 reflect in sequence, a pi/2 spin pulse rotates the two
@@ -374,40 +487,35 @@ def scheme_b_entangle_photons(config: ProtocolConfig) -> ProtocolResult:
     beta1 |LR> with the spin in |down>. The spin is measured afterwards so the
     result carries the joint (photon-3, spin) distribution.
     """
-    targets = _emission_targets_b(config, photon(1), photon(2))
-    return ProtocolResult("scheme-b", tuple(
-        _branch(label, prob, st, targets[label.split("/")[0]])
-        for label, prob, st in _chain_leaves(config, 2)))
+    return _result("scheme-b", config, _scheme_b_branches(config))
 
 
-def chain_multiphoton(config: ProtocolConfig, n_photons: int) -> ProtocolResult:
+def chain_multiphoton(config: ProtocolConfig, n_photons: int):
     """Entangle ``n_photons`` photons against one spin (scheme B generalized).
 
     Photons 1 and 2 carry the configured amplitudes, photons 3..n enter as
     |H>. For n = 2 this is exactly scheme B. For n >= 3 the feed-forward wave
     plates bring the branch states to canonical form; with uniform inputs the
     +45 branch is then (|R...R> - |L...L>)/sqrt2. Targets are the branch
-    states of the ideal, undephased run.
+    states of the ideal, undephased, unbatched run.
     """
     if not 2 <= n_photons <= 6:
         raise ValueError("register overflow: n_photons must be in [2, 6]")
     if n_photons == 2:
-        res = scheme_b_entangle_photons(config)
-        return ProtocolResult("ghz", res.branches)
+        return _result("ghz", config, _scheme_b_branches(config))
 
     leaves = _chain_leaves(config, n_photons)
     ideal = leaves
-    if not (isinstance(config.gate, IdealGate) and config.t_over_t2 == 0.0):
+    if config.batch_shape or config.dephased or not isinstance(config.gate, IdealGate):
         ideal = _chain_leaves(replace(config, gate=IdealGate(), t_over_t2=0.0), n_photons)
     targets = {label.split("/")[0]: normalize(st) for label, p, st in ideal if p > 0.0}
-    return ProtocolResult("ghz", tuple(
-        _branch(label, p, st, targets.get(label.split("/")[0]))
-        for label, p, st in leaves))
+    return _result("ghz", config, [_branch(label, p, st, targets.get(label.split("/")[0]))
+                                   for label, p, st in leaves])
 
 
 # --- scheme C: photon state onto the spin ------------------------------------
 
-def transfer_photon_to_spin(config: ProtocolConfig) -> ProtocolResult:
+def transfer_photon_to_spin(config: ProtocolConfig):
     """Write an unknown photon polarization state onto the spin.
 
     The photon (alpha1|R> + beta1|L>) reflects once, the PBS projects it in
@@ -426,14 +534,14 @@ def transfer_photon_to_spin(config: ProtocolConfig) -> ProtocolResult:
         def correct(st, label=o.label):
             return apply_correction(apply_unitary(st, [s], circular_to_z()), s, label, "C")
         leaf = _leaf(o.label, [(1.0, o.post_state)], (s,), [(ph, _KET_HV[o.label])],
-                     False, correct)
+                     False, config.batch_shape, correct)
         branches.append(_branch(*leaf, target))
-    return ProtocolResult("transfer-ps", tuple(branches))
+    return _result("transfer-ps", config, branches)
 
 
 # --- scheme D: spin state onto a photon --------------------------------------
 
-def transfer_spin_to_photon(config: ProtocolConfig) -> ProtocolResult:
+def transfer_spin_to_photon(config: ProtocolConfig):
     """Write an unknown spin state onto a fresh photon.
 
     Photon 1 (prepared |H>) reflects off the cavity holding the spin
@@ -456,10 +564,10 @@ def transfer_spin_to_photon(config: ProtocolConfig) -> ProtocolResult:
 
     a, b = config.alpha1, config.beta1
     target = _target_state((p1,), [(a + b) * SQH, (a - b) * SQH])  # alpha|H> + beta|V>
-    leaves = _readout(trajectories, p3, s, (p1,), config.t_over_t2 > 0.0,
+    leaves = _readout(trajectories, p3, s, (p1,), config.dephased, config.batch_shape,
                       announce={"+45": "up", "-45": "down"},
                       correct=lambda st, announced: apply_correction(st, p1, announced, "D"))
-    return ProtocolResult("transfer-sp", tuple(_branch(*leaf, target) for leaf in leaves))
+    return _result("transfer-sp", config, [_branch(*leaf, target) for leaf in leaves])
 
 
 # --- non-demolition spin readout as a standalone operation -------------------
@@ -490,7 +598,9 @@ def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: Qubit
 PROTOCOL_NAMES = ("scheme-a", "scheme-b", "transfer-ps", "transfer-sp", "ghz")
 
 
-def run_protocol(name: str, config: ProtocolConfig, n_photons: int = 3) -> ProtocolResult:
+def run_protocol(name: str, config: ProtocolConfig, n_photons: int = 3):
+    """Run one protocol: a ProtocolResult, or for a batched config a
+    ProtocolBatch with one result per element."""
     if name == "scheme-a":
         return scheme_a_photon_pairs(config)
     if name == "scheme-b":

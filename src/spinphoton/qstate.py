@@ -16,6 +16,17 @@ place.
 Circuits evolve kets only. Density operators describe results: mixtures of
 pure runs, reduced states (``partial_trace``) and the dephasing channel
 (``dephase_spin``), scored by ``fidelity`` and normalized by ``normalize``.
+
+A state may carry leading batch axes: amplitudes of shape ``(*batch, 2**n)``
+(a matrix of shape ``(*batch, 2**n, 2**n)``) and ``norm_tracking`` of shape
+``batch``, one independent state per batch element. The operations act on the
+trailing axes and broadcast over the batch, so an unbatched state is simply
+the batch of shape ``()`` and runs the same code. Every reduction is a sum over
+the last axis, which numpy evaluates identically for each element whatever
+the batch size, so a batch element equals the unbatched run bit for bit. A
+batch element of zero norm is carried as a dead element (zero amplitudes,
+``norm_tracking`` 0); an operation refuses a zero state only when every
+element is zero.
 """
 from __future__ import annotations
 
@@ -123,36 +134,74 @@ def _check_register(register) -> tuple[QubitLabel, ...]:
     return reg
 
 
+def _norm2(v: np.ndarray):
+    """Squared norm over the last axis, one value per batch element."""
+    v = np.ascontiguousarray(v)
+    return (v.real * v.real + v.imag * v.imag).sum(axis=-1)
+
+
+def _nonzero(x):
+    """``x`` with its non-positive entries replaced by 1, for dividing dead
+    batch elements (whose numerators are zero too) without a 0/0."""
+    return np.where(x > 0.0, x, 1.0)
+
+
+def _batched(data: np.ndarray, core: int, nt: np.ndarray):
+    """Bring ``data`` (``core`` trailing axes) and the array ``nt`` to one
+    batch shape; norm_tracking is clipped to [0, 1], a numpy scalar when
+    unbatched."""
+    batch = data.shape[:data.ndim - core]
+    if not batch and not nt.shape:
+        data.flags.writeable = False
+        return data, np.float64(min(max(float(nt), 0.0), 1.0))
+    if nt.shape != batch:
+        batch = np.broadcast_shapes(batch, nt.shape)
+        data = np.broadcast_to(data, batch + data.shape[data.ndim - core:]).copy()
+        nt = np.broadcast_to(nt, batch)
+    data.flags.writeable = False
+    nt = np.minimum(np.maximum(nt, 0.0), 1.0)
+    if batch:
+        nt.flags.writeable = False
+    return data, nt
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Ket over an ordered register. First label is the most significant bit.
 
     ``norm_tracking`` is the probability of having reached this state, i.e. the
     product of all survival factors (lossy reflections, selected measurement
-    branches) since preparation.
+    branches) since preparation. A batch of kets has amplitudes of shape
+    ``(*batch, 2**n)`` and ``norm_tracking`` of shape ``batch``.
     """
 
     register: tuple[QubitLabel, ...]
     amplitudes: np.ndarray
-    norm_tracking: float = 1.0
+    norm_tracking: float | np.ndarray = 1.0
 
     def __post_init__(self):
         reg = _check_register(self.register)
-        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != 2 ** len(reg):
+        amps = np.array(self.amplitudes, dtype=np.complex128)
+        if amps.ndim == 0 or amps.shape[-1] != 2 ** len(reg):
             raise ValueError(
-                f"amplitude vector has length {amps.size}, expected {2 ** len(reg)}"
+                f"amplitude vector has length {amps.shape[-1] if amps.ndim else 1}, "
+                f"expected {2 ** len(reg)}"
             )
-        amps.flags.writeable = False
-        if not -1e-9 <= self.norm_tracking <= 1 + 1e-9:
+        nt = np.asarray(self.norm_tracking, dtype=float)
+        if not ((nt >= -1e-9) & (nt <= 1 + 1e-9)).all():
             raise ValueError("norm_tracking must lie in [0, 1]")
+        amps, nt = _batched(amps, 1, nt)
         object.__setattr__(self, "register", reg)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "norm_tracking", float(min(max(self.norm_tracking, 0.0), 1.0)))
+        object.__setattr__(self, "norm_tracking", nt)
 
     @property
     def n_qubits(self) -> int:
         return len(self.register)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.amplitudes.shape[:-1]
 
     def index_of(self, label: QubitLabel) -> int:
         try:
@@ -160,8 +209,8 @@ class PureState:
         except ValueError:
             raise ValueError(f"qubit {label} not in register")
 
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+    def squared_norm(self):
+        return _norm2(self.amplitudes)
 
     def basis_strings(self) -> list[str]:
         """Human-readable basis labels, e.g. 'RL' or 'Rd', index-aligned."""
@@ -177,26 +226,31 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityState:
-    """Density operator over an ordered register, same basis ordering as PureState."""
+    """Density operator over an ordered register, same basis ordering as
+    PureState; a batch has a matrix of shape ``(*batch, 2**n, 2**n)``."""
 
     register: tuple[QubitLabel, ...]
     matrix: np.ndarray
-    norm_tracking: float = 1.0
+    norm_tracking: float | np.ndarray = 1.0
 
     def __post_init__(self):
         reg = _check_register(self.register)
         dim = 2 ** len(reg)
         mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.shape != (dim, dim):
+        if mat.shape[-2:] != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected {(dim, dim)}")
-        mat.flags.writeable = False
+        mat, nt = _batched(mat, 2, np.asarray(self.norm_tracking, dtype=float))
         object.__setattr__(self, "register", reg)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "norm_tracking", float(min(max(self.norm_tracking, 0.0), 1.0)))
+        object.__setattr__(self, "norm_tracking", nt)
 
     @property
     def n_qubits(self) -> int:
         return len(self.register)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.matrix.shape[:-2]
 
     def index_of(self, label: QubitLabel) -> int:
         try:
@@ -204,8 +258,9 @@ class DensityState:
         except ValueError:
             raise ValueError(f"qubit {label} not in register")
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    def trace(self):
+        diag = np.ascontiguousarray(np.diagonal(self.matrix, 0, -2, -1).real)
+        return diag.sum(axis=-1)
 
     def basis_strings(self) -> list[str]:
         return PureState.basis_strings(self)  # same register layout
@@ -218,6 +273,27 @@ class ProjectiveOutcome:
     label: str
     probability: float
     post_state: PureState | None
+
+
+def unstack(state, batch: tuple[int, ...]) -> list:
+    """The unbatched states of ``state`` broadcast to ``batch``, in C order.
+
+    The elements are read-only views of one array, built without the
+    constructor's checks: they are slices of a state that passed them.
+    """
+    pure = isinstance(state, PureState)
+    data = state.amplitudes if pure else state.matrix
+    core = data.shape[len(state.batch_shape):]
+    data = np.broadcast_to(data, batch + core).reshape((-1,) + core)
+    nts = np.broadcast_to(state.norm_tracking, batch).reshape(-1)
+    out = []
+    for d, nt in zip(data, nts):
+        element = object.__new__(type(state))
+        object.__setattr__(element, "register", state.register)
+        object.__setattr__(element, "amplitudes" if pure else "matrix", d)
+        object.__setattr__(element, "norm_tracking", nt)
+        out.append(element)
+    return out
 
 
 def qubit_state(label: QubitLabel, alpha: complex, beta: complex) -> PureState:
@@ -233,9 +309,10 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """Kronecker product; registers concatenate, norm_tracking multiplies."""
     if set(a.register) & set(b.register):
         raise ValueError("duplicate qubit")
+    amps = a.amplitudes[..., :, None] * b.amplitudes[..., None, :]
     return PureState(
         a.register + b.register,
-        np.kron(a.amplitudes, b.amplitudes),
+        amps.reshape(amps.shape[:-2] + (-1,)),
         a.norm_tracking * b.norm_tracking,
     )
 
@@ -254,11 +331,9 @@ def to_density(state: PureState) -> DensityState:
     """Outer product |psi><psi|, carrying norm_tracking through."""
     if isinstance(state, DensityState):
         return state
-    return DensityState(
-        state.register,
-        np.outer(state.amplitudes, state.amplitudes.conj()),
-        state.norm_tracking,
-    )
+    a = state.amplitudes
+    return DensityState(state.register, a[..., :, None] * a.conj()[..., None, :],
+                        state.norm_tracking)
 
 
 def _check_unitary(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -271,34 +346,45 @@ def _check_unitary(matrix: np.ndarray, k: int) -> np.ndarray:
     return mat
 
 
-def _apply_on_axes(arr: np.ndarray, mat: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Contract a 2^k x 2^k matrix into the given tensor axes of arr."""
-    k = len(axes)
-    mk = mat.reshape((2,) * (2 * k))
-    out = np.tensordot(mk, arr, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
+def _qubit_axes(state: PureState):
+    """Amplitudes as a (*batch, 2, ..., 2) tensor, and the batch rank."""
+    amps = state.amplitudes
+    return amps.reshape(amps.shape[:-1] + (2,) * state.n_qubits), amps.ndim - 1
 
 
 def apply_unitary(state: PureState, targets, matrix) -> PureState:
-    """Apply a small unitary to the target qubits; norm is preserved."""
+    """Apply a small unitary to the target qubits; norm is preserved.
+
+    The contraction is written out element by element (no BLAS call), so
+    every batch element gets the same arithmetic.
+    """
     targets = list(targets)
     if len(set(targets)) != len(targets):
         raise ValueError("repeated target qubit")
     pos = [state.index_of(t) for t in targets]
     mat = _check_unitary(matrix, len(targets))
-    arr = state.amplitudes.reshape((2,) * state.n_qubits)
-    arr = _apply_on_axes(arr, mat, pos)
-    return PureState(state.register, arr.reshape(-1), state.norm_tracking)
+    arr, nb = _qubit_axes(state)
+    k = len(pos)
+    targets_last = [i for i in range(arr.ndim) if i - nb not in pos] + [nb + p for p in pos]
+    arr = arr.transpose(targets_last)
+    vec = arr.reshape(arr.shape[:-k] + (2 ** k,))
+    out = vec[..., 0:1] * mat[:, 0]
+    for j in range(1, 2 ** k):
+        out = out + vec[..., j:j + 1] * mat[:, j]
+    out = out.reshape(arr.shape).transpose(sorted(range(arr.ndim), key=targets_last.__getitem__))
+    return PureState(state.register, out.reshape(state.amplitudes.shape),
+                     state.norm_tracking)
 
 
 def apply_diagonal_pair(state: PureState, photon_q: QubitLabel, spin_q: QubitLabel,
-                        coeff_coupled: complex, coeff_uncoupled: complex) -> PureState:
+                        coeff_coupled, coeff_uncoupled) -> PureState:
     """Multiply the |L,up> and |R,down> components by ``coeff_coupled`` and the
     |R,up> and |L,down> components by ``coeff_uncoupled``.
 
     This is the primitive behind the conditional-reflection gate; coefficients
     with modulus below 1 make the map trace-decreasing, which is recorded in
-    norm_tracking.
+    norm_tracking. The coefficients may be arrays of one batch shape, one
+    gate per batch element.
     """
     if photon_q.kind is not QubitKind.PHOTON:
         raise ValueError(f"{photon_q} is not a photon qubit")
@@ -308,30 +394,19 @@ def apply_diagonal_pair(state: PureState, photon_q: QubitLabel, spin_q: QubitLab
     s = state.index_of(spin_q)
     n = state.n_qubits
     # coupled combinations are (L,up) and (R,down): photon and spin bits differ
-    f = np.array([[coeff_uncoupled, coeff_coupled],
-                  [coeff_coupled, coeff_uncoupled]], dtype=np.complex128)
+    cc = np.asarray(coeff_coupled, dtype=np.complex128)
+    cu = np.asarray(coeff_uncoupled, dtype=np.complex128)
+    f = np.moveaxis(np.array([[cu, cc], [cc, cu]]), [0, 1], [-2, -1])
     shape = [1] * n
     shape[p] = 2
     shape[s] = 2
-    f_nd = f.reshape(shape)  # f is symmetric, so axis order does not matter
+    f_nd = f.reshape(f.shape[:-2] + tuple(shape))  # f is symmetric: axis order is free
 
-    before = state.squared_norm()
-    arr = state.amplitudes.reshape((2,) * n) * f_nd
-    arr = arr.reshape(-1)
-    after = float(np.vdot(arr, arr).real)
-    nt = state.norm_tracking * (after / before) if before > 0 else 0.0
-    return PureState(state.register, arr, min(nt, 1.0))
-
-
-def _pure_branch(state: PureState, pos: int, ket: np.ndarray):
-    """Raw branch probability and unrenormalized projected amplitudes."""
-    n = state.n_qubits
-    arr = state.amplitudes.reshape((2,) * n)
-    rest = np.tensordot(ket.conj(), arr, axes=([0], [pos]))
-    p_raw = float(np.vdot(rest, rest).real)
-    proj = np.multiply.outer(ket, rest)
-    proj = np.moveaxis(proj, 0, pos)
-    return p_raw, proj.reshape(-1)
+    arr, _ = _qubit_axes(state)
+    arr = arr * f_nd
+    arr = arr.reshape(arr.shape[:-n] + (-1,))
+    ratio = _norm2(arr) / _nonzero(state.squared_norm())
+    return PureState(state.register, arr, np.minimum(state.norm_tracking * ratio, 1.0))
 
 
 def measure(state: PureState, target: QubitLabel, basis: str) -> list[ProjectiveOutcome]:
@@ -339,28 +414,41 @@ def measure(state: PureState, target: QubitLabel, basis: str) -> list[Projective
 
     Probabilities are absolute, i.e. not renormalized: they sum to the state's
     squared norm. Post states are renormalized, with norm_tracking scaled down
-    by the conditional branch probability.
+    by the conditional branch probability; a branch of probability zero keeps
+    zero amplitudes and norm_tracking 0.
     """
     pos = state.index_of(target)
     pairs = measurement_basis(target.kind, basis)
     total = state.squared_norm()
-    if total <= 0.0:
+    if not (total > 0.0).any():
         raise ValueError("cannot measure a zero-norm state")
+    arr, nb = _qubit_axes(state)
+    lead = (slice(None),) * (nb + pos)
+    a0, a1 = arr[lead + (0,)], arr[lead + (1,)]
+    batch = state.batch_shape
+    n = state.n_qubits
+    # the projected ket, on the measured axis, times the remainder
+    with_axis = batch + (2,) * pos + (1,) + (2,) * (n - 1 - pos)
+    ket_axis = (2,) + (1,) * (n - 1 - pos)
     outcomes = []
     for label, ket in pairs:
-        p_raw, proj = _pure_branch(state, pos, ket)
-        if p_raw > 0.0:
-            post = PureState(state.register, proj / math.sqrt(p_raw),
-                             state.norm_tracking * (p_raw / total))
-        else:
-            post = PureState(state.register, proj, 0.0)
+        rest = ket[0].conj() * a0 + ket[1].conj() * a1
+        p_raw = _norm2(rest.reshape(batch + (-1,)))
+        proj = rest.reshape(with_axis) * ket.reshape(ket_axis)
+        post = PureState(state.register,
+                         proj.reshape(state.amplitudes.shape)
+                         / np.sqrt(_nonzero(p_raw))[..., None],
+                         state.norm_tracking * (p_raw / _nonzero(total)))
         outcomes.append(ProjectiveOutcome(label, p_raw, post))
     return outcomes
 
 
-def sample_outcome(outcomes, rng_seed) -> ProjectiveOutcome:
-    """Draw one branch with a seeded generator; same seed, same draw sequence.
+def sample_indices(outcomes, rng_seed, trials: int) -> np.ndarray:
+    """Indices into ``outcomes`` of ``trials`` seeded draws, from one
+    ``rng.random(trials)`` call.
 
+    A draw r picks the first outcome whose running probability sum exceeds
+    r; a draw at or above the last sum (rounding) picks the last outcome.
     ``rng_seed`` may be an int seed or a numpy Generator (reused across calls
     to continue its sequence).
     """
@@ -371,13 +459,13 @@ def sample_outcome(outcomes, rng_seed) -> ProjectiveOutcome:
         raise ValueError("outcome probabilities must sum to 1")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
         else np.random.default_rng(rng_seed)
-    r = rng.random()
-    acc = 0.0
-    for o, p in zip(outcomes, probs):
-        acc += p
-        if r < acc:
-            return o
-    return outcomes[-1]
+    picks = np.searchsorted(np.cumsum(probs), rng.random(trials), side="right")
+    return np.minimum(picks, len(outcomes) - 1)
+
+
+def sample_outcome(outcomes, rng_seed) -> ProjectiveOutcome:
+    """Draw one branch with a seeded generator; same seed, same draw sequence."""
+    return outcomes[int(sample_indices(outcomes, rng_seed, 1)[0])]
 
 
 def dephase_spin(rho: DensityState, target: QubitLabel, t_over_t2: float) -> DensityState:
@@ -406,23 +494,26 @@ def dephase_spin(rho: DensityState, target: QubitLabel, t_over_t2: float) -> Den
 
 
 def normalize(state):
-    """Rescale amplitudes (or trace) to unit norm; norm_tracking is kept."""
+    """Rescale amplitudes (or trace) to unit norm; norm_tracking is kept.
+    Dead batch elements stay zero."""
     if isinstance(state, PureState):
-        nrm = math.sqrt(state.squared_norm())
-        if nrm <= 0.0:
+        nrm = np.sqrt(state.squared_norm())
+        if not (nrm > 0.0).any():
             raise ValueError("cannot normalize a zero state")
-        return PureState(state.register, state.amplitudes / nrm, state.norm_tracking)
+        return PureState(state.register, state.amplitudes / _nonzero(nrm)[..., None],
+                         state.norm_tracking)
     tr = state.trace()
-    if tr <= 0.0:
+    if not (tr > 0.0).any():
         raise ValueError("cannot normalize a zero-trace state")
-    return DensityState(state.register, state.matrix / tr, state.norm_tracking)
+    return DensityState(state.register, state.matrix / _nonzero(tr)[..., None, None],
+                        state.norm_tracking)
 
 
-def fidelity(a, b) -> float:
+def fidelity(a, b):
     """State fidelity in [0, 1]; blind to global phase and input normalization.
 
     Supports (pure, pure) and (pure, density) in either order. Registers must
-    match exactly (same labels, same order).
+    match exactly (same labels, same order). A dead batch element scores 0.
     """
     if isinstance(a, DensityState) and isinstance(b, DensityState):
         raise TypeError("fidelity between two density states is not supported")
@@ -430,14 +521,15 @@ def fidelity(a, b) -> float:
         a, b = b, a
     if a.register != b.register:
         raise ValueError("fidelity requires identical registers")
-    av = a.amplitudes / math.sqrt(a.squared_norm())
+    av = a.amplitudes / np.sqrt(_nonzero(a.squared_norm()))[..., None]
     if isinstance(b, PureState):
-        bv = b.amplitudes / math.sqrt(b.squared_norm())
-        f = abs(np.vdot(av, bv)) ** 2
+        bv = b.amplitudes / np.sqrt(_nonzero(b.squared_norm()))[..., None]
+        f = np.abs((av.conj() * bv).sum(axis=-1))
+        f = f * f
     else:
-        rho = b.matrix / b.trace()
-        f = float(np.vdot(av, rho @ av).real)
-    return float(min(max(f, 0.0), 1.0))
+        rho = b.matrix / _nonzero(b.trace())[..., None, None]
+        f = (av.conj() * (rho * av[..., None, :]).sum(axis=-1)).sum(axis=-1).real
+    return np.clip(f, 0.0, 1.0)
 
 
 def partial_trace(state, keep) -> DensityState:
@@ -449,15 +541,16 @@ def partial_trace(state, keep) -> DensityState:
     for q in keep:
         rho.index_of(q)
     n = rho.n_qubits
+    batch = rho.batch_shape
     drop_pos = [i for i, q in enumerate(rho.register) if q not in keep]
-    arr = rho.matrix.reshape((2,) * (2 * n))
+    arr = rho.matrix.reshape(batch + (2,) * (2 * n))
     m = n
     for d in sorted(drop_pos, reverse=True):  # descending keeps indices valid
-        arr = np.trace(arr, axis1=d, axis2=d + m)
+        arr = np.trace(arr, axis1=len(batch) + d, axis2=len(batch) + d + m)
         m -= 1
     new_reg = tuple(q for q in rho.register if q in keep)
     k = len(new_reg)
-    return DensityState(new_reg, arr.reshape(2 ** k, 2 ** k), rho.norm_tracking)
+    return DensityState(new_reg, arr.reshape(batch + (2 ** k, 2 ** k)), rho.norm_tracking)
 
 
 def drop_qubit(state: PureState, label: QubitLabel, onto=None) -> PureState:
@@ -470,25 +563,33 @@ def drop_qubit(state: PureState, label: QubitLabel, onto=None) -> PureState:
     """
     pos = state.index_of(label)
     n = state.n_qubits
-    arr = np.moveaxis(state.amplitudes.reshape((2,) * n), pos, 0).reshape(2, -1)
-    total = math.sqrt(state.squared_norm())
-    if total <= 0.0:
+    batch = state.batch_shape
+    # (*batch, qubits before, the qubit, qubits after): rows[k] is the rest of
+    # the register with the dropped qubit in |k>
+    arr = state.amplitudes.reshape(batch + (2 ** pos, 2, 2 ** (n - 1 - pos)))
+    rows = [arr[..., k, :].reshape(batch + (-1,)) for k in (0, 1)]
+    total = np.sqrt(state.squared_norm())
+    if not (total > 0.0).any():
         raise ValueError("cannot drop a qubit from a zero state")
+    tol = 1e-9 * total
     new_reg = tuple(q for q in state.register if q != label)
 
     if onto is not None:
         ket = np.asarray(onto, dtype=np.complex128).reshape(2)
-        ket = ket / np.linalg.norm(ket)
-        rest = ket.conj() @ arr
-        if np.max(np.abs(arr - np.outer(ket, rest))) > 1e-9 * total:
+        ket = ket / np.sqrt(_norm2(ket))
+        rest = ket[0].conj() * rows[0] + ket[1].conj() * rows[1]
+        resid = np.maximum(*(np.abs(rows[k] - ket[k] * rest).max(axis=-1) for k in (0, 1)))
+        if (resid > tol).any():
             raise ValueError(f"qubit {label} is not in the given state; cannot drop")
         return PureState(new_reg, rest, state.norm_tracking)
 
-    norms = np.linalg.norm(arr, axis=1)
-    i = int(np.argmax(norms))
-    v = arr[i] / norms[i]
+    arr = np.stack(rows, axis=-2)
+    norms = np.sqrt(_norm2(arr))
+    i = np.argmax(norms, axis=-1)[..., None]
+    row = np.take_along_axis(arr, i[..., None], axis=-2)[..., 0, :]
+    v = row / _nonzero(np.take_along_axis(norms, i, axis=-1))
     # both rows must be scalar multiples of v, else the qubit is entangled
-    resid = arr - np.outer(arr @ v.conj(), v)
-    if np.max(np.abs(resid)) > 1e-9 * total:
+    resid = arr - (arr * v.conj()[..., None, :]).sum(axis=-1)[..., None] * v[..., None, :]
+    if (np.abs(resid).max(axis=(-2, -1)) > tol).any():
         raise ValueError(f"qubit {label} is entangled with the rest; cannot drop")
-    return PureState(new_reg, v * total, state.norm_tracking)
+    return PureState(new_reg, v * total[..., None], state.norm_tracking)

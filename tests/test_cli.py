@@ -84,6 +84,29 @@ def test_grid_parsing():
         parse_grid("0:1")
 
 
+@pytest.mark.parametrize("command", ["reflectance", "sweep"])
+@pytest.mark.parametrize("grid", ["nan:1:2", "0:inf:3", "-inf:1:2", "0:1:1"])
+def test_non_physical_grid_rejected(tmp_path, capsys, command, grid):
+    cfg = write(tmp_path / "c.cfg", "protocol = scheme-b\ngate.mode = realistic\n")
+    out = tmp_path / "o.csv"
+    args = [command, "--config", cfg, f"--grid={grid}", "--out", str(out)]
+    if command == "sweep":
+        args += ["--sweep", "g_rel"]
+    assert run_cli(args) == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["reflectance", "--grid", "0:1:2"], ["protocol"],
+                                  ["sweep", "--sweep", "g_rel", "--grid", "1:2:2"]])
+def test_seed_flag_only_on_sample(tmp_path, capsys, args):
+    out = str(tmp_path / "o.txt")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--out", out, "--seed", "5"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 # --- reflectance ----------------------------------------------------------------
 
 def test_reflectance_single_point(tmp_path):
@@ -106,6 +129,20 @@ def test_reflectance_line_count(tmp_path):
 
 def test_reflectance_empty_range_exit_code(capsys):
     assert run_cli(["reflectance", "--grid", "0:1:0"]) == 2
+
+
+def test_reflectance_rows_equal_single_point_evaluations(tmp_path):
+    out = tmp_path / "r.csv"
+    run_cli(["reflectance", "--grid=-3:3:41", "--out", str(out)])
+    from spinphoton.cavity import CavityParams, conditional_phase, reflect
+    params = CavityParams(g=10, kappa=1, gamma=0.1)
+    for line in out.read_text().strip().split("\n")[1:]:
+        d = float(line.split(",")[0])
+        cold = reflect(params, d, coupled=False)
+        hot = reflect(params, d, coupled=True)
+        expected = (d, cold.r.real, cold.r.imag, cold.phase, hot.r.real, hot.r.imag,
+                    hot.phase, conditional_phase(params, d))
+        assert line == ",".join(f"{x:.17g}" for x in expected)
 
 
 def test_reflectance_numbers_round_trip(tmp_path):
@@ -178,7 +215,7 @@ def test_protocol_json_round_trip_amplitudes(tmp_path):
     run_cli(["protocol", "--config", cfg, "--out", str(out)])
     doc = json.loads(out.read_text())
     from spinphoton.protocols import ProtocolConfig, scheme_b_entangle_photons
-    res = scheme_b_entangle_photons(ProtocolConfig(seed=7))
+    res = scheme_b_entangle_photons(ProtocolConfig())
     for jb, rb in zip(doc["branches"], res.branches):
         if jb["probability"] == 0:
             continue

@@ -170,6 +170,12 @@ def test_sweep_spec_validation():
         SweepSpec("g_rel", (2.0, 1.0), ProtocolConfig(), "scheme-b")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_spec_rejects_non_finite_grid(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SweepSpec("g_rel", (1.0, bad), _realistic_config(), "scheme-b")
+
+
 def test_sweep_rel_parameters_require_realistic_gate():
     spec = SweepSpec("g_rel", (1.0,), ProtocolConfig(), "scheme-b")
     with pytest.raises(ValueError, match="realistic"):

@@ -374,3 +374,102 @@ def test_normalize_restores_unit_norm():
 
 def test_trion_relabel_lives_in_gates():  # placement sanity for the public API
     from spinphoton import trion_emission_map  # noqa: F401
+
+
+# --- batch axis ------------------------------------------------------------------
+
+def _unbatched(state, i):
+    data = state.amplitudes if isinstance(state, qs.PureState) else state.matrix
+    return type(state)(state.register, data[i], state.norm_tracking[i])
+
+
+def _assert_stack_equal(batched, singles):
+    """Bitwise: a batched state equals the stack of unbatched ones."""
+    for i, single in enumerate(singles):
+        element = _unbatched(batched, i)
+        data = "amplitudes" if isinstance(single, qs.PureState) else "matrix"
+        assert np.array_equal(getattr(element, data), getattr(single, data))
+        assert element.norm_tracking == single.norm_tracking
+
+
+@pytest.mark.parametrize("size", [1, 7, 67])
+def test_batched_ops_equal_stack_of_unbatched_ops(size):
+    # sizes that end mid-way through a vector register and span several of them
+    rng = np.random.default_rng(size)
+    labels = (qs.photon(1), qs.photon(2), qs.spin(1))
+    v = rng.normal(size=(size, 8)) + 1j * rng.normal(size=(size, 8))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    batch = qs.PureState(labels, v, rng.uniform(0.2, 1.0, size))
+    singles = [_unbatched(batch, i) for i in range(size)]
+    cc = rng.uniform(0.5, 1.0, size) * np.exp(1j * rng.uniform(0, 6, size))
+    cu = rng.uniform(0.5, 1.0, size) * np.exp(1j * rng.uniform(0, 6, size))
+    u = random_unitary(rng, 4)
+
+    gated = qs.apply_diagonal_pair(batch, labels[0], labels[2], cc, cu)
+    gated_singles = [qs.apply_diagonal_pair(s, labels[0], labels[2], a, b)
+                     for s, a, b in zip(singles, cc, cu)]
+    _assert_stack_equal(gated, gated_singles)
+    _assert_stack_equal(qs.apply_unitary(gated, [labels[2], labels[0]], u),
+                        [qs.apply_unitary(s, [labels[2], labels[0]], u) for s in gated_singles])
+    for k, out in enumerate(qs.measure(gated, labels[1], "45")):
+        outs = [qs.measure(s, labels[1], "45")[k] for s in gated_singles]
+        assert np.array_equal(out.probability, [o.probability for o in outs])
+        _assert_stack_equal(out.post_state, [o.post_state for o in outs])
+        post, posts = out.post_state, [o.post_state for o in outs]
+        ket = qs.KET_P45 if k == 0 else qs.KET_M45
+        _assert_stack_equal(qs.drop_qubit(post, labels[1], onto=ket),
+                            [qs.drop_qubit(p, labels[1], onto=ket) for p in posts])
+        _assert_stack_equal(qs.drop_qubit(post, labels[1]),
+                            [qs.drop_qubit(p, labels[1]) for p in posts])
+    _assert_stack_equal(qs.normalize(gated), [qs.normalize(s) for s in gated_singles])
+    rho = qs.to_density(gated)
+    rhos = [qs.to_density(s) for s in gated_singles]
+    _assert_stack_equal(rho, rhos)
+    _assert_stack_equal(qs.normalize(rho), [qs.normalize(r) for r in rhos])
+    _assert_stack_equal(qs.partial_trace(gated, labels[:2]),
+                        [qs.partial_trace(s, labels[:2]) for s in gated_singles])
+    assert np.array_equal(qs.fidelity(batch, gated),
+                          [qs.fidelity(a, b) for a, b in zip(singles, gated_singles)])
+    assert np.array_equal(qs.fidelity(singles[0], rho),
+                          [qs.fidelity(singles[0], r) for r in rhos])
+    assert np.array_equal(gated.squared_norm(), [s.squared_norm() for s in gated_singles])
+
+
+def test_dead_batch_elements_pass_through_as_zero_branches():
+    labels = (qs.photon(1), qs.spin(1))
+    v = np.array([[0.6, 0, 0, 0.8], [0, 0, 0, 0]], dtype=complex)
+    state = qs.PureState(labels, v, [1.0, 0.0])
+    outs = qs.measure(state, labels[0], "RL")
+    assert outs[0].probability.tolist() == [pytest.approx(0.36), 0.0]
+    assert outs[0].post_state.norm_tracking[1] == 0.0
+    assert not np.any(outs[0].post_state.amplitudes[1])
+    assert qs.normalize(state).amplitudes[1].tolist() == [0, 0, 0, 0]
+    with pytest.raises(ValueError, match="zero-norm"):
+        qs.measure(qs.PureState(labels, np.zeros((2, 4))), labels[0], "RL")
+
+
+def test_sample_indices_follow_the_sequential_rule():
+    # the per-draw loop the vectorized rule replaces, kept as the reference
+    def loop(probs, draws):
+        out = []
+        for r in draws:
+            acc = 0.0
+            for i, p in enumerate(probs):
+                acc += p
+                if r < acc:
+                    out.append(i)
+                    break
+            else:
+                out.append(len(probs) - 1)
+        return out
+
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        probs = rng.dirichlet(np.ones(int(rng.integers(1, 6))))
+        probs[rng.random(probs.size) < 0.3] = 0.0
+        probs[-1] = 1.0 - probs[:-1].sum()  # may leave the sum a rounding short of 1
+        outcomes = _outcomes(probs)
+        seed = int(rng.integers(1 << 30))
+        got = qs.sample_indices(outcomes, seed, 2000)
+        assert got.tolist() == loop(probs, np.random.default_rng(seed).random(2000))
+        assert qs.sample_outcome(outcomes, seed).label == str(got[0])
