@@ -33,7 +33,8 @@ class CavityParams:
     """Physical parameters of one dot-cavity system (angular frequency units).
 
     A field may be an array: a batch of cavities, one per element, that
-    broadcast against each other and against the probe frequency.
+    broadcast against each other and against the probe frequency. Every
+    field must be finite.
     """
 
     g: float
@@ -44,12 +45,17 @@ class CavityParams:
     kappa_s: float = 0.0
 
     def __post_init__(self):
+        if self.omega_x is None:
+            object.__setattr__(self, "omega_x", self.omega_c)
+        for name, value in vars(self).items():
+            v = np.asarray(value, dtype=float)
+            bad = ~np.isfinite(v)
+            if bad.any():
+                raise ValueError(f"{name} must be finite, got {float(v[bad].flat[0])!r}")
         if np.any(np.asarray(self.kappa) <= 0):
             raise ValueError("kappa must be positive")
         if any(np.any(np.asarray(v) < 0) for v in (self.g, self.gamma, self.kappa_s)):
             raise ValueError("g, gamma and kappa_s must be nonnegative")
-        if self.omega_x is None:
-            object.__setattr__(self, "omega_x", self.omega_c)
 
     def strong_coupling(self) -> bool:
         return self.g > self.kappa and self.g > self.gamma

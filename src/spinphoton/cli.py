@@ -93,7 +93,6 @@ def _convert(key: str, value: str):
 @dataclass(frozen=True)
 class RunConfig:
     protocol: str
-    gate: GateMode
     cavity: CavityParams
     config: ProtocolConfig
     seed: int
@@ -183,7 +182,7 @@ def resolve_config(raw: dict) -> RunConfig:
     if protocol == "ghz":
         echo["ghz"] = {"n_photons": n_photons}
 
-    return RunConfig(protocol, gate, cavity, config, seed, trials, n_photons, echo)
+    return RunConfig(protocol, cavity, config, seed, trials, n_photons, echo)
 
 
 def load_config(path: str | None) -> RunConfig:

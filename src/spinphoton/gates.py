@@ -68,7 +68,6 @@ class ConditionalReflectionGate:
     spin: QubitLabel
     coeff_coupled: complex
     coeff_uncoupled: complex
-    mode: str  # "ideal" | "realistic"
 
     def matrix(self) -> np.ndarray:
         """4x4 matrix in the {R,L} x {up,down} product basis (photon first)."""
@@ -78,16 +77,14 @@ class ConditionalReflectionGate:
 
 def ideal_gate(photon: QubitLabel, spin: QubitLabel, delta_phi: float) -> ConditionalReflectionGate:
     return ConditionalReflectionGate(photon, spin,
-                                     complex(np.exp(1j * delta_phi)), 1.0 + 0.0j,
-                                     "ideal")
+                                     complex(np.exp(1j * delta_phi)), 1.0 + 0.0j)
 
 
 def realistic_gate(photon: QubitLabel, spin: QubitLabel,
                    params: CavityParams, omega: float) -> ConditionalReflectionGate:
     return ConditionalReflectionGate(photon, spin,
                                      reflection_coefficient(params, omega, coupled=True),
-                                     reflection_coefficient(params, omega, coupled=False),
-                                     "realistic")
+                                     reflection_coefficient(params, omega, coupled=False))
 
 
 def make_gate(photon: QubitLabel, spin: QubitLabel, mode: GateMode) -> ConditionalReflectionGate:

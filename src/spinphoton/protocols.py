@@ -55,14 +55,11 @@ from .qstate import (
     DensityState,
     ProjectiveOutcome,
     PureState,
-    QubitKind,
     QubitLabel,
     apply_unitary,
-    drop_qubit,
     fidelity,
     ket_state,
     measure,
-    measurement_basis,
     normalize,
     photon,
     qubit_state,
@@ -188,11 +185,6 @@ def _target_state(register, amplitudes) -> PureState | None:
     return PureState(tuple(register), vec / nrm)
 
 
-# outcome label -> projection ket, per measurement basis
-_KET_45 = dict(measurement_basis(QubitKind.PHOTON, "45"))
-_KET_HV = dict(measurement_basis(QubitKind.PHOTON, "HV"))
-_KET_UD = dict(measurement_basis(QubitKind.SPIN, "updown"))
-
 _PAULI_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
 
@@ -237,21 +229,16 @@ def _keep(state: PureState, mask) -> PureState:
                      np.where(mask, state.norm_tracking, 0.0))
 
 
-def _drop_measured(state: PureState, measured) -> PureState:
-    """Remove measured qubits, anchoring each drop on its known outcome ket."""
-    for q, ket in measured:
-        state = drop_qubit(state, q, onto=ket)
-    return state
-
-
-def _leaf(label, reached, kept, measured, dephased: bool, batch, correct=None):
-    """Close one measurement leaf and reduce it to the kept register.
+def _leaf(label, reached, kept, dephased: bool, batch, correct=None):
+    """Close one measurement leaf over the ``kept`` register.
 
     ``reached`` holds the (weight, post state) of every trajectory that got
-    here. Returns (label, probability, state) with probability of the run's
-    ``batch`` shape; elements at or below the floor get probability 0 and a
-    zero state, and trajectories below the floor add to the probability but
-    not to the state.
+    here. Each live post state, after the optional ``correct``, is over
+    ``kept``; ``kept`` itself builds the zero state of a leaf that no
+    trajectory reaches. Returns (label, probability, state) with probability
+    of the run's ``batch`` shape; elements at or below the floor get
+    probability 0 and a zero state, and trajectories below the floor add to
+    the probability but not to the state.
     """
     prob = sum((w * post.norm_tracking for w, post in reached), np.zeros(batch))
     alive = prob > PROBABILITY_FLOOR
@@ -265,7 +252,7 @@ def _leaf(label, reached, kept, measured, dephased: bool, batch, correct=None):
             post = _keep(post, own)
             if correct is not None:
                 post = correct(post)
-            live.append((w, _drop_measured(post, measured), alive & own))
+            live.append((w, post, alive & own))
     prob = np.where(alive, prob, 0.0)
     if dephased:
         return label, prob, _mix(kept, live, prob)
@@ -284,8 +271,8 @@ def _readout(trajectories, ancilla: QubitLabel, spin_q: QubitLabel, kept,
     """
     first = [measure(psi, ancilla, "45") for _, psi in trajectories]
     leaves = []
-    for j, (det, ket3) in enumerate(measurement_basis(QubitKind.PHOTON, "45")):
-        reached = {label: [] for label in _KET_UD}
+    for j, det in enumerate(o.label for o in first[0]):
+        reached = {"up": [], "down": []}
         for (w, _), outs in zip(trajectories, first):
             post = outs[j].post_state
             live = post.norm_tracking > PROBABILITY_FLOOR
@@ -295,9 +282,8 @@ def _readout(trajectories, ancilla: QubitLabel, spin_q: QubitLabel, kept,
                     reached[o.label].append((w, o.post_state))
         announced = (announce or {}).get(det, det)
         fix = None if correct is None else (lambda st, a=announced: correct(st, a))
-        for sl, ket_s in _KET_UD.items():
-            leaves.append(_leaf(f"{announced}/{sl}", reached[sl], kept,
-                                [(ancilla, ket3), (spin_q, ket_s)], dephased, batch, fix))
+        for sl, posts in reached.items():
+            leaves.append(_leaf(f"{announced}/{sl}", posts, kept, dephased, batch, fix))
     return leaves
 
 
@@ -363,8 +349,7 @@ def _spin_pair_leaves(config: ProtocolConfig, second_cavity: CavityParams | None
         "V": _target_state((s1, s2), [a1 * a2, 0, 0, -b1 * b2]),
         "H": _target_state((s1, s2), [0, a1 * b2, a2 * b1, 0]),
     }
-    leaves = [_leaf(o.label, [(1.0, o.post_state)], (s1, s2),
-                    [(probe, _KET_HV[o.label])], False, config.batch_shape)
+    leaves = [_leaf(o.label, [(1.0, o.post_state)], (s1, s2), False, config.batch_shape)
               for o in measure(state, probe, "HV")]
     return leaves, targets
 
@@ -401,8 +386,8 @@ def _emit_pairs(spin_pairs, config: ProtocolConfig):
         trajectories = [(1.0, state)]
         for s in (s1, s2):
             trajectories = _dephase_split(trajectories, s, config.t_over_t2)
-        leaf = _leaf(label, trajectories, (p1, p2), (), config.dephased,
-                     config.batch_shape, emit)
+        leaf = _leaf(label, trajectories, (p1, p2), config.dephased, config.batch_shape,
+                     emit)
         branches.append(_branch(*leaf, targets[label]))
     return branches
 
@@ -533,8 +518,8 @@ def transfer_photon_to_spin(config: ProtocolConfig):
     for o in measure(state, ph, "HV"):
         def correct(st, label=o.label):
             return apply_correction(apply_unitary(st, [s], circular_to_z()), s, label, "C")
-        leaf = _leaf(o.label, [(1.0, o.post_state)], (s,), [(ph, _KET_HV[o.label])],
-                     False, config.batch_shape, correct)
+        leaf = _leaf(o.label, [(1.0, o.post_state)], (s,), False, config.batch_shape,
+                     correct)
         branches.append(_branch(*leaf, target))
     return _result("transfer-ps", config, branches)
 
@@ -578,19 +563,15 @@ def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: Qubit
 
     Returns both +-45 detection branches; with the ideal pi/2 gate the +45
     branch projects the spin onto |up> and the -45 branch onto |down>. The
-    measured ancilla is removed from the returned post states.
+    measured ancilla leaves the register, and a branch below the probability
+    floor gets a zero post state.
     """
     _require_pi_over_2(gate)
     full = tensor(state, ket_state(ancilla_photon, "H"))
     full = apply_gate(full, make_gate(ancilla_photon, spin_q, gate))
-    outcomes = []
-    for o in measure(full, ancilla_photon, "45"):
-        if o.post_state.norm_tracking > PROBABILITY_FLOOR:
-            post = drop_qubit(o.post_state, ancilla_photon, onto=_KET_45[o.label])
-        else:
-            post = _zero_like(state.register)
-        outcomes.append(ProjectiveOutcome(o.label, o.probability, post))
-    return outcomes
+    return [replace(o, post_state=_keep(o.post_state,
+                                        o.post_state.norm_tracking > PROBABILITY_FLOOR))
+            for o in measure(full, ancilla_photon, "45")]
 
 
 # --- dispatch and branch merging ---------------------------------------------

@@ -412,10 +412,12 @@ def apply_diagonal_pair(state: PureState, photon_q: QubitLabel, spin_q: QubitLab
 def measure(state: PureState, target: QubitLabel, basis: str) -> list[ProjectiveOutcome]:
     """Enumerate every branch of a projective measurement (no sampling).
 
-    Probabilities are absolute, i.e. not renormalized: they sum to the state's
-    squared norm. Post states are renormalized, with norm_tracking scaled down
-    by the conditional branch probability; a branch of probability zero keeps
-    zero amplitudes and norm_tracking 0.
+    The measured qubit leaves the register: each post state is over the
+    remaining qubits, in order. Probabilities are absolute, i.e. not
+    renormalized: they sum to the state's squared norm. Post states are
+    renormalized, with norm_tracking scaled down by the conditional branch
+    probability; a branch of probability zero keeps zero amplitudes and
+    norm_tracking 0.
     """
     pos = state.index_of(target)
     pairs = measurement_basis(target.kind, basis)
@@ -426,18 +428,12 @@ def measure(state: PureState, target: QubitLabel, basis: str) -> list[Projective
     lead = (slice(None),) * (nb + pos)
     a0, a1 = arr[lead + (0,)], arr[lead + (1,)]
     batch = state.batch_shape
-    n = state.n_qubits
-    # the projected ket, on the measured axis, times the remainder
-    with_axis = batch + (2,) * pos + (1,) + (2,) * (n - 1 - pos)
-    ket_axis = (2,) + (1,) * (n - 1 - pos)
+    rest_reg = tuple(q for q in state.register if q != target)
     outcomes = []
     for label, ket in pairs:
-        rest = ket[0].conj() * a0 + ket[1].conj() * a1
-        p_raw = _norm2(rest.reshape(batch + (-1,)))
-        proj = rest.reshape(with_axis) * ket.reshape(ket_axis)
-        post = PureState(state.register,
-                         proj.reshape(state.amplitudes.shape)
-                         / np.sqrt(_nonzero(p_raw))[..., None],
+        rest = (ket[0].conj() * a0 + ket[1].conj() * a1).reshape(batch + (-1,))
+        p_raw = _norm2(rest)
+        post = PureState(rest_reg, rest / np.sqrt(_nonzero(p_raw))[..., None],
                          state.norm_tracking * (p_raw / _nonzero(total)))
         outcomes.append(ProjectiveOutcome(label, p_raw, post))
     return outcomes
@@ -553,14 +549,8 @@ def partial_trace(state, keep) -> DensityState:
     return DensityState(new_reg, arr.reshape(batch + (2 ** k, 2 ** k)), rho.norm_tracking)
 
 
-def drop_qubit(state: PureState, label: QubitLabel, onto=None) -> PureState:
-    """Remove one qubit that is in a product state with the rest.
-
-    The qubit must factorize (checked). When ``onto`` gives the qubit's known
-    single-qubit state (e.g. the ket it was just projected onto), the
-    remainder is extracted by exact contraction, which also pins the otherwise
-    conventional split of the global phase.
-    """
+def drop_qubit(state: PureState, label: QubitLabel) -> PureState:
+    """Remove one qubit that is in a product state with the rest (checked)."""
     pos = state.index_of(label)
     n = state.n_qubits
     batch = state.batch_shape
@@ -573,16 +563,6 @@ def drop_qubit(state: PureState, label: QubitLabel, onto=None) -> PureState:
         raise ValueError("cannot drop a qubit from a zero state")
     tol = 1e-9 * total
     new_reg = tuple(q for q in state.register if q != label)
-
-    if onto is not None:
-        ket = np.asarray(onto, dtype=np.complex128).reshape(2)
-        ket = ket / np.sqrt(_norm2(ket))
-        rest = ket[0].conj() * rows[0] + ket[1].conj() * rows[1]
-        resid = np.maximum(*(np.abs(rows[k] - ket[k] * rest).max(axis=-1) for k in (0, 1)))
-        if (resid > tol).any():
-            raise ValueError(f"qubit {label} is not in the given state; cannot drop")
-        return PureState(new_reg, rest, state.norm_tracking)
-
     arr = np.stack(rows, axis=-2)
     norms = np.sqrt(_norm2(arr))
     i = np.argmax(norms, axis=-1)[..., None]

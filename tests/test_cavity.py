@@ -40,6 +40,14 @@ def test_params_validation():
     assert p.omega_x == p.omega_c
 
 
+@pytest.mark.parametrize("field", ["g", "kappa", "gamma", "omega_c", "omega_x", "kappa_s"])
+def test_params_reject_non_finite_field(field):
+    base = dict(g=1.0, kappa=1.0, gamma=0.1, omega_c=0.0, omega_x=0.0, kappa_s=0.0)
+    for bad in (math.nan, math.inf, -math.inf, np.array([1.0, math.nan, 2.0])):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            CavityParams(**{**base, field: bad})
+
+
 def test_strong_coupling_predicate():
     assert params(g=10).strong_coupling()
     assert not params(g=0.5).strong_coupling()

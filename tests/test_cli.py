@@ -61,7 +61,7 @@ def test_rel_values_scale_with_kappa():
     run = resolve_config({"cavity.kappa": "2.0", "cavity.g_rel": "10",
                           "gate.mode": "realistic"})
     assert run.cavity.g == pytest.approx(20.0)
-    assert run.gate.omega == pytest.approx(1.0)  # omega_c + 0.5 kappa
+    assert run.config.gate.omega == pytest.approx(1.0)  # omega_c + 0.5 kappa
 
 
 def test_bad_amplitude_normalization_names_keys(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinphoton import qstate as qs
+from matrix_oracle import branch as oracle_branch
 from reference_states import double_reflection_state, rand_amp_pair, three_photon_readout_state
 
 SQH = 1.0 / math.sqrt(2.0)
@@ -219,6 +220,19 @@ def test_measure_post_state_norm_tracking_is_branch_probability():
         assert o.post_state.squared_norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_measure_removes_the_measured_qubit():
+    rng = np.random.default_rng(23)
+    labels = (qs.photon(1), qs.spin(1), qs.photon(2))
+    st = random_state(rng, labels)
+    for pos, target in enumerate(labels):
+        basis = "HV" if target.kind is qs.QubitKind.PHOTON else "updown"
+        for (_, ket), o in zip(qs.measurement_basis(target.kind, basis),
+                               qs.measure(st, target, basis)):
+            assert o.post_state.register == tuple(q for q in labels if q != target)
+            _, rest = oracle_branch(st.amplitudes, pos, len(labels), ket)
+            assert np.allclose(o.post_state.amplitudes, rest, atol=1e-12)
+
+
 def test_measure_basis_kind_mismatch():
     with pytest.raises(ValueError, match="unknown basis"):
         qs.measure(qs.ket_state(qs.spin(1), "up"), qs.spin(1), "HV")
@@ -415,12 +429,12 @@ def test_batched_ops_equal_stack_of_unbatched_ops(size):
         outs = [qs.measure(s, labels[1], "45")[k] for s in gated_singles]
         assert np.array_equal(out.probability, [o.probability for o in outs])
         _assert_stack_equal(out.post_state, [o.post_state for o in outs])
-        post, posts = out.post_state, [o.post_state for o in outs]
-        ket = qs.KET_P45 if k == 0 else qs.KET_M45
-        _assert_stack_equal(qs.drop_qubit(post, labels[1], onto=ket),
-                            [qs.drop_qubit(p, labels[1], onto=ket) for p in posts])
-        _assert_stack_equal(qs.drop_qubit(post, labels[1]),
-                            [qs.drop_qubit(p, labels[1]) for p in posts])
+        # the measured qubit, put back in its outcome state, factorizes
+        ket = qs.qubit_state(labels[1], *(qs.KET_P45 if k == 0 else qs.KET_M45))
+        full = qs.tensor(out.post_state, ket)
+        _assert_stack_equal(qs.drop_qubit(full, labels[1]),
+                            [qs.drop_qubit(qs.tensor(o.post_state, ket), labels[1])
+                             for o in outs])
     _assert_stack_equal(qs.normalize(gated), [qs.normalize(s) for s in gated_singles])
     rho = qs.to_density(gated)
     rhos = [qs.to_density(s) for s in gated_singles]
