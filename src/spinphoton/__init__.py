@@ -24,9 +24,7 @@ from .gates import (
     apply_gate,
     correction_unitary,
     hadamard,
-    ideal_gate,
     make_gate,
-    realistic_gate,
     trion_emission_map,
 )
 from .metrics import SweepSpec, concurrence, entanglement_entropy, run_sweep

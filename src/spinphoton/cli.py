@@ -25,12 +25,7 @@ import numpy as np
 from .cavity import CavityParams, conditional_phase, reflect
 from .gates import GateMode, IdealGate, RealisticGate
 from .metrics import SWEEP_PARAMETERS, SweepSpec, run_sweep
-from .protocols import (
-    PROTOCOL_NAMES,
-    ProtocolConfig,
-    ProtocolResult,
-    run_protocol,
-)
+from .protocols import PROTOCOL_NAMES, ProtocolConfig, run_protocol
 from .qstate import ProjectiveOutcome, PureState, sample_indices
 
 
@@ -41,20 +36,12 @@ class ConfigError(ValueError):
 _FLOAT_KEYS = {
     "cavity.g", "cavity.g_rel", "cavity.kappa", "cavity.gamma", "cavity.gamma_rel",
     "cavity.kappa_s", "cavity.kappa_s_rel", "cavity.omega_c", "cavity.omega_x",
-    "cavity.omega_x_rel", "gate.delta_phi", "gate.detuning_rel", "noise.t_over_t2",
+    "cavity.omega_x_rel", "gate.detuning_rel", "noise.t_over_t2",
 }
 _COMPLEX_KEYS = {"alpha1", "beta1", "alpha2", "beta2"}
 _INT_KEYS = {"seed", "trials", "ghz.n_photons"}
 _STR_KEYS = {"gate.mode", "protocol"}
 KNOWN_KEYS = _FLOAT_KEYS | _COMPLEX_KEYS | _INT_KEYS | _STR_KEYS
-
-_REL_PAIRS = [
-    ("cavity.g", "cavity.g_rel"),
-    ("cavity.gamma", "cavity.gamma_rel"),
-    ("cavity.kappa_s", "cavity.kappa_s_rel"),
-    ("cavity.omega_x", "cavity.omega_x_rel"),
-]
-
 
 def parse_config_text(text: str) -> dict:
     raw = {}
@@ -133,7 +120,7 @@ def resolve_config(raw: dict) -> RunConfig:
     mode_name = vals.get("gate.mode", "ideal")
     detuning_rel = vals.get("gate.detuning_rel", 0.5)
     if mode_name == "ideal":
-        gate: GateMode = IdealGate(vals.get("gate.delta_phi", math.pi / 2))
+        gate: GateMode = IdealGate()
     elif mode_name == "realistic":
         gate = RealisticGate(cavity, omega_c + detuning_rel * kappa)
     else:
@@ -162,7 +149,7 @@ def resolve_config(raw: dict) -> RunConfig:
 
     echo: dict = {"protocol": protocol}
     if isinstance(gate, IdealGate):
-        echo["gate"] = {"mode": "ideal", "delta_phi": gate.delta_phi}
+        echo["gate"] = {"mode": "ideal", "delta_phi": math.pi / 2}
     else:
         echo["gate"] = {
             "mode": "realistic",
@@ -204,8 +191,6 @@ def _c2pair(z: complex) -> list[float]:
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{x:.17g}"
 
 

@@ -3,9 +3,10 @@
 The central object is the conditional-reflection gate: one photon bounces off
 the cavity and the coupled polarization-spin combinations |L,up> and |R,down>
 pick up the hot-cavity reflection amplitude while the uncoupled combinations
-pick up the cold one. In the ideal limit that is a pure conditional phase
-(coupled coefficient e^{i delta_phi}, uncoupled coefficient 1, the common cold
-phase dropped as an unobservable global factor).
+pick up the cold one. In the ideal limit that is a pure pi/2 conditional phase
+(coupled coefficient i, uncoupled coefficient 1, the common cold phase dropped
+as an unobservable global factor). Each gate mode carries its (coupled,
+uncoupled) coefficient pair, evaluated once per mode.
 
 Also here: the polarization and spin unitaries the protocols need (Hadamard,
 pi/2 spin pulses, the feed-forward correction unitaries) and the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +42,9 @@ SQ2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class IdealGate:
-    """Gate mode: perfect conditional phase of delta_phi, no loss."""
+    """Gate mode: perfect pi/2 conditional phase, no loss."""
 
-    delta_phi: float = math.pi / 2
+    coefficients = (complex(np.exp(1j * math.pi / 2)), 1.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,12 @@ class RealisticGate:
 
     params: CavityParams
     omega: float
+
+    @cached_property
+    def coefficients(self) -> tuple:
+        """The (coupled, uncoupled) reflection coefficients at ``omega``."""
+        return (reflection_coefficient(self.params, self.omega, coupled=True),
+                reflection_coefficient(self.params, self.omega, coupled=False))
 
 
 GateMode = IdealGate | RealisticGate
@@ -75,22 +83,8 @@ class ConditionalReflectionGate:
         return np.diag(np.array([u, c, c, u], dtype=np.complex128))
 
 
-def ideal_gate(photon: QubitLabel, spin: QubitLabel, delta_phi: float) -> ConditionalReflectionGate:
-    return ConditionalReflectionGate(photon, spin,
-                                     complex(np.exp(1j * delta_phi)), 1.0 + 0.0j)
-
-
-def realistic_gate(photon: QubitLabel, spin: QubitLabel,
-                   params: CavityParams, omega: float) -> ConditionalReflectionGate:
-    return ConditionalReflectionGate(photon, spin,
-                                     reflection_coefficient(params, omega, coupled=True),
-                                     reflection_coefficient(params, omega, coupled=False))
-
-
 def make_gate(photon: QubitLabel, spin: QubitLabel, mode: GateMode) -> ConditionalReflectionGate:
-    if isinstance(mode, IdealGate):
-        return ideal_gate(photon, spin, mode.delta_phi)
-    return realistic_gate(photon, spin, mode.params, mode.omega)
+    return ConditionalReflectionGate(photon, spin, *mode.coefficients)
 
 
 def apply_gate(state, gate: ConditionalReflectionGate):

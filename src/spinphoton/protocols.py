@@ -118,11 +118,8 @@ class ProtocolConfig:
 
     @cached_property
     def batch_shape(self) -> tuple[int, ...]:
-        shapes = [np.shape(self.t_over_t2)]
-        if isinstance(self.gate, RealisticGate):
-            shapes.append(np.shape(self.gate.omega))
-            shapes += [np.shape(v) for v in vars(self.gate.params).values()]
-        return np.broadcast_shapes(*shapes)
+        return np.broadcast_shapes(np.shape(self.t_over_t2),
+                                   *map(np.shape, self.gate.coefficients))
 
 
 @dataclass(frozen=True)
@@ -170,11 +167,6 @@ class ProtocolBatch:
         """Every branch of every element, element by element: the flat form of
         ``ProtocolResult.branches``."""
         return tuple(b for r in self.results for b in r.branches)
-
-
-def _require_pi_over_2(mode: GateMode) -> None:
-    if isinstance(mode, IdealGate) and abs(mode.delta_phi - math.pi / 2) > 1e-12:
-        raise ValueError("protocol requires a pi/2 conditional phase in ideal mode")
 
 
 def _target_state(register, amplitudes) -> PureState | None:
@@ -260,30 +252,44 @@ def _leaf(label, reached, kept, dephased: bool, batch, correct=None):
     return label, prob, state
 
 
-def _readout(trajectories, ancilla: QubitLabel, spin_q: QubitLabel, kept,
-             dephased: bool, batch, announce=None, correct=None):
-    """The spin-readout tail: measure the ancilla photon in +-45, then the spin
-    in up/down, on every trajectory; apply the optional per-branch
-    ``correct(state, announced)``. Returns one (label, probability, state) leaf
-    per joint outcome, labeled "announced/spin", where ``announce`` renames
-    the detection outcome (default: the outcome itself). Trajectory elements
-    whose ancilla branch is below the floor get weight 0.
+def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: QubitLabel,
+                     gate: GateMode = IdealGate()) -> list[ProjectiveOutcome]:
+    """Read a spin out with a fresh |H> ancilla photon; the spin survives.
+
+    Returns both +-45 detection branches; with the ideal gate the +45 branch
+    projects the spin onto |up> and the -45 branch onto |down>. The measured
+    ancilla leaves the register, and a branch below the probability floor
+    gets a zero post state.
     """
-    first = [measure(psi, ancilla, "45") for _, psi in trajectories]
+    full = tensor(state, ket_state(ancilla_photon, "H"))
+    full = apply_gate(full, make_gate(ancilla_photon, spin_q, gate))
+    return [replace(o, post_state=_keep(o.post_state,
+                                        o.post_state.norm_tracking > PROBABILITY_FLOOR))
+            for o in measure(full, ancilla_photon, "45")]
+
+
+def _readout(trajectories, spin_q: QubitLabel, ancilla: QubitLabel, kept,
+             config: ProtocolConfig, announce=None, correct=None):
+    """The spin-readout tail: ``gfr_spin_readout`` with a fresh ``ancilla``,
+    then the spin measured in up/down, on every trajectory; apply the optional
+    per-branch ``correct(state, announced)``. Returns one (label, probability,
+    state) leaf per joint outcome, labeled "announced/spin", where
+    ``announce`` renames the detection outcome (default: the outcome itself).
+    """
+    first = [gfr_spin_readout(psi, spin_q, ancilla, config.gate) for _, psi in trajectories]
     leaves = []
     for j, det in enumerate(o.label for o in first[0]):
         reached = {"up": [], "down": []}
         for (w, _), outs in zip(trajectories, first):
             post = outs[j].post_state
-            live = post.norm_tracking > PROBABILITY_FLOOR
-            if live.any():
-                w = np.where(live, w, 0.0)
+            if (post.norm_tracking > 0.0).any():
                 for o in measure(post, spin_q, "updown"):
                     reached[o.label].append((w, o.post_state))
         announced = (announce or {}).get(det, det)
         fix = None if correct is None else (lambda st, a=announced: correct(st, a))
         for sl, posts in reached.items():
-            leaves.append(_leaf(f"{announced}/{sl}", posts, kept, dephased, batch, fix))
+            leaves.append(_leaf(f"{announced}/{sl}", posts, kept, config.dephased,
+                                config.batch_shape, fix))
     return leaves
 
 
@@ -328,7 +334,6 @@ def _result(name: str, config: ProtocolConfig, scored):
 def _spin_pair_leaves(config: ProtocolConfig, second_cavity: CavityParams | None):
     """Scheme A's heralded spin pairs: the (label, probability, state) leaves
     and their targets."""
-    _require_pi_over_2(config.gate)
     s1, s2, probe = spin(1), spin(2), photon(0)
     mode2 = config.gate
     if second_cavity is not None:
@@ -396,8 +401,13 @@ def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
     """Convert each heralded spin pair into a polarization-entangled photon pair.
 
     Optional dephasing (one emission interval per spin) is applied first, then
-    the emission relabeling up -> L, down -> R on both spins.
+    the emission relabeling up -> L, down -> R on both spins. ``entangled`` is
+    the result of one run; a batched config goes through
+    ``scheme_a_photon_pairs``.
     """
+    if isinstance(entangled, ProtocolBatch):
+        raise ValueError("scheme_a_emit takes the result of one run; "
+                         "for a batched config use scheme_a_photon_pairs")
     return _result("scheme-a", config,
                    _emit_pairs([(b.label, b.state) for b in entangled.branches], config))
 
@@ -421,22 +431,19 @@ def _chain_leaves(config: ProtocolConfig, n: int):
     deterministic feed-forward plates (a +-45 -> R/L rotation on every photon
     plus one phase plate on photon 1) bring them to canonical form.
     """
-    _require_pi_over_2(config.gate)
     photons = [photon(i) for i in range(1, n + 1)]
-    ancilla = photon(n + 1)
     s = spin(1)
     pairs = {1: (config.alpha1, config.beta1), 2: (config.alpha2, config.beta2)}
     state = tensor_all(
         [qubit_state(p, *pairs.get(i + 1, (SQH, SQH))) for i, p in enumerate(photons)]
-        + [ket_state(ancilla, "H"), ket_state(s, "+x")]
+        + [ket_state(s, "+x")]
     )
     for p in photons:
         state = apply_gate(state, make_gate(p, s, config.gate))
     # one waiting interval after each photon, merged ahead of the pi/2 pulse;
     # the pulse sends (up-down)/sqrt2 -> up, so the correlated-pair branch
     # reads out as spin-up / +45
-    readout_gate = make_gate(ancilla, s, config.gate)
-    trajectories = [(w, apply_gate(apply_unitary(psi, [s], ry(math.pi / 2)), readout_gate))
+    trajectories = [(w, apply_unitary(psi, [s], ry(math.pi / 2)))
                     for w, psi in _dephase_split([(1.0, state)], s, n * config.t_over_t2)]
 
     phase_fix = np.diag([1.0, (-1j) ** n]).astype(np.complex128)
@@ -446,7 +453,7 @@ def _chain_leaves(config: ProtocolConfig, n: int):
             st = apply_unitary(st, [p], circular_to_z())
         return apply_unitary(st, [photons[0]], phase_fix)
 
-    return _readout(trajectories, ancilla, s, photons, config.dephased, config.batch_shape,
+    return _readout(trajectories, s, photon(n + 1), photons, config,
                     correct=plates if n > 2 else None)
 
 
@@ -508,7 +515,6 @@ def transfer_photon_to_spin(config: ProtocolConfig):
     superpositions onto the poles, and a branch-dependent phase correction
     leaves alpha1|up> + beta1|down> in both branches.
     """
-    _require_pi_over_2(config.gate)
     ph, s = photon(1), spin(1)
     state = tensor(qubit_state(ph, config.alpha1, config.beta1), ket_state(s, "+x"))
     state = apply_gate(state, make_gate(ph, s, config.gate))
@@ -535,43 +541,18 @@ def transfer_spin_to_photon(config: ProtocolConfig):
     keyed on the announced readout turn both branches into alpha1|H> +
     beta1|V>. Branch labels are "readout/actual" spin outcomes.
     """
-    _require_pi_over_2(config.gate)
-    p1, s, p3 = photon(1), spin(1), photon(3)
-    state = tensor_all([
-        ket_state(p1, "H"),
-        qubit_state(s, config.alpha1, config.beta1),
-        ket_state(p3, "H"),
-    ])
+    p1, s = photon(1), spin(1)
+    state = tensor(ket_state(p1, "H"), qubit_state(s, config.alpha1, config.beta1))
     state = apply_gate(state, make_gate(p1, s, config.gate))
-    readout_gate = make_gate(p3, s, config.gate)
-    trajectories = [(w, apply_gate(apply_unitary(psi, [s], hadamard()), readout_gate))
+    trajectories = [(w, apply_unitary(psi, [s], hadamard()))
                     for w, psi in _dephase_split([(1.0, state)], s, config.t_over_t2)]
 
     a, b = config.alpha1, config.beta1
     target = _target_state((p1,), [(a + b) * SQH, (a - b) * SQH])  # alpha|H> + beta|V>
-    leaves = _readout(trajectories, p3, s, (p1,), config.dephased, config.batch_shape,
+    leaves = _readout(trajectories, s, photon(3), (p1,), config,
                       announce={"+45": "up", "-45": "down"},
                       correct=lambda st, announced: apply_correction(st, p1, announced, "D"))
     return _result("transfer-sp", config, [_branch(*leaf, target) for leaf in leaves])
-
-
-# --- non-demolition spin readout as a standalone operation -------------------
-
-def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: QubitLabel,
-                     gate: GateMode = IdealGate()) -> list[ProjectiveOutcome]:
-    """Read a spin out with a fresh |H> ancilla photon; the spin survives.
-
-    Returns both +-45 detection branches; with the ideal pi/2 gate the +45
-    branch projects the spin onto |up> and the -45 branch onto |down>. The
-    measured ancilla leaves the register, and a branch below the probability
-    floor gets a zero post state.
-    """
-    _require_pi_over_2(gate)
-    full = tensor(state, ket_state(ancilla_photon, "H"))
-    full = apply_gate(full, make_gate(ancilla_photon, spin_q, gate))
-    return [replace(o, post_state=_keep(o.post_state,
-                                        o.post_state.norm_tracking > PROBABILITY_FLOOR))
-            for o in measure(full, ancilla_photon, "45")]
 
 
 # --- dispatch and branch merging ---------------------------------------------

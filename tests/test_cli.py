@@ -29,9 +29,10 @@ REALISTIC_A = (
 # --- config parsing ----------------------------------------------------------
 
 def test_unknown_key_rejected(tmp_path, capsys):
-    cfg = write(tmp_path / "c.cfg", "protocol = scheme-b\nbogus.key = 1\n")
-    assert run_cli(["protocol", "--config", cfg]) == 2
-    assert "bogus.key" in capsys.readouterr().err
+    for line in ("bogus.key = 1", "gate.delta_phi = 1.5707963267948966"):
+        cfg = write(tmp_path / "c.cfg", f"protocol = scheme-b\n{line}\n")
+        assert run_cli(["protocol", "--config", cfg]) == 2
+        assert line.split(" =")[0] in capsys.readouterr().err
 
 
 def test_duplicate_key_rejected():

@@ -6,13 +6,15 @@ import pytest
 from spinphoton import qstate as qs
 from spinphoton.cavity import CavityParams, conditional_phase
 from spinphoton.gates import (
+    ConditionalReflectionGate,
+    IdealGate,
+    RealisticGate,
     apply_gate,
     circular_to_z,
     correction_unitary,
     hadamard,
-    ideal_gate,
+    make_gate,
     phase_gate,
-    realistic_gate,
     ry,
     trion_emission_map,
 )
@@ -28,7 +30,7 @@ def test_ideal_gate_entangles_h_photon_with_spin():
     # |H> against (|up>+|down>)/sqrt2: every amplitude alpha=beta=1/sqrt2 and
     # the coupled pair picks up i
     st = qs.tensor(qs.ket_state(P1, "H"), qs.qubit_state(S1, SQH, SQH))
-    out = apply_gate(st, ideal_gate(P1, S1, math.pi / 2))
+    out = apply_gate(st, make_gate(P1, S1, IdealGate()))
     expected = np.array([1, 1j, 1j, 1]) / 2.0
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
@@ -37,7 +39,7 @@ def test_ideal_gate_zero_phase_is_identity():
     rng = np.random.default_rng(4)
     a, b = rand_amp_pair(rng)
     st = qs.tensor(qs.qubit_state(P1, a, b), qs.qubit_state(S1, SQH, SQH))
-    out = apply_gate(st, ideal_gate(P1, S1, 0.0))
+    out = apply_gate(st, ConditionalReflectionGate(P1, S1, 1.0 + 0.0j, 1.0 + 0.0j))
     assert np.max(np.abs(out.amplitudes - st.amplitudes)) < 1e-15
 
 
@@ -51,14 +53,14 @@ def test_ideal_gate_twice_reproduces_double_reflection():
             qs.qubit_state(P2, a2, b2),
             qs.qubit_state(S1, SQH, SQH),
         ])
-        st = apply_gate(st, ideal_gate(P1, S1, math.pi / 2))
-        st = apply_gate(st, ideal_gate(P2, S1, math.pi / 2))
+        st = apply_gate(st, make_gate(P1, S1, IdealGate()))
+        st = apply_gate(st, make_gate(P2, S1, IdealGate()))
         ref = qs.PureState(st.register, double_reflection_state(a1, b1, a2, b2))
         assert qs.fidelity(st, ref) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ideal_gate_matrix_is_diagonal_phase_exponential():
-    g = ideal_gate(P1, S1, 0.73)
+    g = ConditionalReflectionGate(P1, S1, complex(np.exp(1j * 0.73)), 1.0 + 0.0j)
     projector_sum = np.diag([0.0, 1.0, 1.0, 0.0])
     expected = np.diag(np.exp(1j * 0.73 * np.diag(projector_sum)))
     assert np.max(np.abs(g.matrix() - expected)) < 1e-12
@@ -72,25 +74,26 @@ def _distance_to_ideal(gate, delta_phi):
     """Operator distance after removing the shared cold phase."""
     u = gate.coeff_uncoupled
     mat = gate.matrix() / (u / abs(u))
-    ideal = ideal_gate(gate.photon, gate.spin, delta_phi).matrix()
+    ideal = ConditionalReflectionGate(gate.photon, gate.spin,
+                                      complex(np.exp(1j * delta_phi)), 1.0 + 0.0j).matrix()
     return float(np.max(np.abs(mat - ideal)))
 
 
 def test_realistic_gate_extreme_coupling_approaches_ideal():
     p = CavityParams(g=1e6, kappa=1.0, gamma=1e-6)
-    g = realistic_gate(P1, S1, p, 0.5)
+    g = make_gate(P1, S1, RealisticGate(p, 0.5))
     assert _distance_to_ideal(g, math.pi / 2) <= 1e-3
 
 
 def test_realistic_gate_without_coupling_is_global_factor():
     p = CavityParams(g=0.0, kappa=1.0, gamma=0.1)
-    g = realistic_gate(P1, S1, p, 0.5)
+    g = make_gate(P1, S1, RealisticGate(p, 0.5))
     assert g.coeff_coupled == g.coeff_uncoupled
 
 
 def test_realistic_gate_continuity_near_unit_reflectance():
     p = CavityParams(g=1e3, kappa=1.0, gamma=1e-3)
-    g = realistic_gate(P1, S1, p, 0.5)
+    g = make_gate(P1, S1, RealisticGate(p, 0.5))
     assert abs(1.0 - abs(g.coeff_coupled)) <= 1e-6
     assert abs(1.0 - abs(g.coeff_uncoupled)) <= 1e-6
     dphi = conditional_phase(p, 0.5)
@@ -99,7 +102,7 @@ def test_realistic_gate_continuity_near_unit_reflectance():
 
 def test_realistic_gate_records_survival_in_norm_tracking():
     p = CavityParams(g=2.4, kappa=1.0, gamma=0.1)
-    g = realistic_gate(P1, S1, p, 0.5)
+    g = make_gate(P1, S1, RealisticGate(p, 0.5))
     print("g=2.4 kappa gate:",
           f"delta_phi={conditional_phase(p, 0.5):.12f}",
           f"|r_hot|={abs(g.coeff_coupled):.12f}",

@@ -48,7 +48,7 @@ SQH = 1.0 / math.sqrt(2.0)
 
 def gate_coeffs(mode):
     if isinstance(mode, IdealGate):
-        return complex(np.exp(1j * mode.delta_phi)), 1.0 + 0.0j
+        return complex(np.exp(1j * math.pi / 2)), 1.0 + 0.0j
     hot = reflect(mode.params, mode.omega, coupled=True)
     cold = reflect(mode.params, mode.omega, coupled=False)
     return hot.r, cold.r

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from spinphoton import gates
 from spinphoton import qstate as qs
-from spinphoton.cavity import CavityParams
+from spinphoton.cavity import CavityParams, reflection_coefficient
 from spinphoton.gates import IdealGate, RealisticGate
 from spinphoton.metrics import entanglement_entropy
 from spinphoton.protocols import (
@@ -148,6 +149,14 @@ def test_scheme_a_second_cavity_mismatch_supported():
         res_same.branch("V").probability, abs=1e-6)
 
 
+def test_scheme_a_emit_rejects_a_batched_result():
+    cfg = ProtocolConfig(gate=RealisticGate(
+        CavityParams(g=np.array([2.0, 4.0, 8.0]), kappa=1.0, gamma=0.1), 0.5))
+    with pytest.raises(ValueError, match="scheme_a_photon_pairs"):
+        scheme_a_emit(scheme_a_entangle_spins(cfg), cfg)
+    assert [len(r.branches) for r in scheme_a_photon_pairs(cfg).results] == [2, 2, 2]
+
+
 # --- scheme B ------------------------------------------------------------------
 
 def test_scheme_b_uniform_probabilities_and_entanglement():
@@ -198,11 +207,6 @@ def test_scheme_b_joint_distribution_attributes_readout_errors():
     joint = res.branch("+45/up")
     assert merged.probability > joint.probability
     assert merged.fidelity_vs_target < 1.0
-
-
-def test_scheme_b_requires_pi_over_2_in_ideal_mode():
-    with pytest.raises(ValueError, match="pi/2"):
-        scheme_b_entangle_photons(ProtocolConfig(gate=IdealGate(delta_phi=0.3)))
 
 
 # --- scheme C ------------------------------------------------------------------
@@ -375,6 +379,19 @@ def test_branch_probabilities_sum_to_survival_everywhere():
                 assert total <= 1.0 + 1e-9
             assert sum(b.probability for b in res.branches) == pytest.approx(
                 total, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, n_photons", [("ghz", 6), ("scheme-b", 2)])
+def test_realistic_run_evaluates_the_cavity_once(monkeypatch, name, n_photons):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["coupled"])
+        return reflection_coefficient(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "reflection_coefficient", counting)
+    run_protocol(name, realistic_config(kappa_s=0.2), n_photons=n_photons)
+    assert sorted(calls) == [False, True]
 
 
 def test_protocols_are_deterministic():
