@@ -54,8 +54,10 @@ class CavityParams:
                 raise ValueError(f"{name} must be finite, got {float(v[bad].flat[0])!r}")
         if np.any(np.asarray(self.kappa) <= 0):
             raise ValueError("kappa must be positive")
-        if any(np.any(np.asarray(v) < 0) for v in (self.g, self.gamma, self.kappa_s)):
-            raise ValueError("g, gamma and kappa_s must be nonnegative")
+        for name in ("g", "gamma", "kappa_s"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if (v < 0).any():
+                raise ValueError(f"{name} must be nonnegative, got {float(v[v < 0].flat[0])!r}")
 
     def strong_coupling(self) -> bool:
         return self.g > self.kappa and self.g > self.gamma

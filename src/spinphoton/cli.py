@@ -144,8 +144,12 @@ def resolve_config(raw: dict) -> RunConfig:
         raise ConfigError(str(exc))
 
     seed = vals.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     trials = vals.get("trials", 1)
     n_photons = vals.get("ghz.n_photons", 3)
+    if not 2 <= n_photons <= 6:
+        raise ConfigError(f"ghz.n_photons must be in [2, 6], got {n_photons}")
 
     echo: dict = {"protocol": protocol}
     if isinstance(gate, IdealGate):
@@ -301,6 +305,9 @@ def cmd_sweep(args) -> int:
             f"(valid: {', '.join(SWEEP_PARAMETERS)})"
         )
     grid = parse_grid(args.grid)
+    if args.sweep in ("g_rel", "gamma_rel", "kappa_s_rel") and min(grid) < 0:
+        raise ConfigError(
+            f"--grid for {args.sweep} must be nonnegative, got {float(min(grid))!r}")
     spec = SweepSpec(parameter=args.sweep, grid=tuple(grid), config=run.config,
                      protocol=run.protocol, n_photons=run.n_photons)
     rows = run_sweep(spec)
@@ -322,6 +329,8 @@ def cmd_sample(args) -> int:
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     seed = args.seed if args.seed is not None else run.seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     result = run_protocol(run.protocol, run.config, n_photons=run.n_photons)
     outcomes = [ProjectiveOutcome(b.label, b.probability, None)
                 for b in result.branches]

@@ -77,11 +77,6 @@ class ConditionalReflectionGate:
     coeff_coupled: complex
     coeff_uncoupled: complex
 
-    def matrix(self) -> np.ndarray:
-        """4x4 matrix in the {R,L} x {up,down} product basis (photon first)."""
-        u, c = self.coeff_uncoupled, self.coeff_coupled
-        return np.diag(np.array([u, c, c, u], dtype=np.complex128))
-
 
 def make_gate(photon: QubitLabel, spin: QubitLabel, mode: GateMode) -> ConditionalReflectionGate:
     return ConditionalReflectionGate(photon, spin, *mode.coefficients)
@@ -99,10 +94,6 @@ def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=np.complex128) / SQ2
 
 
-def phase_gate(phi: float) -> np.ndarray:
-    return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=np.complex128)
-
-
 def ry(theta: float) -> np.ndarray:
     """Rotation about y. ry(pi/2) sends (|0>-|1>)/sqrt2 to |0>, (|0>+|1>)/sqrt2 to |1>."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
@@ -113,7 +104,7 @@ def circular_to_z() -> np.ndarray:
     """Maps (|0>+i|1>)/sqrt2 to |0> and (|0>-i|1>)/sqrt2 to |1>.
 
     As a spin pulse this reads out the circular superpositions left behind by
-    a pi/2 conditional phase; equals hadamard() @ phase_gate(-pi/2). As a
+    a pi/2 conditional phase; equals hadamard() @ diag(1, -i). As a
     polarization rotation it sends |+45> to |R> and |-45> to |L>.
     """
     return np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / SQ2

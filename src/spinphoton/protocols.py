@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -60,7 +60,6 @@ from .qstate import (
     fidelity,
     ket_state,
     measure,
-    normalize,
     photon,
     qubit_state,
     spin,
@@ -457,15 +456,33 @@ def _chain_leaves(config: ProtocolConfig, n: int):
                     correct=plates if n > 2 else None)
 
 
-def _scheme_b_branches(config: ProtocolConfig):
-    a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
-    p1, p2 = photon(1), photon(2)
-    targets = {
-        "+45": _target_state((p1, p2), [a1 * a2, 0, 0, -b1 * b2]),
-        "-45": _target_state((p1, p2), [0, a1 * b2, a2 * b1, 0]),
-    }
-    return [_branch(label, prob, st, targets[label.split("/")[0]])
-            for label, prob, st in _chain_leaves(config, 2)]
+def _chain_targets(config: ProtocolConfig, n: int):
+    """The chain's branch targets in closed form, keyed by detection outcome.
+
+    The ideal chain leaves A = (x)_k (a_k|R> + i b_k|L>) with the spin up and
+    B = i^n (x)_k (a_k|R> - i b_k|L>) with it down, (a_k, b_k) being the
+    configured pairs and |H> for k >= 3; the pulse sends A - B to the +45
+    readout and A + B to -45, and for n >= 3 the plates act on every factor.
+    No engine operation is used, so the targets score the engine independently.
+    """
+    pairs = [(config.alpha1, config.beta1), (config.alpha2, config.beta2)]
+    pairs += [(SQH, SQH)] * (n - 2)
+    plates = [np.eye(2)] * n
+    if n > 2:
+        plates = [np.diag([1.0, (-1j) ** n]) @ circular_to_z()] + [circular_to_z()] * (n - 1)
+    # Kronecker products of the per-photon factors, photon 1 most significant
+    a = reduce(np.multiply.outer, [u @ [x, 1j * y] for u, (x, y) in zip(plates, pairs)])
+    b = 1j ** n * reduce(np.multiply.outer, [u @ [x, -1j * y] for u, (x, y) in zip(plates, pairs)])
+    photons = [photon(i) for i in range(1, n + 1)]
+    return {"+45": _target_state(photons, (a - b).ravel()),
+            "-45": _target_state(photons, (a + b).ravel())}
+
+
+def _chain(name: str, config: ProtocolConfig, n: int):
+    """The n-photon chain, each branch scored against ``_chain_targets``."""
+    targets = _chain_targets(config, n)
+    return _result(name, config, [_branch(label, p, st, targets[label.split("/")[0]])
+                                  for label, p, st in _chain_leaves(config, n)])
 
 
 def scheme_b_entangle_photons(config: ProtocolConfig):
@@ -479,7 +496,7 @@ def scheme_b_entangle_photons(config: ProtocolConfig):
     beta1 |LR> with the spin in |down>. The spin is measured afterwards so the
     result carries the joint (photon-3, spin) distribution.
     """
-    return _result("scheme-b", config, _scheme_b_branches(config))
+    return _chain("scheme-b", config, 2)
 
 
 def chain_multiphoton(config: ProtocolConfig, n_photons: int):
@@ -488,21 +505,12 @@ def chain_multiphoton(config: ProtocolConfig, n_photons: int):
     Photons 1 and 2 carry the configured amplitudes, photons 3..n enter as
     |H>. For n = 2 this is exactly scheme B. For n >= 3 the feed-forward wave
     plates bring the branch states to canonical form; with uniform inputs the
-    +45 branch is then (|R...R> - |L...L>)/sqrt2. Targets are the branch
-    states of the ideal, undephased, unbatched run.
+    +45 branch is then (|R...R> - |L...L>)/sqrt2. Targets are closed-form
+    (``_chain_targets``).
     """
     if not 2 <= n_photons <= 6:
         raise ValueError("register overflow: n_photons must be in [2, 6]")
-    if n_photons == 2:
-        return _result("ghz", config, _scheme_b_branches(config))
-
-    leaves = _chain_leaves(config, n_photons)
-    ideal = leaves
-    if config.batch_shape or config.dephased or not isinstance(config.gate, IdealGate):
-        ideal = _chain_leaves(replace(config, gate=IdealGate(), t_over_t2=0.0), n_photons)
-    targets = {label.split("/")[0]: normalize(st) for label, p, st in ideal if p > 0.0}
-    return _result("ghz", config, [_branch(label, p, st, targets.get(label.split("/")[0]))
-                                   for label, p, st in leaves])
+    return _chain("ghz", config, n_photons)
 
 
 # --- scheme C: photon state onto the spin ------------------------------------

@@ -40,6 +40,15 @@ def test_params_validation():
     assert p.omega_x == p.omega_c
 
 
+@pytest.mark.parametrize("field", ["g", "gamma", "kappa_s"])
+def test_params_name_the_negative_field(field):
+    base = dict(g=1.0, kappa=1.0, gamma=0.1, kappa_s=0.0)
+    with pytest.raises(ValueError, match=rf"^{field} must be nonnegative, got -1.0$"):
+        CavityParams(**{**base, field: -1.0})
+    with pytest.raises(ValueError, match=rf"^{field} must be nonnegative, got -2.0$"):
+        CavityParams(**{**base, field: np.array([1.0, -2.0])})
+
+
 @pytest.mark.parametrize("field", ["g", "kappa", "gamma", "omega_c", "omega_x", "kappa_s"])
 def test_params_reject_non_finite_field(field):
     base = dict(g=1.0, kappa=1.0, gamma=0.1, omega_c=0.0, omega_x=0.0, kappa_s=0.0)

@@ -108,6 +108,34 @@ def test_seed_flag_only_on_sample(tmp_path, capsys, args):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, args, named", [
+    ("protocol = ghz\nghz.n_photons = 9\n", ["protocol"], "ghz.n_photons"),
+    ("protocol = scheme-b\nghz.n_photons = 1\n", ["protocol"], "ghz.n_photons"),
+    ("seed = -3\n", ["sample", "--trials", "3"], "error: seed must be >= 0"),
+    ("", ["sample", "--trials", "3", "--seed", "-1"], "error: --seed must be >= 0"),
+    ("gate.mode = realistic\n", ["sweep", "--sweep", "gamma_rel", "--grid=-1:1:3"],
+     "--grid for gamma_rel"),
+    ("gate.mode = realistic\n", ["sweep", "--sweep", "g_rel", "--grid=-2:-1:2"],
+     "--grid for g_rel"),
+    ("gate.mode = realistic\n", ["sweep", "--sweep", "kappa_s_rel", "--grid=-1:0:2"],
+     "--grid for kappa_s_rel"),
+    ("cavity.gamma = -1\n", ["protocol"], "gamma must be nonnegative"),
+])
+def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, config, args, named):
+    cfg = write(tmp_path / "c.cfg", config)
+    out = tmp_path / "o.txt"
+    assert run_cli(args + ["--config", cfg, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_detuning_sweep_accepted(tmp_path):
+    cfg = write(tmp_path / "c.cfg", "gate.mode = realistic\n")
+    out = str(tmp_path / "o.csv")
+    assert run_cli(["sweep", "--config", cfg, "--sweep", "detuning_rel", "--grid=-1:1:3",
+                    "--out", out]) == 0
+
+
 # --- reflectance ----------------------------------------------------------------
 
 def test_reflectance_single_point(tmp_path):
