@@ -11,7 +11,6 @@ drivers) and ``cli`` (batch front end).
 from .cavity import (
     CavityParams,
     ReflectionResponse,
-    cold_phase_closed_form,
     conditional_phase,
     find_operating_point,
     reflect,

@@ -99,13 +99,6 @@ def reflect(params: CavityParams, omega, coupled: bool) -> ReflectionResponse:
     return ReflectionResponse(r, np.abs(r), np.angle(r))
 
 
-def cold_phase_closed_form(params: CavityParams, omega: float) -> float:
-    """Closed-form empty-cavity phase, '+pi' branch at and below resonance."""
-    d = omega - params.omega_c
-    base = 2.0 * math.atan(2.0 * d / params.kappa)
-    return (math.pi if d <= 0 else -math.pi) + base
-
-
 def _wrap(angle):
     """Wrap to the principal interval (-pi, pi], elementwise."""
     w = np.mod(np.asarray(angle) + math.pi, 2.0 * math.pi) - math.pi

@@ -92,11 +92,16 @@ def resolve_config(raw: dict) -> RunConfig:
     vals = {k: _convert(k, v) for k, v in raw.items()}
 
     kappa = vals.get("cavity.kappa", 1.0)
+    if kappa <= 0:
+        raise ConfigError(f"cavity.kappa must be positive, got {kappa!r}")
 
     def cavity_value(key: str, default: float) -> float:
         rel = key + "_rel"
         if key in vals and rel in vals:
             raise ConfigError(f"both {key!r} and {rel!r} given")
+        for k in (key, rel):
+            if vals.get(k, 0.0) < 0:
+                raise ConfigError(f"{k} must be nonnegative, got {vals[k]!r}")
         if rel in vals:
             return vals[rel] * kappa
         return vals.get(key, default)
@@ -147,6 +152,8 @@ def resolve_config(raw: dict) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     trials = vals.get("trials", 1)
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     n_photons = vals.get("ghz.n_photons", 3)
     if not 2 <= n_photons <= 6:
         raise ConfigError(f"ghz.n_photons must be in [2, 6], got {n_photons}")
@@ -304,7 +311,11 @@ def cmd_sweep(args) -> int:
             f"unknown swept parameter {args.sweep!r} "
             f"(valid: {', '.join(SWEEP_PARAMETERS)})"
         )
+    if args.sweep != "t_over_t2" and isinstance(run.config.gate, IdealGate):
+        raise ConfigError(f"sweeping {args.sweep} needs gate.mode = realistic, got ideal")
     grid = parse_grid(args.grid)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"--grid of a sweep must be strictly increasing, got {args.grid!r}")
     if args.sweep in ("g_rel", "gamma_rel", "kappa_s_rel") and min(grid) < 0:
         raise ConfigError(
             f"--grid for {args.sweep} must be nonnegative, got {float(min(grid))!r}")
@@ -327,7 +338,7 @@ def cmd_sample(args) -> int:
     run = load_config(args.config)
     trials = args.trials if args.trials is not None else run.trials
     if trials < 1:
-        raise ConfigError("trials must be >= 1")
+        raise ConfigError(f"--trials must be >= 1, got {trials}")
     seed = args.seed if args.seed is not None else run.seed
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")

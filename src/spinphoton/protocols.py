@@ -15,10 +15,12 @@ Waiting intervals enter only through pure dephasing of the stored spin
 q = (1 - exp(-t/T2)) / 2. Z on the spin commutes with the reflection gate,
 which is diagonal in the spin basis whether lossy or not, so the intervals up
 to the next non-diagonal spin operation merge into one channel, and a dephased
-run is exactly the weighted mixture of two pure trajectories, (1-q, psi) and
-(q, Z psi). Every later step acts on each trajectory; a branch's probability
-is the weighted sum over trajectories, and only its kept register is turned
-into a density matrix. A branch state is a DensityState exactly when the run
+run is exactly the weighted mixture of pure trajectories (1-q, psi) and
+(q, Z psi): two per dephased spin, four for scheme A. The trajectories sit on
+a leading axis of one state, in front of the batch axes (an undephased run has
+one), so each later step runs once over all of them. A branch's probability is
+the weighted sum over trajectories, and only its kept register is turned into
+a density matrix. A branch state is a DensityState exactly when the run
 applied dephasing (t_over_t2 > 0), and a PureState otherwise.
 
 A config may be batched: ``t_over_t2``, or the cavity fields and probe
@@ -181,35 +183,31 @@ _PAULI_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
 # --- weighted pure trajectories ----------------------------------------------
 
-def _dephase_split(trajectories, spin_q: QubitLabel, t_over_t2):
-    """Unravel dephasing of ``spin_q`` over a total ``t_over_t2`` into the
-    (1-q, psi) and (q, Z psi) trajectories of every (weight, state) pair."""
+def _trajectories(psi: PureState, batch, spins=(), t_over_t2=0.0):
+    """Unravel the dephasing of each of ``spins`` over a total ``t_over_t2``
+    into weighted pure trajectories on a leading axis of one state: (w, psi),
+    w of shape (trajectories, *batch), psi's batch axes aligned to ``batch``
+    (length 1 where they do not vary). One trajectory of weight 1, then each
+    spin splits every (w, psi) into (w (1-q), psi) and (w q, Z psi), in order.
+    """
+    lead = (1,) * (1 + len(batch) - len(psi.batch_shape))
+    w = np.ones((1,) + batch)
+    psi = PureState(psi.register, psi.amplitudes.reshape(lead + psi.amplitudes.shape),
+                    np.reshape(psi.norm_tracking, lead + psi.batch_shape))
     t = np.asarray(t_over_t2, dtype=float)
     if not (t > 0.0).any():
-        return trajectories
+        return w, psi
     q = (1.0 - np.exp(-t)) / 2.0
-    return [pair for w, psi in trajectories
-            for pair in ((w * (1.0 - q), psi),
-                         (w * q, apply_unitary(psi, [spin_q], _PAULI_Z)))]
 
+    def twins(x, z):  # each entry of x followed by its twin in z
+        return np.stack([x, z], axis=1).reshape((-1,) + x.shape[1:])
 
-def _mix(register, live, prob) -> DensityState:
-    """rho = sum_k w_k p_k |psi_k><psi_k| / p, with p_k each state's
-    norm_tracking, over the (weight, state, mask) triples in ``live``;
-    elements outside a mask, and elements of probability 0, add nothing."""
-    dim = 2 ** len(register)
-    scale = np.where(prob > 0.0, prob, 1.0)
-    mat = np.zeros(np.shape(prob) + (dim, dim), dtype=np.complex128)
-    for w, psi, mask in live:
-        coef = np.where(mask, w * psi.norm_tracking / scale, 0.0)
-        a = psi.amplitudes
-        mat = mat + coef[..., None, None] * (a[..., :, None] * a.conj()[..., None, :])
-    return DensityState(tuple(register), mat, prob)
-
-
-def _zero_like(kept, batch=()) -> PureState:
-    return PureState(tuple(kept), np.zeros(batch + (2 ** len(kept),), dtype=np.complex128),
-                     0.0)
+    for s in spins:
+        z = apply_unitary(psi, [s], _PAULI_Z)
+        w = twins(w * (1.0 - q), w * q)
+        psi = PureState(psi.register, twins(psi.amplitudes, z.amplitudes),
+                        twins(psi.norm_tracking, z.norm_tracking))
+    return w, psi
 
 
 def _keep(state: PureState, mask) -> PureState:
@@ -220,35 +218,38 @@ def _keep(state: PureState, mask) -> PureState:
                      np.where(mask, state.norm_tracking, 0.0))
 
 
-def _leaf(label, reached, kept, dephased: bool, batch, correct=None):
+def _leaf(label, w, post, kept, dephased: bool, batch, correct=None):
     """Close one measurement leaf over the ``kept`` register.
 
-    ``reached`` holds the (weight, post state) of every trajectory that got
-    here. Each live post state, after the optional ``correct``, is over
-    ``kept``; ``kept`` itself builds the zero state of a leaf that no
-    trajectory reaches. Returns (label, probability, state) with probability
-    of the run's ``batch`` shape; elements at or below the floor get
-    probability 0 and a zero state, and trajectories below the floor add to
-    the probability but not to the state.
+    ``w`` and ``post`` are the stacked trajectories' weights and post states
+    (see ``_trajectories``); ``post`` is None when no trajectory reaches the
+    leaf, and is over ``kept`` after the optional ``correct``. Returns (label,
+    probability, state): probability sum_k w_k p_k of the run's ``batch``
+    shape, p_k each trajectory's norm_tracking, and for a dephased run the
+    state sum_k w_k p_k |psi_k><psi_k| / p, else the one trajectory's state.
+    Elements at or below the floor get probability 0 and a zero state, and
+    trajectories below the floor add to the probability but not to the state.
     """
-    prob = sum((w * post.norm_tracking for w, post in reached), np.zeros(batch))
+    zero = np.zeros(batch)
+    empty = np.zeros(batch + (2 ** len(kept),) * (1 + dephased), dtype=np.complex128)
+    # summed in trajectory order, starting from zero, as are the mixture's terms
+    prob = zero if post is None else reduce(np.add, w * post.norm_tracking, zero)
     alive = prob > PROBABILITY_FLOOR
     if not alive.any():
-        zero = np.zeros(batch)
-        return label, zero, _mix(kept, [], zero) if dephased else _zero_like(kept, batch)
-    live = []
-    for w, post in reached:
-        own = post.norm_tracking > PROBABILITY_FLOOR
-        if own.any():
-            post = _keep(post, own)
-            if correct is not None:
-                post = correct(post)
-            live.append((w, post, alive & own))
+        return label, zero, (DensityState if dephased else PureState)(tuple(kept), empty, zero)
+    own = post.norm_tracking > PROBABILITY_FLOOR
+    post = _keep(post, own)
+    if correct is not None:
+        post = correct(post)
     prob = np.where(alive, prob, 0.0)
-    if dephased:
-        return label, prob, _mix(kept, live, prob)
-    (_, state, _), = live  # an undephased run has one trajectory
-    return label, prob, state
+    if not dephased:
+        return label, prob, PureState(post.register, post.amplitudes[0],
+                                      post.norm_tracking[0])
+    scale = np.where(prob > 0.0, prob, 1.0)
+    coef = np.where(alive & own, w * post.norm_tracking / scale, 0.0)
+    mat = reduce(np.add, (c[..., None, None] * (a[..., :, None] * a.conj()[..., None, :])
+                          for c, a in zip(coef, post.amplitudes)), empty)
+    return label, prob, DensityState(tuple(kept), mat, prob)
 
 
 def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: QubitLabel,
@@ -267,28 +268,24 @@ def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: Qubit
             for o in measure(full, ancilla_photon, "45")]
 
 
-def _readout(trajectories, spin_q: QubitLabel, ancilla: QubitLabel, kept,
+def _readout(w, psi: PureState, spin_q: QubitLabel, ancilla: QubitLabel, kept,
              config: ProtocolConfig, announce=None, correct=None):
-    """The spin-readout tail: ``gfr_spin_readout`` with a fresh ``ancilla``,
-    then the spin measured in up/down, on every trajectory; apply the optional
-    per-branch ``correct(state, announced)``. Returns one (label, probability,
-    state) leaf per joint outcome, labeled "announced/spin", where
-    ``announce`` renames the detection outcome (default: the outcome itself).
+    """The spin-readout tail of the trajectories (w, psi): ``gfr_spin_readout``
+    with a fresh ``ancilla``, then the spin measured in up/down, then the
+    optional ``correct(state, announced)``. Returns one (label, probability,
+    state) leaf per joint outcome, labeled "announced/spin", where ``announce``
+    renames the detection outcome (default: the outcome itself).
     """
-    first = [gfr_spin_readout(psi, spin_q, ancilla, config.gate) for _, psi in trajectories]
     leaves = []
-    for j, det in enumerate(o.label for o in first[0]):
-        reached = {"up": [], "down": []}
-        for (w, _), outs in zip(trajectories, first):
-            post = outs[j].post_state
-            if (post.norm_tracking > 0.0).any():
-                for o in measure(post, spin_q, "updown"):
-                    reached[o.label].append((w, o.post_state))
-        announced = (announce or {}).get(det, det)
+    for o in gfr_spin_readout(psi, spin_q, ancilla, config.gate):
+        post = o.post_state
+        posts = ({m.label: m.post_state for m in measure(post, spin_q, "updown")}
+                 if (post.norm_tracking > 0.0).any() else {})
+        announced = (announce or {}).get(o.label, o.label)
         fix = None if correct is None else (lambda st, a=announced: correct(st, a))
-        for sl, posts in reached.items():
-            leaves.append(_leaf(f"{announced}/{sl}", posts, kept, config.dephased,
-                                config.batch_shape, fix))
+        for sl in ("up", "down"):
+            leaves.append(_leaf(f"{announced}/{sl}", w, posts.get(sl), kept,
+                                config.dephased, config.batch_shape, fix))
     return leaves
 
 
@@ -353,7 +350,8 @@ def _spin_pair_leaves(config: ProtocolConfig, second_cavity: CavityParams | None
         "V": _target_state((s1, s2), [a1 * a2, 0, 0, -b1 * b2]),
         "H": _target_state((s1, s2), [0, a1 * b2, a2 * b1, 0]),
     }
-    leaves = [_leaf(o.label, [(1.0, o.post_state)], (s1, s2), False, config.batch_shape)
+    w, state = _trajectories(state, config.batch_shape)
+    leaves = [_leaf(o.label, w, o.post_state, (s1, s2), False, config.batch_shape)
               for o in measure(state, probe, "HV")]
     return leaves, targets
 
@@ -385,15 +383,11 @@ def _emit_pairs(spin_pairs, config: ProtocolConfig):
     def emit(st):
         return trion_emission_map(trion_emission_map(st, s1, p1), s2, p2)
 
-    branches = []
-    for label, state in spin_pairs:
-        trajectories = [(1.0, state)]
-        for s in (s1, s2):
-            trajectories = _dephase_split(trajectories, s, config.t_over_t2)
-        leaf = _leaf(label, trajectories, (p1, p2), config.dephased, config.batch_shape,
-                     emit)
-        branches.append(_branch(*leaf, targets[label]))
-    return branches
+    def leaf(label, state):
+        w, psi = _trajectories(state, config.batch_shape, (s1, s2), config.t_over_t2)
+        return _leaf(label, w, psi, (p1, p2), config.dephased, config.batch_shape, emit)
+
+    return [_branch(*leaf(label, state), targets[label]) for label, state in spin_pairs]
 
 
 def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
@@ -442,8 +436,8 @@ def _chain_leaves(config: ProtocolConfig, n: int):
     # one waiting interval after each photon, merged ahead of the pi/2 pulse;
     # the pulse sends (up-down)/sqrt2 -> up, so the correlated-pair branch
     # reads out as spin-up / +45
-    trajectories = [(w, apply_unitary(psi, [s], ry(math.pi / 2)))
-                    for w, psi in _dephase_split([(1.0, state)], s, n * config.t_over_t2)]
+    w, state = _trajectories(state, config.batch_shape, [s], n * config.t_over_t2)
+    state = apply_unitary(state, [s], ry(math.pi / 2))
 
     phase_fix = np.diag([1.0, (-1j) ** n]).astype(np.complex128)
 
@@ -452,7 +446,7 @@ def _chain_leaves(config: ProtocolConfig, n: int):
             st = apply_unitary(st, [p], circular_to_z())
         return apply_unitary(st, [photons[0]], phase_fix)
 
-    return _readout(trajectories, s, photon(n + 1), photons, config,
+    return _readout(w, state, s, photon(n + 1), photons, config,
                     correct=plates if n > 2 else None)
 
 
@@ -528,12 +522,12 @@ def transfer_photon_to_spin(config: ProtocolConfig):
     state = apply_gate(state, make_gate(ph, s, config.gate))
 
     target = _target_state((s,), [config.alpha1, config.beta1])
+    w, state = _trajectories(state, config.batch_shape)
     branches = []
     for o in measure(state, ph, "HV"):
         def correct(st, label=o.label):
             return apply_correction(apply_unitary(st, [s], circular_to_z()), s, label, "C")
-        leaf = _leaf(o.label, [(1.0, o.post_state)], (s,), False, config.batch_shape,
-                     correct)
+        leaf = _leaf(o.label, w, o.post_state, (s,), False, config.batch_shape, correct)
         branches.append(_branch(*leaf, target))
     return _result("transfer-ps", config, branches)
 
@@ -552,12 +546,12 @@ def transfer_spin_to_photon(config: ProtocolConfig):
     p1, s = photon(1), spin(1)
     state = tensor(ket_state(p1, "H"), qubit_state(s, config.alpha1, config.beta1))
     state = apply_gate(state, make_gate(p1, s, config.gate))
-    trajectories = [(w, apply_unitary(psi, [s], hadamard()))
-                    for w, psi in _dephase_split([(1.0, state)], s, config.t_over_t2)]
+    w, state = _trajectories(state, config.batch_shape, [s], config.t_over_t2)
+    state = apply_unitary(state, [s], hadamard())
 
     a, b = config.alpha1, config.beta1
     target = _target_state((p1,), [(a + b) * SQH, (a - b) * SQH])  # alpha|H> + beta|V>
-    leaves = _readout(trajectories, s, photon(3), (p1,), config,
+    leaves = _readout(w, state, s, photon(3), (p1,), config,
                       announce={"+45": "up", "-45": "down"},
                       correct=lambda st, announced: apply_correction(st, p1, announced, "D"))
     return _result("transfer-sp", config, [_branch(*leaf, target) for leaf in leaves])
@@ -596,8 +590,10 @@ def merged_detection_branch(result: ProtocolResult, detection: str) -> MergedBra
 
     A protocol heralded only on the photon detection delivers the mixture of
     the joint branches; this is the honest conditional state when the spin
-    outcome is not used.
+    outcome is not used. ``result`` is the result of one run.
     """
+    if isinstance(result, ProtocolBatch):
+        raise ValueError("merged_detection_branch takes the result of one run")
     picked = [b for b in result.branches
               if b.label == detection or b.label.startswith(detection + "/")]
     if not picked:

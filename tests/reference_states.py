@@ -1,4 +1,5 @@
-"""Hand-built reference states used as independent oracles in the tests.
+"""Hand-built reference states, and the closed-form empty-cavity phase, used
+as independent oracles in the tests.
 
 Everything here is constructed directly from the protocol algebra (writing
 out which amplitude picks up the conditional phase i), never through the
@@ -13,6 +14,14 @@ import math
 import numpy as np
 
 SQH = 1.0 / math.sqrt(2.0)
+
+
+def cold_phase_closed_form(params, omega: float) -> float:
+    """Closed-form empty-cavity reflection phase, phi0 = +-pi + 2 arctan(2 (omega
+    - omega_c) / kappa), on the '+pi' branch at and below resonance."""
+    d = omega - params.omega_c
+    base = 2.0 * math.atan(2.0 * d / params.kappa)
+    return (math.pi if d <= 0 else -math.pi) + base
 
 
 def rand_amp_pair(rng):

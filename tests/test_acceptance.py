@@ -15,7 +15,6 @@ import pytest
 from spinphoton import qstate as qs
 from spinphoton.cavity import (
     CavityParams,
-    cold_phase_closed_form,
     conditional_phase,
     reflection_coefficient,
 )
@@ -33,6 +32,7 @@ from spinphoton.protocols import (
     transfer_spin_to_photon,
 )
 from reference_states import (
+    cold_phase_closed_form,
     double_reflection_state,
     photon_pair_anticorrelated,
     photon_pair_correlated,

@@ -5,12 +5,12 @@ import pytest
 
 from spinphoton.cavity import (
     CavityParams,
-    cold_phase_closed_form,
     conditional_phase,
     find_operating_point,
     reflect,
     reflection_coefficient,
 )
+from reference_states import cold_phase_closed_form
 
 
 def params(g=10.0, kappa=1.0, gamma=0.1, kappa_s=0.0, omega_x=None):

@@ -120,6 +120,12 @@ def test_seed_flag_only_on_sample(tmp_path, capsys, args):
     ("gate.mode = realistic\n", ["sweep", "--sweep", "kappa_s_rel", "--grid=-1:0:2"],
      "--grid for kappa_s_rel"),
     ("cavity.gamma = -1\n", ["protocol"], "gamma must be nonnegative"),
+    ("cavity.kappa = 2\ncavity.g_rel = -1\n", ["protocol"], "cavity.g_rel"),
+    ("cavity.kappa = -2\n", ["protocol"], "cavity.kappa"),
+    ("", ["sweep", "--sweep", "g_rel", "--grid=2:20:3"], "gate.mode"),
+    ("", ["sample", "--trials", "0"], "error: --trials must be >= 1"),
+    ("trials = 0\n", ["sample"], "error: trials must be >= 1"),
+    ("gate.mode = realistic\n", ["sweep", "--sweep", "g_rel", "--grid=2:1:3"], "--grid"),
 ])
 def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, config, args, named):
     cfg = write(tmp_path / "c.cfg", config)

@@ -210,6 +210,16 @@ def test_scheme_b_joint_distribution_attributes_readout_errors():
     assert merged.fidelity_vs_target < 1.0
 
 
+def test_merged_detection_branch_rejects_a_batched_result():
+    # merging every element's branches would sum probabilities across runs
+    cavity = CavityParams(g=np.array([2.0, 5.0, 10.0]), kappa=1.0, gamma=0.1, kappa_s=0.2)
+    batch = scheme_b_entangle_photons(ProtocolConfig(gate=RealisticGate(cavity, 0.5)))
+    with pytest.raises(ValueError, match="result of one run"):
+        merged_detection_branch(batch, "+45")
+    for result in batch.results:
+        assert merged_detection_branch(result, "+45").probability <= 1.0
+
+
 # --- scheme C ------------------------------------------------------------------
 
 def test_transfer_photon_to_spin_trivial_input():
@@ -424,6 +434,69 @@ def test_realistic_run_evaluates_the_cavity_once(monkeypatch, name, n_photons):
     monkeypatch.setattr(gates, "reflection_coefficient", counting)
     run_protocol(name, realistic_config(kappa_s=0.2), n_photons=n_photons)
     assert sorted(calls) == [False, True]
+
+
+@pytest.mark.parametrize("name, n_photons, expected", [
+    ("ghz", 6, {"gfr_spin_readout": 1, "measure": 3}),
+    ("scheme-a", 2, {"measure": 1, "trion_emission_map": 4}),
+])
+def test_dephased_run_steps_once_over_all_trajectories(monkeypatch, name, n_photons,
+                                                        expected):
+    # the dephased trajectories (two for ghz, four for scheme-a) share one
+    # engine call per step instead of one call each
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(fname):
+        inner = getattr(protocols, fname)
+
+        def wrapper(*args, **kwargs):
+            calls[fname] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for fname in expected:
+        monkeypatch.setattr(protocols, fname, counting(fname))
+    cfg = replace(realistic_config(kappa_s=0.2), t_over_t2=0.3)
+    run_protocol(name, cfg, n_photons=n_photons)
+    assert calls == expected
+
+
+def list_form_split(trajectories, spin_q, t_over_t2):
+    """The (weight, state) list form of one dephasing split: each state
+    followed by its Z twin."""
+    q = (1.0 - np.exp(-np.asarray(t_over_t2))) / 2.0
+    z = np.diag([1.0, -1.0])
+    return [pair for w, psi in trajectories
+            for pair in ((w * (1.0 - q), psi), (w * q, qs.apply_unitary(psi, [spin_q], z)))]
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_stacked_trajectories_equal_the_list_form_bit_for_bit(batch):
+    rng = np.random.default_rng(4)
+    s1, s2, p = qs.spin(1), qs.spin(2), qs.photon(1)
+    amps = rng.normal(size=batch + (8,)) + 1j * rng.normal(size=batch + (8,))
+    psi = qs.normalize(qs.PureState((s1, s2, p), amps))
+    t = rng.uniform(0.1, 1.0, size=batch)
+    w, stacked = protocols._trajectories(psi, batch, (s1, s2), t)
+    ref = [(1.0, psi)]
+    for s in (s1, s2):
+        ref = list_form_split(ref, s, t)
+    assert w.shape == (4,) + batch and stacked.batch_shape == (4,) + batch
+    for k, (wk, st) in enumerate(ref):
+        assert np.array_equal(w[k], np.broadcast_to(wk, batch))
+        assert np.array_equal(stacked.amplitudes[k], st.amplitudes)
+    # a leaf sums and mixes the trajectories in list order, starting from zero
+    for j, o in enumerate(qs.measure(stacked, p, "HV")):
+        _, prob, rho = protocols._leaf(o.label, w, o.post_state, (s1, s2), True, batch)
+        posts = [(wk, qs.measure(st, p, "HV")[j].post_state) for wk, st in ref]
+        ref_prob = sum((wk * post.norm_tracking for wk, post in posts), np.zeros(batch))
+        ref_mat = np.zeros(batch + (4, 4), dtype=np.complex128)
+        for wk, post in posts:
+            a = post.amplitudes
+            coef = np.asarray(wk * post.norm_tracking / ref_prob)
+            ref_mat = ref_mat + coef[..., None, None] * (a[..., :, None] * a.conj()[..., None, :])
+        assert np.array_equal(prob, ref_prob)
+        assert np.array_equal(rho.matrix, ref_mat)
 
 
 def test_protocols_are_deterministic():
