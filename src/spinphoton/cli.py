@@ -4,7 +4,9 @@ Subcommands: reflectance | protocol | sweep | sample. Configuration comes from
 a plain-text ``key = value`` file ('#' starts a comment); frequencies and
 rates may be given in units of kappa with a ``_rel`` suffix. Data goes to
 --out (or stdout) as CSV or JSON; human messages go to stderr. Exit codes:
-0 success, 2 usage or configuration error, 1 internal error.
+0 success; 2 a usage or configuration error, with the flag or key at fault
+named; 1 the program was at fault (an internal error, with its traceback) or
+the output could not be written.
 
 ``reflectance`` evaluates its whole grid as one array, and ``sweep`` runs its
 grid as one batched protocol pass; each sweep row equals the ``protocol`` run
@@ -15,9 +17,11 @@ subcommand reads.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +30,7 @@ from .cavity import CavityParams, conditional_phase, reflect
 from .gates import GateMode, IdealGate, RealisticGate
 from .metrics import SWEEP_PARAMETERS, SweepSpec, run_sweep
 from .protocols import PROTOCOL_NAMES, ProtocolConfig, run_protocol
-from .qstate import ProjectiveOutcome, PureState, sample_indices
+from .qstate import PureState, sample_indices
 
 
 class ConfigError(ValueError):
@@ -65,14 +69,14 @@ def _convert(key: str, value: str):
         if key in _FLOAT_KEYS:
             x = float(value)
         elif key in _COMPLEX_KEYS:
-            return complex(value.replace(" ", ""))
+            x = complex(value.replace(" ", ""))
         elif key in _INT_KEYS:
             return int(value)
         else:
             return value
     except ValueError:
         raise ConfigError(f"cannot parse value for {key!r}: {value!r}")
-    if not math.isfinite(x):
+    if not cmath.isfinite(x):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return x
 
@@ -113,14 +117,14 @@ def resolve_config(raw: dict) -> RunConfig:
         omega_x = omega_c + vals["cavity.omega_x_rel"] * kappa
     else:
         omega_x = vals.get("cavity.omega_x", omega_c)
-    cavity = CavityParams(
-        g=cavity_value("cavity.g", 10.0 * kappa),
-        kappa=kappa,
-        gamma=cavity_value("cavity.gamma", 0.1 * kappa),
-        omega_c=omega_c,
-        omega_x=omega_x,
-        kappa_s=cavity_value("cavity.kappa_s", 0.0),
-    )
+    g = cavity_value("cavity.g", 10.0 * kappa)
+    gamma = cavity_value("cavity.gamma", 0.1 * kappa)
+    kappa_s = cavity_value("cavity.kappa_s", 0.0)
+    try:  # a large kappa can still overflow a default or a _rel value
+        cavity = CavityParams(g=g, kappa=kappa, gamma=gamma, omega_c=omega_c,
+                              omega_x=omega_x, kappa_s=kappa_s)
+    except ValueError as exc:  # its messages start with the field name
+        raise ConfigError(f"cavity.{exc}")
 
     mode_name = vals.get("gate.mode", "ideal")
     detuning_rel = vals.get("gate.detuning_rel", 0.5)
@@ -128,6 +132,12 @@ def resolve_config(raw: dict) -> RunConfig:
         gate: GateMode = IdealGate()
     elif mode_name == "realistic":
         gate = RealisticGate(cavity, omega_c + detuning_rel * kappa)
+        with np.errstate(all="ignore"):  # extreme values are refused just below
+            coefficients = np.array(gate.coefficients)
+        if not np.isfinite(coefficients).all():
+            raise ConfigError(
+                f"the realistic gate's reflection coefficients {coefficients.tolist()} "
+                "are not finite: check the cavity.* keys and gate.detuning_rel")
     else:
         raise ConfigError(f"gate.mode must be 'ideal' or 'realistic', got {mode_name!r}")
 
@@ -137,13 +147,16 @@ def resolve_config(raw: dict) -> RunConfig:
             f"unknown protocol {protocol!r} (valid: {', '.join(PROTOCOL_NAMES)})"
         )
 
+    t_over_t2 = vals.get("noise.t_over_t2", 0.0)
+    if t_over_t2 < 0:
+        raise ConfigError(f"noise.t_over_t2 must be nonnegative, got {t_over_t2!r}")
     sq = 1.0 / math.sqrt(2.0)
     try:
         config = ProtocolConfig(
             gate=gate,
             alpha1=vals.get("alpha1", sq), beta1=vals.get("beta1", sq),
             alpha2=vals.get("alpha2", sq), beta2=vals.get("beta2", sq),
-            t_over_t2=vals.get("noise.t_over_t2", 0.0),
+            t_over_t2=t_over_t2,
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -171,10 +184,9 @@ def resolve_config(raw: dict) -> RunConfig:
                 "omega_x": cavity.omega_x,
             },
         }
-    echo["amplitudes"] = {
-        "alpha1": _c2pair(config.alpha1), "beta1": _c2pair(config.beta1),
-        "alpha2": _c2pair(config.alpha2), "beta2": _c2pair(config.beta2),
-    }
+    echo["amplitudes"] = dict(zip(
+        ("alpha1", "beta1", "alpha2", "beta2"),
+        _pairs(np.array([config.alpha1, config.beta1, config.alpha2, config.beta2]))))
     echo["noise"] = {"t_over_t2": config.t_over_t2}
     echo["seed"] = seed
     if protocol == "ghz":
@@ -194,15 +206,9 @@ def load_config(path: str | None) -> RunConfig:
     return resolve_config(parse_config_text(text))
 
 
-def _c2pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return f"{x:.17g}"
+def _pairs(a: np.ndarray) -> list:
+    """A complex array as nested lists with an ``[re, im]`` pair per entry."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -242,17 +248,6 @@ def _csv_chunks(header: str, n_rows: int, format_rows):
         yield format_rows(start, min(start + _CHUNK_ROWS, n_rows))
 
 
-def _sanitize(obj):
-    """Replace NaN floats with None so the JSON stays standard."""
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
 # --- subcommands -------------------------------------------------------------
 
 def cmd_reflectance(args) -> int:
@@ -275,21 +270,20 @@ def cmd_reflectance(args) -> int:
 
 def _branch_payload(br) -> dict:
     state = br.state
-    payload: dict = {
+    pure = isinstance(state, PureState)
+    fidelity, conc = br.fidelity_vs_target, br.concurrence
+    return {
         "label": br.label,
         "probability": br.probability,
         "register": [str(q) for q in state.register],
         "basis": state.basis_strings(),
+        "amplitudes" if pure else "density_matrix":
+            _pairs(state.amplitudes if pure else state.matrix),
+        # the only fields that can hold NaN (a dead branch, a vanishing target)
+        "fidelity": fidelity if fidelity == fidelity else None,
+        "concurrence": conc if conc == conc else None,
+        "success_probability": br.success_probability,
     }
-    if isinstance(state, PureState):
-        payload["amplitudes"] = [_c2pair(z) for z in state.amplitudes]
-    else:
-        payload["density_matrix"] = [[_c2pair(z) for z in row]
-                                     for row in state.matrix]
-    payload["fidelity"] = br.fidelity_vs_target
-    payload["concurrence"] = br.concurrence
-    payload["success_probability"] = br.success_probability
-    return payload
 
 
 def cmd_protocol(args) -> int:
@@ -300,7 +294,7 @@ def cmd_protocol(args) -> int:
         "config": run.echo,
         "branches": [_branch_payload(b) for b in result.branches],
     }
-    _emit([json.dumps(_sanitize(doc), indent=2) + "\n"], args.out)
+    _emit([json.dumps(doc, indent=2, allow_nan=False) + "\n"], args.out)
     return 0
 
 
@@ -316,21 +310,21 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"--grid of a sweep must be strictly increasing, got {args.grid!r}")
-    if args.sweep in ("g_rel", "gamma_rel", "kappa_s_rel") and min(grid) < 0:
+    if args.sweep != "detuning_rel" and min(grid) < 0:
         raise ConfigError(
             f"--grid for {args.sweep} must be nonnegative, got {float(min(grid))!r}")
     spec = SweepSpec(parameter=args.sweep, grid=tuple(grid), config=run.config,
                      protocol=run.protocol, n_photons=run.n_photons)
     rows = run_sweep(spec)
-    lines = ["swept_name,swept_value,branch_label,probability,fidelity,"
-             "concurrence,success_probability"]
-    for r in rows:
-        lines.append(",".join([
-            r["swept_name"], _fmt(r["swept_value"]), r["branch_label"],
-            _fmt(r["probability"]), _fmt(r["fidelity"]),
-            _fmt(r["concurrence"]), _fmt(r["success_probability"]),
-        ]))
-    _emit(["\n".join(lines) + "\n"], args.out)
+    row = "%s,%.17g,%s,%.17g,%.17g,%s,%.17g\n"
+    _emit(_csv_chunks("swept_name,swept_value,branch_label,probability,fidelity,"
+                      "concurrence,success_probability", len(rows),
+                      lambda a, b: "".join(row % (
+                          r["swept_name"], r["swept_value"], r["branch_label"],
+                          r["probability"], r["fidelity"],
+                          "" if r["concurrence"] is None else "%.17g" % r["concurrence"],
+                          r["success_probability"]) for r in rows[a:b])),
+          args.out)
     return 0
 
 
@@ -343,14 +337,15 @@ def cmd_sample(args) -> int:
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     result = run_protocol(run.protocol, run.config, n_photons=run.n_photons)
-    outcomes = [ProjectiveOutcome(b.label, b.probability, None)
-                for b in result.branches]
-    missing = 1.0 - sum(o.probability for o in outcomes)
+    labels = [b.label for b in result.branches]
+    probabilities = [b.probability for b in result.branches]
+    missing = 1.0 - sum(probabilities)
     if missing > 1e-9:
         # photon loss in realistic mode: no detector fires
-        outcomes.append(ProjectiveOutcome("no_detection", missing, None))
-    endings = np.array([f",{o.label}\n" for o in outcomes], dtype=object)
-    draws = endings[sample_indices(outcomes, np.random.default_rng(seed), trials)]
+        labels.append("no_detection")
+        probabilities.append(missing)
+    endings = np.array([f",{label}\n" for label in labels], dtype=object)
+    draws = endings[sample_indices(probabilities, np.random.default_rng(seed), trials)]
     _emit(_csv_chunks("trial_index,branch_label", trials,
                       lambda a, b: "".join(map(str.__add__, map(str, range(a, b)),
                                                draws[a:b].tolist()))),
@@ -405,13 +400,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # every input fault is a ConfigError by now
+        traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
 

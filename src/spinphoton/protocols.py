@@ -33,6 +33,7 @@ unbatched config is the batch of shape ``()``.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
@@ -84,10 +85,10 @@ class ProtocolConfig:
 
     ``alpha1/beta1`` describe photon 1 (or the unknown input qubit in the
     transfer schemes), ``alpha2/beta2`` photon 2 / spin 2. Each pair must be
-    normalized. ``t_over_t2`` is the dephasing exponent applied to a stored
-    spin per waiting interval; it must be finite and nonnegative. An array of
-    ``t_over_t2`` values is a batch, and is either all zero or all positive,
-    so that every element has the same output type.
+    finite and normalized. ``t_over_t2`` is the dephasing exponent applied to
+    a stored spin per waiting interval; it must be finite and nonnegative. An
+    array of ``t_over_t2`` values is a batch, and is either all zero or all
+    positive, so that every element has the same output type.
     """
 
     gate: GateMode = IdealGate()
@@ -102,6 +103,8 @@ class ProtocolConfig:
             ("alpha1", "beta1", self.alpha1, self.beta1),
             ("alpha2", "beta2", self.alpha2, self.beta2),
         ):
+            if not (cmath.isfinite(a) and cmath.isfinite(b)):
+                raise ValueError(f"{name_a}/{name_b} must be finite, got {a!r}, {b!r}")
             if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
                 raise ValueError(f"{name_a}/{name_b} are not normalized")
         t = np.asarray(self.t_over_t2, dtype=float)

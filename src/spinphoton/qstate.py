@@ -439,29 +439,30 @@ def measure(state: PureState, target: QubitLabel, basis: str) -> list[Projective
     return outcomes
 
 
-def sample_indices(outcomes, rng_seed, trials: int) -> np.ndarray:
-    """Indices into ``outcomes`` of ``trials`` seeded draws, from one
-    ``rng.random(trials)`` call.
+def sample_indices(probabilities, rng_seed, trials: int) -> np.ndarray:
+    """Indices into ``probabilities`` (a sequence of outcome probabilities)
+    of ``trials`` seeded draws, from one ``rng.random(trials)`` call.
 
     A draw r picks the first outcome whose running probability sum exceeds
     r; a draw at or above the last sum (rounding) picks the last outcome.
     ``rng_seed`` may be an int seed or a numpy Generator (reused across calls
     to continue its sequence).
     """
-    if not outcomes:
+    probs = np.asarray(probabilities, dtype=float)
+    if probs.size == 0:
         raise ValueError("no outcomes to sample from")
-    probs = np.array([o.probability for o in outcomes], dtype=float)
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("outcome probabilities must sum to 1")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
         else np.random.default_rng(rng_seed)
     picks = np.searchsorted(np.cumsum(probs), rng.random(trials), side="right")
-    return np.minimum(picks, len(outcomes) - 1)
+    return np.minimum(picks, probs.size - 1)
 
 
 def sample_outcome(outcomes, rng_seed) -> ProjectiveOutcome:
     """Draw one branch with a seeded generator; same seed, same draw sequence."""
-    return outcomes[int(sample_indices(outcomes, rng_seed, 1)[0])]
+    probabilities = [o.probability for o in outcomes]
+    return outcomes[int(sample_indices(probabilities, rng_seed, 1)[0])]
 
 
 def dephase_spin(rho: DensityState, target: QubitLabel, t_over_t2: float) -> DensityState:

@@ -126,12 +126,36 @@ def test_seed_flag_only_on_sample(tmp_path, capsys, args):
     ("", ["sample", "--trials", "0"], "error: --trials must be >= 1"),
     ("trials = 0\n", ["sample"], "error: trials must be >= 1"),
     ("gate.mode = realistic\n", ["sweep", "--sweep", "g_rel", "--grid=2:1:3"], "--grid"),
+    ("alpha1 = nan\n", ["protocol"], "error: alpha1 must be finite"),
+    ("beta2 = 1+infj\n", ["protocol"], "error: beta2 must be finite"),
+    ("alpha2 = -infj\n", ["sample"], "error: alpha2 must be finite"),
+    ("noise.t_over_t2 = -1\n", ["protocol"], "error: noise.t_over_t2 must be nonnegative"),
+    ("", ["sweep", "--sweep", "t_over_t2", "--grid=-1:1:3"], "--grid for t_over_t2"),
+    ("cavity.kappa = 1e308\n", ["protocol"], "error: cavity.g must be finite"),
+    ("gate.mode = realistic\ncavity.kappa = 1e-320\n", ["protocol"],
+     "check the cavity.* keys and gate.detuning_rel"),
+    ("gate.mode = realistic\ncavity.omega_x = 1e308\ncavity.omega_c = -1e308\n",
+     ["protocol"], "check the cavity.* keys and gate.detuning_rel"),
 ])
 def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, config, args, named):
     cfg = write(tmp_path / "c.cfg", config)
     out = tmp_path / "o.txt"
     assert run_cli(args + ["--config", cfg, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):
+    from spinphoton import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("an invariant failed")
+
+    monkeypatch.setattr(cli, "run_protocol", broken)
+    out = tmp_path / "o.json"
+    assert run_cli(["protocol", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" in err and "an invariant failed" in err
     assert not out.exists()
 
 

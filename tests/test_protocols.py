@@ -518,3 +518,11 @@ def test_config_normalization_enforced():
         ProtocolConfig(alpha1=1.0, beta1=1.0)
     with pytest.raises(ValueError, match="alpha2/beta2"):
         ProtocolConfig(alpha2=0.9, beta2=0.9)
+
+
+@pytest.mark.parametrize("field, pair", [("alpha1", "alpha1/beta1"), ("beta1", "alpha1/beta1"),
+                                         ("alpha2", "alpha2/beta2"), ("beta2", "alpha2/beta2")])
+@pytest.mark.parametrize("value", [complex("nan"), complex(0.6, -math.inf)])
+def test_config_rejects_non_finite_amplitudes(field, pair, value):
+    with pytest.raises(ValueError, match=f"{pair} must be finite"):
+        ProtocolConfig(**{field: value})

@@ -482,8 +482,7 @@ def test_sample_indices_follow_the_sequential_rule():
         probs = rng.dirichlet(np.ones(int(rng.integers(1, 6))))
         probs[rng.random(probs.size) < 0.3] = 0.0
         probs[-1] = 1.0 - probs[:-1].sum()  # may leave the sum a rounding short of 1
-        outcomes = _outcomes(probs)
         seed = int(rng.integers(1 << 30))
-        got = qs.sample_indices(outcomes, seed, 2000)
+        got = qs.sample_indices(list(probs), seed, 2000)
         assert got.tolist() == loop(probs, np.random.default_rng(seed).random(2000))
-        assert qs.sample_outcome(outcomes, seed).label == str(got[0])
+        assert qs.sample_outcome(_outcomes(probs), seed).label == str(got[0])
