@@ -226,7 +226,11 @@ def parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"--grid start and stop must be finite, got {spec!r}")
     if n == 1 and a != b:
         raise ConfigError(f"--grid with count 1 needs start == stop, got {spec!r}")
-    return list(np.linspace(a, b, n))
+    with np.errstate(all="ignore"):  # an overflowing step is refused just below
+        grid = np.linspace(a, b, n)
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"--grid points must be finite, got {spec!r}")
+    return list(grid)
 
 
 _CHUNK_ROWS = 4096  # rows formatted per write, to bound the text held at once
@@ -254,12 +258,16 @@ def cmd_reflectance(args) -> int:
     run = load_config(args.config)
     grid = np.array(parse_grid(args.grid))
     params = run.cavity
-    omega = params.omega_c + grid * params.kappa
-    cold = reflect(params, omega, coupled=False)
-    hot = reflect(params, omega, coupled=True)
-    table = np.column_stack([grid, cold.r.real, cold.r.imag, cold.phase,
-                             hot.r.real, hot.r.imag, hot.phase,
-                             conditional_phase(params, omega)])
+    with np.errstate(all="ignore"):  # extreme values are refused just below
+        omega = params.omega_c + grid * params.kappa
+        cold = reflect(params, omega, coupled=False)
+        hot = reflect(params, omega, coupled=True)
+        table = np.column_stack([grid, cold.r.real, cold.r.imag, cold.phase,
+                                 hot.r.real, hot.r.imag, hot.phase,
+                                 conditional_phase(params, omega)])
+    if not np.isfinite(table).all():
+        raise ConfigError("the reflectance table is not finite: "
+                          "check the cavity.* keys and --grid")
     row = ",".join(["%.17g"] * 8) + "\n"
     _emit(_csv_chunks("detuning_rel,r_cold_re,r_cold_im,phase_cold,"
                       "r_hot_re,r_hot_im,phase_hot,delta_phi", len(table),
@@ -300,11 +308,6 @@ def cmd_protocol(args) -> int:
 
 def cmd_sweep(args) -> int:
     run = load_config(args.config)
-    if args.sweep not in SWEEP_PARAMETERS:
-        raise ConfigError(
-            f"unknown swept parameter {args.sweep!r} "
-            f"(valid: {', '.join(SWEEP_PARAMETERS)})"
-        )
     if args.sweep != "t_over_t2" and isinstance(run.config.gate, IdealGate):
         raise ConfigError(f"sweeping {args.sweep} needs gate.mode = realistic, got ideal")
     grid = parse_grid(args.grid)
@@ -313,6 +316,15 @@ def cmd_sweep(args) -> int:
     if args.sweep != "detuning_rel" and min(grid) < 0:
         raise ConfigError(
             f"--grid for {args.sweep} must be nonnegative, got {float(min(grid))!r}")
+    if args.sweep != "t_over_t2":  # the swept cavity values, as _batched_config sets them
+        cav = run.cavity
+        with np.errstate(all="ignore"):
+            scaled = np.array(grid) * cav.kappa
+            if args.sweep == "detuning_rel":
+                scaled = cav.omega_c + scaled
+        if not np.isfinite(scaled).all():
+            raise ConfigError(f"--grid times cavity.kappa overflows for {args.sweep}, "
+                              f"got --grid {args.grid!r} and cavity.kappa {cav.kappa!r}")
     spec = SweepSpec(parameter=args.sweep, grid=tuple(grid), config=run.config,
                      protocol=run.protocol, n_photons=run.n_photons)
     rows = run_sweep(spec)
@@ -378,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="sweep one parameter, emit per-branch CSV rows")
-    p_sweep.add_argument("--sweep", required=True, metavar="NAME",
+    p_sweep.add_argument("--sweep", required=True, metavar="NAME", choices=SWEEP_PARAMETERS,
                          help=f"one of: {', '.join(SWEEP_PARAMETERS)}")
     p_sweep.add_argument("--grid", required=True, metavar="a:b:n")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -20,8 +20,9 @@ run is exactly the weighted mixture of pure trajectories (1-q, psi) and
 a leading axis of one state, in front of the batch axes (an undephased run has
 one), so each later step runs once over all of them. A branch's probability is
 the weighted sum over trajectories, and only its kept register is turned into
-a density matrix. A branch state is a DensityState exactly when the run
-applied dephasing (t_over_t2 > 0), and a PureState otherwise.
+a density matrix. A branch state is a DensityState exactly when the run has
+more than one trajectory (a spin dephased with t_over_t2 > 0), and a
+PureState otherwise.
 
 A config may be batched: ``t_over_t2``, or the cavity fields and probe
 frequency of a realistic gate, given as arrays of one batch shape. The drivers
@@ -114,11 +115,6 @@ class ProtocolConfig:
                 f"t_over_t2 must be finite and nonnegative, got {float(t[bad].flat[0])!r}")
         if (t > 0).any() and not (t > 0).all():
             raise ValueError("a batch of t_over_t2 values must be all zero or all positive")
-
-    @cached_property
-    def dephased(self) -> bool:
-        """Whether the run applies dephasing (branch states are then DensityStates)."""
-        return bool((np.asarray(self.t_over_t2) > 0).any())
 
     @cached_property
     def batch_shape(self) -> tuple[int, ...]:
@@ -221,31 +217,33 @@ def _keep(state: PureState, mask) -> PureState:
                      np.where(mask, state.norm_tracking, 0.0))
 
 
-def _leaf(label, w, post, kept, dephased: bool, batch, correct=None):
+def _leaf(label, w, post, kept, correct=None):
     """Close one measurement leaf over the ``kept`` register.
 
     ``w`` and ``post`` are the stacked trajectories' weights and post states
     (see ``_trajectories``); ``post`` is None when no trajectory reaches the
     leaf, and is over ``kept`` after the optional ``correct``. Returns (label,
-    probability, state): probability sum_k w_k p_k of the run's ``batch``
-    shape, p_k each trajectory's norm_tracking, and for a dephased run the
-    state sum_k w_k p_k |psi_k><psi_k| / p, else the one trajectory's state.
-    Elements at or below the floor get probability 0 and a zero state, and
-    trajectories below the floor add to the probability but not to the state.
+    probability, state): probability sum_k w_k p_k of the run's batch shape
+    ``w.shape[1:]``, p_k each trajectory's norm_tracking, and for a mixture
+    of several trajectories the state sum_k w_k p_k |psi_k><psi_k| / p, else
+    the one trajectory's state. Elements at or below the floor get
+    probability 0 and a zero state, and trajectories below the floor add to
+    the probability but not to the state.
     """
+    batch, mixed = w.shape[1:], len(w) > 1
     zero = np.zeros(batch)
-    empty = np.zeros(batch + (2 ** len(kept),) * (1 + dephased), dtype=np.complex128)
+    empty = np.zeros(batch + (2 ** len(kept),) * (1 + mixed), dtype=np.complex128)
     # summed in trajectory order, starting from zero, as are the mixture's terms
     prob = zero if post is None else reduce(np.add, w * post.norm_tracking, zero)
     alive = prob > PROBABILITY_FLOOR
     if not alive.any():
-        return label, zero, (DensityState if dephased else PureState)(tuple(kept), empty, zero)
+        return label, zero, (DensityState if mixed else PureState)(tuple(kept), empty, zero)
     own = post.norm_tracking > PROBABILITY_FLOOR
     post = _keep(post, own)
     if correct is not None:
         post = correct(post)
     prob = np.where(alive, prob, 0.0)
-    if not dephased:
+    if not mixed:
         return label, prob, PureState(post.register, post.amplitudes[0],
                                       post.norm_tracking[0])
     scale = np.where(prob > 0.0, prob, 1.0)
@@ -272,7 +270,7 @@ def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: Qubit
 
 
 def _readout(w, psi: PureState, spin_q: QubitLabel, ancilla: QubitLabel, kept,
-             config: ProtocolConfig, announce=None, correct=None):
+             gate: GateMode, announce=None, correct=None):
     """The spin-readout tail of the trajectories (w, psi): ``gfr_spin_readout``
     with a fresh ``ancilla``, then the spin measured in up/down, then the
     optional ``correct(state, announced)``. Returns one (label, probability,
@@ -280,46 +278,40 @@ def _readout(w, psi: PureState, spin_q: QubitLabel, ancilla: QubitLabel, kept,
     renames the detection outcome (default: the outcome itself).
     """
     leaves = []
-    for o in gfr_spin_readout(psi, spin_q, ancilla, config.gate):
+    for o in gfr_spin_readout(psi, spin_q, ancilla, gate):
         post = o.post_state
         posts = ({m.label: m.post_state for m in measure(post, spin_q, "updown")}
                  if (post.norm_tracking > 0.0).any() else {})
         announced = (announce or {}).get(o.label, o.label)
         fix = None if correct is None else (lambda st, a=announced: correct(st, a))
         for sl in ("up", "down"):
-            leaves.append(_leaf(f"{announced}/{sl}", w, posts.get(sl), kept,
-                                config.dephased, config.batch_shape, fix))
+            leaves.append(_leaf(f"{announced}/{sl}", w, posts.get(sl), kept, fix))
     return leaves
 
 
-def _branch(label, prob, state, target):
-    """Score one leaf against its target: (label, probability, state, target,
-    fidelity, concurrence), batched like the leaf. Elements of probability
-    zero score NaN; concurrence is None unless the state has two qubits."""
-    two = state.n_qubits == 2
-    alive = prob > 0.0
-    fid = conc = np.full(np.shape(prob), math.nan)
-    if alive.any():
-        if target is not None:
-            fid = np.where(alive, fidelity(target, state), math.nan)
-        if two:
-            conc = np.where(alive, concurrence(state), math.nan)
-    return label, prob, state, target, fid, conc if two else None
-
-
-def _result(name: str, config: ProtocolConfig, scored):
-    """Unstack scored leaves (see ``_branch``) into one ProtocolResult per
-    batch element: the result itself for an unbatched config, else a
-    ProtocolBatch."""
-    batch = config.batch_shape
+def _result(name: str, leaves, target_of):
+    """Score each (label, probability, state) leaf against ``target_of(label)``
+    and unstack the branches into one ProtocolResult per batch element: the
+    result itself when the probabilities are scalars, else a ProtocolBatch.
+    Elements of probability zero score NaN; concurrence is None unless the
+    state has two qubits."""
+    batch = np.shape(leaves[0][1])
 
     def flat(x):
-        x = np.asarray(x)
-        return (x if x.shape == batch else np.broadcast_to(x, batch)).reshape(-1).tolist()
+        return np.broadcast_to(x, batch).reshape(-1).tolist()
 
-    columns = [(label, flat(prob), unstack(state, batch), target, flat(fid),
-                None if conc is None else flat(conc))
-               for label, prob, state, target, fid, conc in scored]
+    columns = []
+    for label, prob, state in leaves:
+        target, two = target_of(label), state.n_qubits == 2
+        alive = np.asarray(prob) > 0.0
+        fid = conc = np.full(batch, math.nan)
+        if alive.any():
+            if target is not None:
+                fid = np.where(alive, fidelity(target, state), math.nan)
+            if two:
+                conc = np.where(alive, concurrence(state), math.nan)
+        columns.append((label, flat(prob), unstack(state, batch), target, flat(fid),
+                        flat(conc) if two else None))
     results = tuple(
         ProtocolResult(name, tuple(
             ProtocolBranch(label, p[i], states[i], target, f[i], None if c is None else c[i])
@@ -354,8 +346,7 @@ def _spin_pair_leaves(config: ProtocolConfig, second_cavity: CavityParams | None
         "H": _target_state((s1, s2), [0, a1 * b2, a2 * b1, 0]),
     }
     w, state = _trajectories(state, config.batch_shape)
-    leaves = [_leaf(o.label, w, o.post_state, (s1, s2), False, config.batch_shape)
-              for o in measure(state, probe, "HV")]
+    leaves = [_leaf(o.label, w, o.post_state, (s1, s2)) for o in measure(state, probe, "HV")]
     return leaves, targets
 
 
@@ -369,12 +360,11 @@ def scheme_a_entangle_spins(config: ProtocolConfig,
     |down,up| (up to a global phase).
     """
     leaves, targets = _spin_pair_leaves(config, second_cavity)
-    return _result("scheme-a-spins", config,
-                   [_branch(*leaf, targets[leaf[0]]) for leaf in leaves])
+    return _result("scheme-a-spins", leaves, targets.get)
 
 
 def _emit_pairs(spin_pairs, config: ProtocolConfig):
-    """Scored emission branches from (label, spin-pair state) pairs."""
+    """The scheme-a result from (label, spin-pair state) pairs."""
     s1, s2 = spin(1), spin(2)
     p1, p2 = photon(1), photon(2)
     a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
@@ -388,9 +378,9 @@ def _emit_pairs(spin_pairs, config: ProtocolConfig):
 
     def leaf(label, state):
         w, psi = _trajectories(state, config.batch_shape, (s1, s2), config.t_over_t2)
-        return _leaf(label, w, psi, (p1, p2), config.dephased, config.batch_shape, emit)
+        return _leaf(label, w, psi, (p1, p2), emit)
 
-    return [_branch(*leaf(label, state), targets[label]) for label, state in spin_pairs]
+    return _result("scheme-a", [leaf(label, state) for label, state in spin_pairs], targets.get)
 
 
 def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
@@ -404,19 +394,22 @@ def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
     if isinstance(entangled, ProtocolBatch):
         raise ValueError("scheme_a_emit takes the result of one run; "
                          "for a batched config use scheme_a_photon_pairs")
-    return _result("scheme-a", config,
-                   _emit_pairs([(b.label, b.state) for b in entangled.branches], config))
+    return _emit_pairs([(b.label, b.state) for b in entangled.branches], config)
 
 
 def scheme_a_photon_pairs(config: ProtocolConfig,
                           second_cavity: CavityParams | None = None):
     """Full scheme A: spin-spin entanglement followed by emission."""
     leaves, _ = _spin_pair_leaves(config, second_cavity)
-    return _result("scheme-a", config,
-                   _emit_pairs([(label, st) for label, _, st in leaves], config))
+    return _emit_pairs([(label, st) for label, _, st in leaves], config)
 
 
 # --- scheme B and its multi-photon chain -------------------------------------
+
+def _chain_inputs(config: ProtocolConfig, n: int):
+    """The chain's photon inputs (a_k, b_k): the configured pairs, then |H>."""
+    return [(config.alpha1, config.beta1), (config.alpha2, config.beta2)] + [(SQH, SQH)] * (n - 2)
+
 
 def _chain_leaves(config: ProtocolConfig, n: int):
     """Reflect photons 1..n off one spin, then read the spin out with ancilla
@@ -429,11 +422,8 @@ def _chain_leaves(config: ProtocolConfig, n: int):
     """
     photons = [photon(i) for i in range(1, n + 1)]
     s = spin(1)
-    pairs = {1: (config.alpha1, config.beta1), 2: (config.alpha2, config.beta2)}
-    state = tensor_all(
-        [qubit_state(p, *pairs.get(i + 1, (SQH, SQH))) for i, p in enumerate(photons)]
-        + [ket_state(s, "+x")]
-    )
+    state = tensor_all([qubit_state(p, *ab) for p, ab in zip(photons, _chain_inputs(config, n))]
+                       + [ket_state(s, "+x")])
     for p in photons:
         state = apply_gate(state, make_gate(p, s, config.gate))
     # one waiting interval after each photon, merged ahead of the pi/2 pulse;
@@ -449,7 +439,7 @@ def _chain_leaves(config: ProtocolConfig, n: int):
             st = apply_unitary(st, [p], circular_to_z())
         return apply_unitary(st, [photons[0]], phase_fix)
 
-    return _readout(w, state, s, photon(n + 1), photons, config,
+    return _readout(w, state, s, photon(n + 1), photons, config.gate,
                     correct=plates if n > 2 else None)
 
 
@@ -462,8 +452,7 @@ def _chain_targets(config: ProtocolConfig, n: int):
     readout and A + B to -45, and for n >= 3 the plates act on every factor.
     No engine operation is used, so the targets score the engine independently.
     """
-    pairs = [(config.alpha1, config.beta1), (config.alpha2, config.beta2)]
-    pairs += [(SQH, SQH)] * (n - 2)
+    pairs = _chain_inputs(config, n)
     plates = [np.eye(2)] * n
     if n > 2:
         plates = [np.diag([1.0, (-1j) ** n]) @ circular_to_z()] + [circular_to_z()] * (n - 1)
@@ -478,8 +467,7 @@ def _chain_targets(config: ProtocolConfig, n: int):
 def _chain(name: str, config: ProtocolConfig, n: int):
     """The n-photon chain, each branch scored against ``_chain_targets``."""
     targets = _chain_targets(config, n)
-    return _result(name, config, [_branch(label, p, st, targets[label.split("/")[0]])
-                                  for label, p, st in _chain_leaves(config, n)])
+    return _result(name, _chain_leaves(config, n), lambda label: targets[label.split("/")[0]])
 
 
 def scheme_b_entangle_photons(config: ProtocolConfig):
@@ -526,13 +514,12 @@ def transfer_photon_to_spin(config: ProtocolConfig):
 
     target = _target_state((s,), [config.alpha1, config.beta1])
     w, state = _trajectories(state, config.batch_shape)
-    branches = []
+    leaves = []
     for o in measure(state, ph, "HV"):
         def correct(st, label=o.label):
             return apply_correction(apply_unitary(st, [s], circular_to_z()), s, label, "C")
-        leaf = _leaf(o.label, w, o.post_state, (s,), False, config.batch_shape, correct)
-        branches.append(_branch(*leaf, target))
-    return _result("transfer-ps", config, branches)
+        leaves.append(_leaf(o.label, w, o.post_state, (s,), correct))
+    return _result("transfer-ps", leaves, lambda _: target)
 
 
 # --- scheme D: spin state onto a photon --------------------------------------
@@ -554,10 +541,10 @@ def transfer_spin_to_photon(config: ProtocolConfig):
 
     a, b = config.alpha1, config.beta1
     target = _target_state((p1,), [(a + b) * SQH, (a - b) * SQH])  # alpha|H> + beta|V>
-    leaves = _readout(w, state, s, photon(3), (p1,), config,
+    leaves = _readout(w, state, s, photon(3), (p1,), config.gate,
                       announce={"+45": "up", "-45": "down"},
                       correct=lambda st, announced: apply_correction(st, p1, announced, "D"))
-    return _result("transfer-sp", config, [_branch(*leaf, target) for leaf in leaves])
+    return _result("transfer-sp", leaves, lambda _: target)
 
 
 # --- dispatch and branch merging ---------------------------------------------
@@ -581,19 +568,14 @@ def run_protocol(name: str, config: ProtocolConfig, n_photons: int = 3):
     raise ValueError(f"unknown protocol {name!r} (valid: {', '.join(PROTOCOL_NAMES)})")
 
 
-@dataclass(frozen=True)
-class MergedBranch:
-    probability: float
-    state: PureState | DensityState | None
-    fidelity_vs_target: float
-
-
-def merged_detection_branch(result: ProtocolResult, detection: str) -> MergedBranch:
-    """Combine all branches sharing a detection outcome (label prefix).
+def merged_detection_branch(result: ProtocolResult, detection: str) -> ProtocolBranch:
+    """Combine all branches sharing a detection outcome (label prefix) into
+    one branch labeled ``detection``, scored like every other branch.
 
     A protocol heralded only on the photon detection delivers the mixture of
     the joint branches; this is the honest conditional state when the spin
-    outcome is not used. ``result`` is the result of one run.
+    outcome is not used. ``result`` is the result of one run. A dead outcome
+    keeps the zero state of its first branch, with probability 0.
     """
     if isinstance(result, ProtocolBatch):
         raise ValueError("merged_detection_branch takes the result of one run")
@@ -602,20 +584,14 @@ def merged_detection_branch(result: ProtocolResult, detection: str) -> MergedBra
     if not picked:
         raise KeyError(f"no branch labeled {detection!r}")
     live = [b for b in picked if b.probability > 0.0]
-    p_tot = sum(b.probability for b in live)
-    if not live or p_tot <= 0.0:
-        return MergedBranch(0.0, None, math.nan)
-    target = next((b.target for b in live if b.target is not None), None)
-    if len(live) == 1:
-        st = live[0].state
-        fid = fidelity(target, st) if target is not None else math.nan
-        return MergedBranch(p_tot, st, fid)
-    reg = live[0].state.register
-    dim = 2 ** len(reg)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for b in live:
-        rho = to_density(b.state) if isinstance(b.state, PureState) else b.state
-        mat += (b.probability / p_tot) * (rho.matrix / max(rho.trace(), 1e-300))
-    mixed = DensityState(reg, mat, min(p_tot, 1.0))
-    fid = fidelity(target, mixed) if target is not None else math.nan
-    return MergedBranch(p_tot, mixed, fid)
+    p_tot = sum((b.probability for b in live), 0.0)
+    state = (live or picked)[0].state
+    if len(live) > 1:
+        dim = 2 ** state.n_qubits
+        mat = np.zeros((dim, dim), dtype=np.complex128)
+        for b in live:
+            rho = to_density(b.state) if isinstance(b.state, PureState) else b.state
+            mat += (b.probability / p_tot) * (rho.matrix / max(rho.trace(), 1e-300))
+        state = DensityState(state.register, mat, min(p_tot, 1.0))
+    target = next((b.target for b in picked if b.target is not None), None)
+    return _result(result.protocol, [(detection, p_tot, state)], lambda _: target).branches[0]

@@ -136,6 +136,13 @@ def test_seed_flag_only_on_sample(tmp_path, capsys, args):
      "check the cavity.* keys and gate.detuning_rel"),
     ("gate.mode = realistic\ncavity.omega_x = 1e308\ncavity.omega_c = -1e308\n",
      ["protocol"], "check the cavity.* keys and gate.detuning_rel"),
+    ("", ["reflectance", "--grid=-1e308:1e308:3"], "--grid points must be finite"),
+    ("gate.mode = realistic\n", ["sweep", "--sweep", "detuning_rel", "--grid=-1e308:1e308:3"],
+     "--grid points must be finite"),
+    ("gate.mode = realistic\ncavity.kappa = 10\n",
+     ["sweep", "--sweep", "g_rel", "--grid=1:1e308:2"], "--grid times cavity.kappa"),
+    ("cavity.omega_x = 1e308\ncavity.omega_c = -1e308\n", ["reflectance", "--grid=-1:1:3"],
+     "check the cavity.* keys and --grid"),
 ])
 def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, config, args, named):
     cfg = write(tmp_path / "c.cfg", config)
@@ -297,10 +304,11 @@ def test_sweep_csv_structure(tmp_path):
 
 def test_sweep_unknown_parameter_lists_valid_names(tmp_path, capsys):
     cfg = write(tmp_path / "c.cfg", IDEAL_B)
-    assert run_cli(["sweep", "--config", cfg, "--sweep", "nope",
-                    "--grid", "0:1:2"]) == 2
+    with pytest.raises(SystemExit) as exc:  # argparse refuses it, like any bad flag value
+        run_cli(["sweep", "--config", cfg, "--sweep", "nope", "--grid", "0:1:2"])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "g_rel" in err and "t_over_t2" in err
+    assert "--sweep" in err and "g_rel" in err and "t_over_t2" in err
 
 
 def test_sweep_deterministic_output(tmp_path):

@@ -10,6 +10,8 @@ from spinphoton.cavity import CavityParams, reflection_coefficient
 from spinphoton.gates import IdealGate, RealisticGate
 from spinphoton.metrics import entanglement_entropy
 from spinphoton.protocols import (
+    PROTOCOL_NAMES,
+    ProtocolBranch,
     ProtocolConfig,
     chain_multiphoton,
     gfr_spin_readout,
@@ -118,16 +120,23 @@ def test_scheme_a_emission_with_small_dephasing_keeps_fidelity():
     assert v.fidelity_vs_target == pytest.approx((1 + math.exp(-2e-3)) / 2, abs=1e-12)
 
 
-def test_branch_state_is_density_exactly_when_dephased():
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_branch_state_is_density_exactly_when_dephased(batch):
     # alpha1 = beta2 = 1 leaves scheme-a's V branch at probability zero
     for t in (0.0, 0.3):
-        cfg = ProtocolConfig(alpha1=1.0, beta1=0.0, alpha2=0.0, beta2=1.0, t_over_t2=t)
-        assert scheme_a_photon_pairs(cfg).branch("V").probability == 0.0
-        for name in ("scheme-a", "scheme-b", "transfer-sp", "ghz", "transfer-ps"):
-            dephased = t > 0.0 and name != "transfer-ps"  # transfer-ps has no wait
+        cfg = ProtocolConfig(alpha1=1.0, beta1=0.0, alpha2=0.0, beta2=1.0,
+                             t_over_t2=np.full(batch, t) if batch else t)
+        assert all(br.probability == 0.0
+                   for br in scheme_a_photon_pairs(cfg).branches if br.label == "V")
+        runs = {name: run_protocol(name, cfg) for name in PROTOCOL_NAMES}
+        runs["scheme-a-spins"] = scheme_a_entangle_spins(cfg)
+        for name, result in runs.items():
+            # transfer-ps and the heralded spin pairs have no wait
+            dephased = t > 0.0 and name not in ("transfer-ps", "scheme-a-spins")
             expected = qs.DensityState if dephased else qs.PureState
-            for br in run_protocol(name, cfg).branches:
-                assert isinstance(br.state, expected), (name, t, br.label)
+            assert len(result.branches) > 0
+            for br in result.branches:
+                assert type(br.state) is expected, (name, t, br.label)
 
 
 def test_scheme_a_dephasing_monotone_and_continuous():
@@ -208,6 +217,49 @@ def test_scheme_b_joint_distribution_attributes_readout_errors():
     joint = res.branch("+45/up")
     assert merged.probability > joint.probability
     assert merged.fidelity_vs_target < 1.0
+
+
+def merged_reference(result, detection):
+    """(probability, state, fidelity) of a detection outcome's merged branch,
+    computed on its own: the joint branches' mixture, None for a dead one."""
+    picked = [b for b in result.branches if b.label.split("/")[0] == detection]
+    live = [b for b in picked if b.probability > 0.0]
+    p_tot = sum(b.probability for b in live)
+    if not live:
+        return 0.0, None, math.nan
+    target = next(b.target for b in live if b.target is not None)
+    if len(live) == 1:
+        return p_tot, live[0].state, qs.fidelity(target, live[0].state)
+    dim = 2 ** live[0].state.n_qubits
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for b in live:
+        rho = qs.to_density(b.state) if isinstance(b.state, qs.PureState) else b.state
+        mat += (b.probability / p_tot) * (rho.matrix / max(rho.trace(), 1e-300))
+    mixed = qs.DensityState(live[0].state.register, mat, min(p_tot, 1.0))
+    return p_tot, mixed, qs.fidelity(target, mixed)
+
+
+@pytest.mark.parametrize("config, detection", [
+    (UNIFORM, "+45"),  # one live joint branch
+    (realistic_config(g=5), "+45"),  # a mixture of two pure branches
+    (replace(realistic_config(g=5, kappa_s=0.2), t_over_t2=0.3), "-45"),  # of two mixtures
+    (ProtocolConfig(alpha1=1.0, beta1=0.0, alpha2=1.0, beta2=0.0), "-45"),  # a dead outcome
+])
+def test_merged_detection_branch_is_a_scored_protocol_branch(config, detection):
+    result = scheme_b_entangle_photons(config)
+    merged = merged_detection_branch(result, detection)
+    p_ref, state_ref, fid_ref = merged_reference(result, detection)
+    assert isinstance(merged, ProtocolBranch) and merged.label == detection
+    assert merged.probability == p_ref
+    if state_ref is None:
+        assert not np.any(merged.state.amplitudes)
+        assert math.isnan(merged.fidelity_vs_target) and math.isnan(merged.concurrence)
+        return
+    data = "amplitudes" if isinstance(state_ref, qs.PureState) else "matrix"
+    assert type(merged.state) is type(state_ref)
+    assert np.array_equal(getattr(merged.state, data), getattr(state_ref, data))
+    assert merged.fidelity_vs_target == fid_ref
+    assert 0.0 <= merged.concurrence <= 1.0
 
 
 def test_merged_detection_branch_rejects_a_batched_result():
@@ -487,7 +539,7 @@ def test_stacked_trajectories_equal_the_list_form_bit_for_bit(batch):
         assert np.array_equal(stacked.amplitudes[k], st.amplitudes)
     # a leaf sums and mixes the trajectories in list order, starting from zero
     for j, o in enumerate(qs.measure(stacked, p, "HV")):
-        _, prob, rho = protocols._leaf(o.label, w, o.post_state, (s1, s2), True, batch)
+        _, prob, rho = protocols._leaf(o.label, w, o.post_state, (s1, s2))
         posts = [(wk, qs.measure(st, p, "HV")[j].post_state) for wk, st in ref]
         ref_prob = sum((wk * post.norm_tracking for wk, post in posts), np.zeros(batch))
         ref_mat = np.zeros(batch + (4, 4), dtype=np.complex128)

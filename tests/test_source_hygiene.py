@@ -1,0 +1,36 @@
+"""Static checks on the package source: no unused imports, no dead private helpers."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spinphoton"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+
+def referenced(node) -> set[str]:
+    """Every name read in ``node``: bare names and attribute names."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":  # re-exports the public names
+            continue
+        used = referenced(tree)
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                   and getattr(n, "module", None) != "__future__"]
+        bound = [a.asname or a.name.split(".")[0] for n in imports for a in n.names]
+        unused += [f"{name}: {b}" for b in bound if b not in used]
+    assert unused == []
+
+
+def test_every_private_helper_has_a_caller():
+    # a top-level statement's references, keyed by (module, statement index)
+    refs = {(name, i): referenced(stmt) for name, tree in MODULES.items()
+            for i, stmt in enumerate(tree.body)}
+    dead = [f"{name}: {stmt.name}" for name, tree in MODULES.items()
+            for i, stmt in enumerate(tree.body)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+            and not any(stmt.name in names for key, names in refs.items() if key != (name, i))]
+    assert dead == []
