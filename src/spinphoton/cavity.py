@@ -85,7 +85,8 @@ def reflection_coefficient(params: CavityParams, omega, coupled: bool):
     g = np.asarray(params.g, dtype=float)
     if coupled and g.any():
         h = 1j * (params.omega_x - w) + params.gamma / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # g * g may overflow to inf, which gives the g -> infinity limit r -> 1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             r = np.where(g != 0.0, 1.0 - params.kappa * h / (h * c + g * g), r)
     shape = np.broadcast(omega, params.g, params.kappa, params.gamma, params.omega_c,
                          params.omega_x, params.kappa_s).shape

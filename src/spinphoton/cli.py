@@ -12,12 +12,14 @@ the output could not be written.
 grid as one batched protocol pass; each sweep row equals the ``protocol`` run
 at that grid point bit for bit. ``sample`` draws all its trials at once; its
 ``--seed`` (default: the config's ``seed`` key) is the only seed any
-subcommand reads.
+subcommand reads. ``protocol`` writes the bytes ``json.dumps(indent=2)`` would,
+but fills each complex array into one ``%r`` template cached per shape.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -184,9 +186,8 @@ def resolve_config(raw: dict) -> RunConfig:
                 "omega_x": cavity.omega_x,
             },
         }
-    echo["amplitudes"] = dict(zip(
-        ("alpha1", "beta1", "alpha2", "beta2"),
-        _pairs(np.array([config.alpha1, config.beta1, config.alpha2, config.beta2]))))
+    echo["amplitudes"] = {k: np.array(getattr(config, k), dtype=complex)
+                          for k in ("alpha1", "beta1", "alpha2", "beta2")}
     echo["noise"] = {"t_over_t2": config.t_over_t2}
     echo["seed"] = seed
     if protocol == "ghz":
@@ -204,11 +205,6 @@ def load_config(path: str | None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     return resolve_config(parse_config_text(text))
-
-
-def _pairs(a: np.ndarray) -> list:
-    """A complex array as nested lists with an ``[re, im]`` pair per entry."""
-    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -252,6 +248,37 @@ def _csv_chunks(header: str, n_rows: int, format_rows):
         yield format_rows(start, min(start + _CHUNK_ROWS, n_rows))
 
 
+def _dump(obj, depth: int = 0) -> str:
+    """The text ``json.dumps(obj, indent=2, allow_nan=False)`` writes for ``obj``
+    nested ``depth`` levels deep, where a complex array is written as nested
+    lists with an ``[re, im]`` pair per entry. A non-finite number raises
+    ValueError, as in ``json``."""
+    if isinstance(obj, np.ndarray):
+        if not np.isfinite(obj).all():
+            raise ValueError(f"non-finite value in a complex array of shape {obj.shape}")
+        return _template(obj.shape, depth) % tuple(
+            np.stack([obj.real, obj.imag], -1).ravel().tolist())
+    if isinstance(obj, dict):
+        items = [json.dumps(k) + ": " + _dump(v, depth + 1) for k, v in obj.items()]
+    elif isinstance(obj, list):
+        items = [_dump(v, depth + 1) for v in obj]
+    else:
+        return json.dumps(obj, allow_nan=False)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not items:
+        return brackets
+    indent = "\n" + "  " * (depth + 1)
+    return (brackets[0] + indent + ("," + indent).join(items)
+            + "\n" + "  " * depth + brackets[1])
+
+
+@functools.lru_cache
+def _template(shape: tuple, depth: int) -> str:
+    """``_dump``'s text for a complex array of ``shape``, with ``%r`` for each float
+    (the float repr is what ``json`` writes)."""
+    return _dump(np.zeros(shape + (2,)).tolist(), depth).replace("0.0", "%r")
+
+
 # --- subcommands -------------------------------------------------------------
 
 def cmd_reflectance(args) -> int:
@@ -285,8 +312,7 @@ def _branch_payload(br) -> dict:
         "probability": br.probability,
         "register": [str(q) for q in state.register],
         "basis": state.basis_strings(),
-        "amplitudes" if pure else "density_matrix":
-            _pairs(state.amplitudes if pure else state.matrix),
+        "amplitudes" if pure else "density_matrix": state.amplitudes if pure else state.matrix,
         # the only fields that can hold NaN (a dead branch, a vanishing target)
         "fidelity": fidelity if fidelity == fidelity else None,
         "concurrence": conc if conc == conc else None,
@@ -302,7 +328,7 @@ def cmd_protocol(args) -> int:
         "config": run.echo,
         "branches": [_branch_payload(b) for b in result.branches],
     }
-    _emit([json.dumps(doc, indent=2, allow_nan=False) + "\n"], args.out)
+    _emit([_dump(doc) + "\n"], args.out)
     return 0
 
 

@@ -173,6 +173,27 @@ def test_negative_detuning_sweep_accepted(tmp_path):
                     "--out", out]) == 0
 
 
+def test_sweep_to_a_huge_coupling_is_quiet_and_equals_the_single_run(tmp_path, capsys):
+    # g * g overflows at g_rel = 1e200; r -> 1 is the g -> infinity limit
+    cfg = write(tmp_path / "c.cfg", "gate.mode = realistic\n")
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", "--config", cfg, "--sweep", "g_rel", "--grid=1:1e200:2",
+                    "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+    rows = [r for r in rows if float(r[1]) == 1e200]
+    single = write(tmp_path / "g.cfg", "gate.mode = realistic\ncavity.g_rel = 1e200\n")
+    out = tmp_path / "p.json"
+    assert run_cli(["protocol", "--config", single, "--out", str(out)]) == 0
+    branches = json.loads(out.read_text())["branches"]
+    assert [r[2] for r in rows] == [b["label"] for b in branches]
+    csv_values = [[float(x) if x else math.nan for x in r[3:]] for r in rows]
+    json_values = [[math.nan if b[k] is None else b[k] for k in
+                    ("probability", "fidelity", "concurrence", "success_probability")]
+                   for b in branches]
+    np.testing.assert_array_equal(csv_values, json_values)
+
+
 # --- reflectance ----------------------------------------------------------------
 
 def test_reflectance_single_point(tmp_path):

@@ -77,11 +77,11 @@ def reference_sweep_csv(rows):
 SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 1.0, 5e-324]
 
 
-def _special_floats(rng, shape):
+def _special_floats(rng, shape, special=SPECIAL):
     """Random doubles with a share of signed zeros, subnormals and tiny values."""
     x = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 3, shape)
     pick = rng.random(shape) < 0.3
-    x[pick] = rng.choice(SPECIAL, int(pick.sum()))
+    x[pick] = rng.choice(special, int(pick.sum()))
     return x
 
 
@@ -90,12 +90,12 @@ def _score(rng):
             np.float64(rng.random())][int(rng.integers(7))]
 
 
-def _random_branch(rng, n_qubits, density):
+def _random_branch(rng, n_qubits, density, special=SPECIAL):
     register = tuple(qs.photon(k + 1) if rng.random() < 0.7 else qs.spin(k + 1)
                      for k in range(n_qubits))
     dim = 2 ** n_qubits
     shape = (dim, dim) if density else (dim,)
-    data = _special_floats(rng, shape) + 1j * _special_floats(rng, shape)
+    data = _special_floats(rng, shape, special) + 1j * _special_floats(rng, shape, special)
     state = (qs.DensityState(register, data) if density
              else qs.PureState(register, data))
     conc = [None, math.nan, _score(rng)][int(rng.integers(3))]
@@ -140,6 +140,25 @@ def test_protocol_json_equals_the_old_pipeline_on_random_branches(tmp_path, monk
     run = cli.load_config(cfg)
     expected = reference_protocol_json(run, result)
     assert _lines(out.read_text(encoding="utf-8")) == _lines(expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_protocol_json_equals_the_old_pipeline_at_ghz_size_and_with_no_branches(
+        tmp_path, monkeypatch, seed):
+    # 64 amplitudes and 64x64 matrices, as ghz n = 6 writes them, with the
+    # extremes of the double range and floats whose repr is short
+    rng = np.random.default_rng(100 + seed)
+    special = SPECIAL + [1e308, -1e308, 2.2250738585072014e-308, 0.1, 10.0, -1e16]
+    cfg = _write(tmp_path / "c.cfg", _random_config(rng))
+    run = cli.load_config(cfg)
+    out = tmp_path / "p.json"
+    for branches in [tuple(_random_branch(rng, 6, density, special)
+                           for density in (False, True, True)), ()]:
+        result = ProtocolResult("ghz", branches)
+        monkeypatch.setattr(cli, "run_protocol", lambda *args, **kwargs: result)
+        assert cli.main(["protocol", "--config", cfg, "--out", str(out)]) == 0
+        expected = reference_protocol_json(run, result)
+        assert _lines(out.read_text(encoding="utf-8")) == _lines(expected)
 
 
 @pytest.mark.parametrize("config", [
@@ -207,6 +226,22 @@ def test_protocol_json_refuses_a_non_finite_number_outside_the_scores(tmp_path,
                         lambda *args, **kwargs: ProtocolResult("scheme-b", (branch,)))
     out = tmp_path / "p.json"
     assert cli.main(["protocol", "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("state", [
+    qs.PureState((qs.photon(1),), [1.0, complex(0.0, math.inf)]),
+    qs.DensityState((qs.photon(1), qs.spin(1)),
+                    np.diag([0.5, 0.0, math.nan, 0.5]).astype(complex)),
+])
+def test_protocol_json_refuses_a_non_finite_array_entry(tmp_path, capsys, monkeypatch,
+                                                        state):
+    branch = ProtocolBranch("H", 0.5, state, None, 1.0, None)
+    monkeypatch.setattr(cli, "run_protocol",
+                        lambda *args, **kwargs: ProtocolResult("scheme-b", (branch,)))
+    out = tmp_path / "p.json"
+    assert cli.main(["protocol", "--out", str(out)]) == 1
+    assert "internal error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
