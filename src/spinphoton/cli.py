@@ -9,11 +9,12 @@ named; 1 the program was at fault (an internal error, with its traceback) or
 the output could not be written.
 
 ``reflectance`` evaluates its whole grid as one array, and ``sweep`` runs its
-grid as one batched protocol pass; each sweep row equals the ``protocol`` run
-at that grid point bit for bit. ``sample`` draws all its trials at once; its
-``--seed`` (default: the config's ``seed`` key) is the only seed any
-subcommand reads. ``protocol`` writes the bytes ``json.dumps(indent=2)`` would,
-but fills each complex array into one ``%r`` template cached per shape.
+grid as one batched protocol pass and writes the CSV from its score columns;
+each sweep row equals the ``protocol`` run at that grid point bit for bit.
+``sample`` draws all its trials at once; its ``--seed`` (default: the config's
+``seed`` key) is the only seed any subcommand reads. ``protocol`` writes the
+bytes ``json.dumps(indent=2)`` would, but fills each complex array into one
+``%r`` template cached per shape.
 """
 from __future__ import annotations
 
@@ -25,12 +26,13 @@ import math
 import sys
 import traceback
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .cavity import CavityParams, conditional_phase, reflect
 from .gates import GateMode, IdealGate, RealisticGate
-from .metrics import SWEEP_PARAMETERS, SweepSpec, run_sweep
+from .metrics import SWEEP_PARAMETERS, SweepSpec, batched_config, sweep_columns
 from .protocols import PROTOCOL_NAMES, ProtocolConfig, run_protocol
 from .qstate import PureState, sample_indices
 
@@ -94,6 +96,15 @@ class RunConfig:
     echo: dict
 
 
+def _check_coefficients(gate: RealisticGate, keys: str) -> None:
+    """Refuse a (batched) realistic gate with a non-finite coefficient."""
+    with np.errstate(all="ignore"):  # extreme values are refused just below
+        r = np.array(gate.coefficients)
+    if not np.isfinite(r).all():
+        raise ConfigError(f"the realistic gate's reflection coefficient "
+                          f"{complex(r[~np.isfinite(r)][0])!r} is not finite: check {keys}")
+
+
 def resolve_config(raw: dict) -> RunConfig:
     vals = {k: _convert(k, v) for k, v in raw.items()}
 
@@ -134,12 +145,7 @@ def resolve_config(raw: dict) -> RunConfig:
         gate: GateMode = IdealGate()
     elif mode_name == "realistic":
         gate = RealisticGate(cavity, omega_c + detuning_rel * kappa)
-        with np.errstate(all="ignore"):  # extreme values are refused just below
-            coefficients = np.array(gate.coefficients)
-        if not np.isfinite(coefficients).all():
-            raise ConfigError(
-                f"the realistic gate's reflection coefficients {coefficients.tolist()} "
-                "are not finite: check the cavity.* keys and gate.detuning_rel")
+        _check_coefficients(gate, "the cavity.* keys and gate.detuning_rel")
     else:
         raise ConfigError(f"gate.mode must be 'ideal' or 'realistic', got {mode_name!r}")
 
@@ -342,7 +348,9 @@ def cmd_sweep(args) -> int:
     if args.sweep != "detuning_rel" and min(grid) < 0:
         raise ConfigError(
             f"--grid for {args.sweep} must be nonnegative, got {float(min(grid))!r}")
-    if args.sweep != "t_over_t2":  # the swept cavity values, as _batched_config sets them
+    spec = SweepSpec(parameter=args.sweep, grid=tuple(grid), config=run.config,
+                     protocol=run.protocol, n_photons=run.n_photons)
+    if args.sweep != "t_over_t2":  # the swept cavity values, as batched_config sets them
         cav = run.cavity
         with np.errstate(all="ignore"):
             scaled = np.array(grid) * cav.kappa
@@ -351,19 +359,29 @@ def cmd_sweep(args) -> int:
         if not np.isfinite(scaled).all():
             raise ConfigError(f"--grid times cavity.kappa overflows for {args.sweep}, "
                               f"got --grid {args.grid!r} and cavity.kappa {cav.kappa!r}")
-    spec = SweepSpec(parameter=args.sweep, grid=tuple(grid), config=run.config,
-                     protocol=run.protocol, n_photons=run.n_photons)
-    rows = run_sweep(spec)
-    row = "%s,%.17g,%s,%.17g,%.17g,%s,%.17g\n"
-    _emit(_csv_chunks("swept_name,swept_value,branch_label,probability,fidelity,"
-                      "concurrence,success_probability", len(rows),
-                      lambda a, b: "".join(row % (
-                          r["swept_name"], r["swept_value"], r["branch_label"],
-                          r["probability"], r["fidelity"],
-                          "" if r["concurrence"] is None else "%.17g" % r["concurrence"],
-                          r["success_probability"]) for r in rows[a:b])),
-          args.out)
+        _check_coefficients(batched_config(spec, np.array(grid)).gate,
+                            "--grid, the cavity.* keys and gate.detuning_rel")
+    # every pass runs before --out is opened
+    _emit(_sweep_chunks(args.sweep, list(sweep_columns(spec))), args.out)
     return 0
+
+
+def _sweep_chunks(name: str, passes):
+    """The sweep CSV from each pass's (grid values, branch columns): one ``%``
+    template per grid point, with ``name`` and the labels baked in, filled once
+    per chunk of at most ``_CHUNK_ROWS`` rows."""
+    yield ("swept_name,swept_value,branch_label,probability,fidelity,"
+           "concurrence,success_probability\n")
+    name = name.replace("%", "%%")
+    for values, columns in passes:
+        point = "".join(f"{name},%.17g,{c.label.replace('%', '%%')},%.17g,%.17g,"
+                        f"{'' if c.concurrence is None else '%.17g'},%.17g\n" for c in columns)
+        cells = [x for c in columns for x in (values, c.probability, c.fidelity,
+                                               c.concurrence, c.probability) if x is not None]
+        step = max(1, _CHUNK_ROWS // len(columns))
+        for a in range(0, len(values), step):
+            yield point * len(values[a:a + step]) % tuple(
+                chain.from_iterable(zip(*(x[a:a + step] for x in cells))))
 
 
 def cmd_sample(args) -> int:

@@ -3,7 +3,7 @@
 Entropies use the natural logarithm. A sweep runs batched: the whole grid is
 one batched config and one ``run_protocol`` call (split into passes of at
 most ``MAX_BATCH_AMPLITUDES`` amplitudes), and each row equals the unbatched
-run at its grid point bit for bit.
+run at its grid point bit for bit, read from per-label columns.
 """
 from __future__ import annotations
 
@@ -90,7 +90,7 @@ class SweepSpec:
 MAX_BATCH_AMPLITUDES = 2 ** 14
 
 
-def _batched_config(spec: SweepSpec, values: np.ndarray):
+def batched_config(spec: SweepSpec, values: np.ndarray):
     """The sweep's config with the swept parameter set to ``values`` (a batch)."""
     cfg = spec.config
     if spec.parameter == "t_over_t2":
@@ -125,23 +125,27 @@ def _passes(spec: SweepSpec) -> list[np.ndarray]:
     return [g[i:i + size] for g in groups for i in range(0, len(g), size)]
 
 
+def sweep_columns(spec: SweepSpec):
+    """Each protocol pass of the sweep, in grid order: (its grid values as a
+    list, its ProtocolBatch's BranchColumns)."""
+    from . import protocols  # local import; protocols also uses this module
+
+    for values in _passes(spec):
+        batch = protocols.run_protocol(spec.protocol, batched_config(spec, values),
+                                       n_photons=spec.n_photons)
+        yield values.tolist(), batch.columns
+
+
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per (grid point, branch), in grid order. Pure: identical specs
     give identical tables."""
-    from . import protocols  # local import; protocols also uses this module
-
-    rows = []
-    for values in _passes(spec):
-        batch = protocols.run_protocol(spec.protocol, _batched_config(spec, values),
-                                       n_photons=spec.n_photons)
-        for value, result in zip(values.tolist(), batch.results):
-            rows += [{
-                "swept_name": spec.parameter,
-                "swept_value": value,
-                "branch_label": br.label,
-                "probability": br.probability,
-                "fidelity": br.fidelity_vs_target,
-                "concurrence": br.concurrence,
-                "success_probability": br.success_probability,
-            } for br in result.branches]
-    return rows
+    return [{
+        "swept_name": spec.parameter,
+        "swept_value": value,
+        "branch_label": c.label,
+        "probability": c.probability[i],
+        "fidelity": c.fidelity[i],
+        "concurrence": None if c.concurrence is None else c.concurrence[i],
+        "success_probability": c.probability[i],
+    } for values, columns in sweep_columns(spec)
+        for i, value in enumerate(values) for c in columns]

@@ -30,12 +30,14 @@ then run the whole batch in one pass over batched states (see ``qstate``):
 each per-run decision (a branch below the probability floor, a zero branch, a
 NaN score, a trajectory left out of a mixture) is a per-element mask, so each
 batch element equals the unbatched run at its parameters bit for bit. An
-unbatched config is the batch of shape ``()``.
+unbatched config is the batch of shape ``()``. A batched run keeps per-label
+columns and builds per-element results only when asked.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
@@ -154,13 +156,27 @@ class ProtocolResult:
         raise KeyError(f"no branch labeled {label!r}")
 
 
+# One branch label across a batch: its target, its batched state, and flat lists
+# (C order) of probability, fidelity and concurrence (None unless two qubits).
+BranchColumn = namedtuple("BranchColumn", "label target state probability fidelity concurrence")
+
+
 @dataclass(frozen=True)
 class ProtocolBatch:
-    """The runs of a batched config: one ProtocolResult per batch element, in
-    C order."""
+    """The runs of a batched config, as one BranchColumn per branch label; the
+    ``results``, one per element in C order, are built on first use."""
 
     protocol: str
-    results: tuple[ProtocolResult, ...]
+    batch_shape: tuple[int, ...]
+    columns: tuple[BranchColumn, ...]
+
+    @cached_property
+    def results(self) -> tuple[ProtocolResult, ...]:
+        states = [unstack(c.state, self.batch_shape) for c in self.columns]
+        return tuple(ProtocolResult(self.protocol, tuple(
+            ProtocolBranch(c.label, c.probability[i], s[i], c.target, c.fidelity[i],
+                           None if c.concurrence is None else c.concurrence[i])
+            for c, s in zip(self.columns, states))) for i in range(math.prod(self.batch_shape)))
 
     @property
     def branches(self) -> tuple[ProtocolBranch, ...]:
@@ -291,10 +307,9 @@ def _readout(w, psi: PureState, spin_q: QubitLabel, ancilla: QubitLabel, kept,
 
 def _result(name: str, leaves, target_of):
     """Score each (label, probability, state) leaf against ``target_of(label)``
-    and unstack the branches into one ProtocolResult per batch element: the
-    result itself when the probabilities are scalars, else a ProtocolBatch.
-    Elements of probability zero score NaN; concurrence is None unless the
-    state has two qubits."""
+    into a BranchColumn: a ProtocolBatch of them when the probabilities are
+    batched, else the ProtocolResult of the one run. Elements of probability
+    zero score NaN; concurrence is None unless the state has two qubits."""
     batch = np.shape(leaves[0][1])
 
     def flat(x):
@@ -310,14 +325,10 @@ def _result(name: str, leaves, target_of):
                 fid = np.where(alive, fidelity(target, state), math.nan)
             if two:
                 conc = np.where(alive, concurrence(state), math.nan)
-        columns.append((label, flat(prob), unstack(state, batch), target, flat(fid),
-                        flat(conc) if two else None))
-    results = tuple(
-        ProtocolResult(name, tuple(
-            ProtocolBranch(label, p[i], states[i], target, f[i], None if c is None else c[i])
-            for label, p, states, target, f, c in columns))
-        for i in range(math.prod(batch)))
-    return ProtocolBatch(name, results) if batch else results[0]
+        columns.append(BranchColumn(label, target, state, flat(prob), flat(fid),
+                                    flat(conc) if two else None))
+    out = ProtocolBatch(name, batch, tuple(columns))
+    return out if batch else out.results[0]
 
 
 # --- scheme A: photon pairs via remote entangled spins ----------------------
@@ -554,7 +565,7 @@ PROTOCOL_NAMES = ("scheme-a", "scheme-b", "transfer-ps", "transfer-sp", "ghz")
 
 def run_protocol(name: str, config: ProtocolConfig, n_photons: int = 3):
     """Run one protocol: a ProtocolResult, or for a batched config a
-    ProtocolBatch with one result per element."""
+    ProtocolBatch of per-label columns."""
     if name == "scheme-a":
         return scheme_a_photon_pairs(config)
     if name == "scheme-b":

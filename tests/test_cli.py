@@ -141,6 +141,10 @@ def test_seed_flag_only_on_sample(tmp_path, capsys, args):
      "--grid points must be finite"),
     ("gate.mode = realistic\ncavity.kappa = 10\n",
      ["sweep", "--sweep", "g_rel", "--grid=1:1e308:2"], "--grid times cavity.kappa"),
+    # kappa * h and h * c overflow inside the cavity formula, so r = inf/inf
+    ("gate.mode = realistic\ncavity.kappa = 1e10\n",
+     ["sweep", "--sweep", "gamma_rel", "--grid=1:1e290:2"],
+     "check --grid, the cavity.* keys and gate.detuning_rel"),
     ("cavity.omega_x = 1e308\ncavity.omega_c = -1e308\n", ["reflectance", "--grid=-1:1:3"],
      "check the cavity.* keys and --grid"),
 ])

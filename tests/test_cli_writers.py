@@ -11,10 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from spinphoton import cli
+from spinphoton import cli, protocols
 from spinphoton import qstate as qs
 from spinphoton.metrics import SweepSpec, run_sweep
-from spinphoton.protocols import ProtocolBranch, ProtocolResult, run_protocol
+from spinphoton.protocols import BranchColumn, ProtocolBranch, ProtocolResult, run_protocol
 
 
 # --- the old pipeline, as the reference ------------------------------------------
@@ -183,15 +183,29 @@ def test_protocol_json_equals_the_old_pipeline_on_real_runs(tmp_path, config):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sweep_csv_equals_the_old_pipeline_on_random_rows(tmp_path, monkeypatch, seed):
+    # random score columns in place of the sweep's passes; a label either has
+    # a concurrence column or none, as a branch's register size is fixed
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 9000))  # up to three 4096-row chunks
-    values = _special_floats(rng, (n, 4))
-    conc = [None if rng.random() < 0.4 else _score(rng) for _ in range(n)]
-    rows = [{"swept_name": "t_over_t2", "swept_value": v[0], "branch_label": f"+45/{i % 3}",
-             "probability": v[1], "fidelity": math.nan if i % 5 == 0 else v[2],
-             "concurrence": c, "success_probability": v[3]}
-            for i, (v, c) in enumerate(zip(values.tolist(), conc))]
-    monkeypatch.setattr(cli, "run_sweep", lambda spec: rows)
+    labels = [f"+45/{k}" for k in range(int(rng.integers(1, 5)))]
+    n = int(rng.integers(1, 9000 // len(labels)))  # up to three 4096-row chunks
+    values = _special_floats(rng, (n,)).tolist()
+    columns = []
+    for label in labels:
+        prob, fid = _special_floats(rng, (2, n)).tolist()
+        fid = [math.nan if i % 5 == 0 else f for i, f in enumerate(fid)]
+        conc = None if rng.random() < 0.4 else [_score(rng) for _ in range(n)]
+        columns.append(BranchColumn(label, None, None, prob, fid, conc))
+    cuts = [0, *sorted(rng.integers(0, n + 1, int(rng.integers(0, 3)))), n]
+    passes = [(values[a:b], [c._replace(
+        probability=c.probability[a:b], fidelity=c.fidelity[a:b],
+        concurrence=None if c.concurrence is None else c.concurrence[a:b]) for c in columns])
+        for a, b in zip(cuts, cuts[1:]) if b > a]  # the grid in one to three passes
+    rows = [{"swept_name": "t_over_t2", "swept_value": v, "branch_label": c.label,
+             "probability": c.probability[i], "fidelity": c.fidelity[i],
+             "concurrence": None if c.concurrence is None else c.concurrence[i],
+             "success_probability": c.probability[i]}
+            for i, v in enumerate(values) for c in columns]
+    monkeypatch.setattr(cli, "sweep_columns", lambda spec: passes)
     out = tmp_path / "s.csv"
     assert cli.main(["sweep", "--sweep", "t_over_t2", "--grid=0:1:3",
                      "--out", str(out)]) == 0
@@ -204,6 +218,8 @@ def test_sweep_csv_equals_the_old_pipeline_on_random_rows(tmp_path, monkeypatch,
     ("protocol = scheme-a\ngate.mode = realistic\nalpha1 = 1\nbeta1 = 0\n", "g_rel",
      "--grid=0:20:1500"),  # zero-probability branches, several passes
     ("protocol = transfer-sp\ngate.mode = realistic\n", "detuning_rel", "--grid=-2:2:41"),
+    ("protocol = scheme-b\n", "t_over_t2",
+     "--grid=0:1.5:7"),  # ideal gate: exactly-zero branches with NaN fidelity
 ])
 def test_sweep_csv_equals_the_old_pipeline_on_batched_sweeps(tmp_path, config, sweep, grid):
     cfg = _write(tmp_path / "c.cfg", config)
@@ -215,6 +231,29 @@ def test_sweep_csv_equals_the_old_pipeline_on_batched_sweeps(tmp_path, config, s
                                config=run.config, protocol=run.protocol,
                                n_photons=run.n_photons))
     assert _lines(out.read_text(encoding="utf-8")) == _lines(reference_sweep_csv(rows))
+
+
+@pytest.mark.parametrize("config, sweep, grid", [
+    ("protocol = scheme-b\ngate.mode = realistic\ncavity.kappa_s_rel = 0.2\n", "g_rel",
+     "--grid=2:20:100"),
+    ("protocol = ghz\nghz.n_photons = 4\ngate.mode = realistic\nnoise.t_over_t2 = 0.3\n",
+     "t_over_t2", "--grid=0:2:10"),
+])
+def test_sweep_builds_no_per_point_branch_or_state(tmp_path, monkeypatch, config, sweep,
+                                                   grid):
+    # the CSV is written from the batch's columns alone
+    cfg = _write(tmp_path / "c.cfg", config)
+    argv = ["sweep", "--config", cfg, "--sweep", sweep, grid, "--out"]
+    assert cli.main(argv + [str(tmp_path / "a.csv")]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep built a per-point object")
+
+    monkeypatch.setattr(protocols, "ProtocolBranch", refuse)
+    monkeypatch.setattr(protocols, "unstack", refuse)
+    monkeypatch.setattr(qs, "unstack", refuse)
+    assert cli.main(argv + [str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 def test_protocol_json_refuses_a_non_finite_number_outside_the_scores(tmp_path,
