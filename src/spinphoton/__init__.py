@@ -10,6 +10,7 @@ drivers) and ``cli`` (batch front end).
 
 from .cavity import (
     CavityParams,
+    ParameterError,
     ReflectionResponse,
     conditional_phase,
     find_operating_point,

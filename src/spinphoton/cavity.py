@@ -28,13 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class ParameterError(ValueError):
+    """A model input the program cannot evaluate: a parameter outside its
+    range, or cavity values whose reflection coefficients are not finite."""
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Physical parameters of one dot-cavity system (angular frequency units).
 
     A field may be an array: a batch of cavities, one per element, that
     broadcast against each other and against the probe frequency. Every
-    field must be finite.
+    field must be finite; a field out of range raises ParameterError.
     """
 
     g: float
@@ -51,13 +56,14 @@ class CavityParams:
             v = np.asarray(value, dtype=float)
             bad = ~np.isfinite(v)
             if bad.any():
-                raise ValueError(f"{name} must be finite, got {float(v[bad].flat[0])!r}")
+                raise ParameterError(f"{name} must be finite, got {float(v[bad].flat[0])!r}")
         if np.any(np.asarray(self.kappa) <= 0):
-            raise ValueError("kappa must be positive")
+            raise ParameterError(f"kappa must be positive, got {float(np.min(self.kappa))!r}")
         for name in ("g", "gamma", "kappa_s"):
             v = np.asarray(getattr(self, name), dtype=float)
             if (v < 0).any():
-                raise ValueError(f"{name} must be nonnegative, got {float(v[v < 0].flat[0])!r}")
+                raise ParameterError(
+                    f"{name} must be nonnegative, got {float(v[v < 0].flat[0])!r}")
 
     def strong_coupling(self) -> bool:
         return self.g > self.kappa and self.g > self.gamma

@@ -30,9 +30,9 @@ from itertools import chain
 
 import numpy as np
 
-from .cavity import CavityParams, conditional_phase, reflect
+from .cavity import CavityParams, ParameterError, conditional_phase, reflect
 from .gates import GateMode, IdealGate, RealisticGate
-from .metrics import SWEEP_PARAMETERS, SweepSpec, batched_config, sweep_columns
+from .metrics import SWEEP_PARAMETERS, SweepSpec, sweep_columns
 from .protocols import PROTOCOL_NAMES, ProtocolConfig, run_protocol
 from .qstate import PureState, sample_indices
 
@@ -96,21 +96,10 @@ class RunConfig:
     echo: dict
 
 
-def _check_coefficients(gate: RealisticGate, keys: str) -> None:
-    """Refuse a (batched) realistic gate with a non-finite coefficient."""
-    with np.errstate(all="ignore"):  # extreme values are refused just below
-        r = np.array(gate.coefficients)
-    if not np.isfinite(r).all():
-        raise ConfigError(f"the realistic gate's reflection coefficient "
-                          f"{complex(r[~np.isfinite(r)][0])!r} is not finite: check {keys}")
-
-
 def resolve_config(raw: dict) -> RunConfig:
     vals = {k: _convert(k, v) for k, v in raw.items()}
 
-    kappa = vals.get("cavity.kappa", 1.0)
-    if kappa <= 0:
-        raise ConfigError(f"cavity.kappa must be positive, got {kappa!r}")
+    kappa = vals.get("cavity.kappa", 1.0)  # CavityParams refuses kappa <= 0
 
     def cavity_value(key: str, default: float) -> float:
         rel = key + "_rel"
@@ -136,7 +125,7 @@ def resolve_config(raw: dict) -> RunConfig:
     try:  # a large kappa can still overflow a default or a _rel value
         cavity = CavityParams(g=g, kappa=kappa, gamma=gamma, omega_c=omega_c,
                               omega_x=omega_x, kappa_s=kappa_s)
-    except ValueError as exc:  # its messages start with the field name
+    except ParameterError as exc:  # its messages start with the field name
         raise ConfigError(f"cavity.{exc}")
 
     mode_name = vals.get("gate.mode", "ideal")
@@ -145,7 +134,10 @@ def resolve_config(raw: dict) -> RunConfig:
         gate: GateMode = IdealGate()
     elif mode_name == "realistic":
         gate = RealisticGate(cavity, omega_c + detuning_rel * kappa)
-        _check_coefficients(gate, "the cavity.* keys and gate.detuning_rel")
+        try:
+            gate.coefficients  # evaluated here, so that a refusal names the keys
+        except ParameterError as exc:
+            raise ConfigError(f"{exc}: check the cavity.* keys and gate.detuning_rel")
     else:
         raise ConfigError(f"gate.mode must be 'ideal' or 'realistic', got {mode_name!r}")
 
@@ -166,7 +158,7 @@ def resolve_config(raw: dict) -> RunConfig:
             alpha2=vals.get("alpha2", sq), beta2=vals.get("beta2", sq),
             t_over_t2=t_over_t2,
         )
-    except ValueError as exc:
+    except ParameterError as exc:
         raise ConfigError(str(exc))
 
     seed = vals.get("seed", 0)
@@ -343,26 +335,16 @@ def cmd_sweep(args) -> int:
     if args.sweep != "t_over_t2" and isinstance(run.config.gate, IdealGate):
         raise ConfigError(f"sweeping {args.sweep} needs gate.mode = realistic, got ideal")
     grid = parse_grid(args.grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"--grid of a sweep must be strictly increasing, got {args.grid!r}")
     if args.sweep != "detuning_rel" and min(grid) < 0:
         raise ConfigError(
             f"--grid for {args.sweep} must be nonnegative, got {float(min(grid))!r}")
-    spec = SweepSpec(parameter=args.sweep, grid=tuple(grid), config=run.config,
-                     protocol=run.protocol, n_photons=run.n_photons)
-    if args.sweep != "t_over_t2":  # the swept cavity values, as batched_config sets them
-        cav = run.cavity
-        with np.errstate(all="ignore"):
-            scaled = np.array(grid) * cav.kappa
-            if args.sweep == "detuning_rel":
-                scaled = cav.omega_c + scaled
-        if not np.isfinite(scaled).all():
-            raise ConfigError(f"--grid times cavity.kappa overflows for {args.sweep}, "
-                              f"got --grid {args.grid!r} and cavity.kappa {cav.kappa!r}")
-        _check_coefficients(batched_config(spec, np.array(grid)).gate,
-                            "--grid, the cavity.* keys and gate.detuning_rel")
-    # every pass runs before --out is opened
-    _emit(_sweep_chunks(args.sweep, list(sweep_columns(spec))), args.out)
+    try:  # every pass runs before --out is opened
+        passes = list(sweep_columns(SweepSpec(
+            parameter=args.sweep, grid=tuple(grid), config=run.config,
+            protocol=run.protocol, n_photons=run.n_photons)))
+    except ParameterError as exc:
+        raise ConfigError(f"{exc}: check --grid, the cavity.* keys and gate.detuning_rel")
+    _emit(_sweep_chunks(args.sweep, passes), args.out)
     return 0
 
 

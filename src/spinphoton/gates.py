@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cavity import CavityParams, reflection_coefficient
+from .cavity import CavityParams, ParameterError, reflection_coefficient
 from .qstate import (
     KET_H,
     KET_M45,
@@ -60,9 +60,16 @@ class RealisticGate:
 
     @cached_property
     def coefficients(self) -> tuple:
-        """The (coupled, uncoupled) reflection coefficients at ``omega``."""
-        return (reflection_coefficient(self.params, self.omega, coupled=True),
-                reflection_coefficient(self.params, self.omega, coupled=False))
+        """The (coupled, uncoupled) reflection coefficients at ``omega``;
+        ParameterError unless every one is finite."""
+        with np.errstate(all="ignore"):  # extreme values are refused just below
+            r = tuple(reflection_coefficient(self.params, self.omega, coupled=c)
+                      for c in (True, False))
+        bad = np.array(r)[~np.isfinite(r)]
+        if bad.size:
+            raise ParameterError(f"the realistic gate's reflection coefficient "
+                                 f"{complex(bad[0])!r} is not finite")
+        return r
 
 
 GateMode = IdealGate | RealisticGate

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cavity import ParameterError
 from .gates import RealisticGate
 from .qstate import PureState, normalize, partial_trace
 
@@ -71,17 +72,17 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
-            raise ValueError(
+            raise ParameterError(
                 f"unknown sweep parameter {self.parameter!r} "
                 f"(valid: {', '.join(SWEEP_PARAMETERS)})"
             )
         grid = tuple(float(v) for v in self.grid)
         if not grid:
-            raise ValueError("sweep grid must be nonempty")
+            raise ParameterError("sweep grid must be nonempty")
         if not all(map(math.isfinite, grid)):
-            raise ValueError("sweep grid values must be finite")
+            raise ParameterError("sweep grid values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("sweep grid must be strictly increasing")
+            raise ParameterError("sweep grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
 
 
@@ -90,20 +91,23 @@ class SweepSpec:
 MAX_BATCH_AMPLITUDES = 2 ** 14
 
 
-def batched_config(spec: SweepSpec, values: np.ndarray):
-    """The sweep's config with the swept parameter set to ``values`` (a batch)."""
+def _batched_config(spec: SweepSpec, values: np.ndarray):
+    """The sweep's config with the swept parameter set to ``values`` (a batch);
+    CavityParams or the gate refuses a swept value that overflows to inf."""
     cfg = spec.config
     if spec.parameter == "t_over_t2":
         return replace(cfg, t_over_t2=values)
     if not isinstance(cfg.gate, RealisticGate):
-        raise ValueError(
+        raise ParameterError(
             f"sweeping {spec.parameter!r} requires a realistic gate configuration"
         )
     p = cfg.gate.params
-    if spec.parameter == "detuning_rel":  # move the probe frequency
-        return replace(cfg, gate=RealisticGate(p, p.omega_c + values * p.kappa))
+    with np.errstate(over="ignore"):
+        scaled = values * p.kappa
+        if spec.parameter == "detuning_rel":  # move the probe frequency
+            return replace(cfg, gate=RealisticGate(p, p.omega_c + scaled))
     field = {"g_rel": "g", "gamma_rel": "gamma", "kappa_s_rel": "kappa_s"}[spec.parameter]
-    p2 = replace(p, **{field: values * p.kappa})
+    p2 = replace(p, **{field: scaled})
     # one (cavity, probe frequency) point per element
     return replace(cfg, gate=RealisticGate(p2, np.full(values.shape, cfg.gate.omega)))
 
@@ -131,7 +135,7 @@ def sweep_columns(spec: SweepSpec):
     from . import protocols  # local import; protocols also uses this module
 
     for values in _passes(spec):
-        batch = protocols.run_protocol(spec.protocol, batched_config(spec, values),
+        batch = protocols.run_protocol(spec.protocol, _batched_config(spec, values),
                                        n_photons=spec.n_photons)
         yield values.tolist(), batch.columns
 

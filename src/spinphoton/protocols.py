@@ -43,7 +43,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .cavity import CavityParams
+from .cavity import CavityParams, ParameterError
 from .gates import (
     GateMode,
     IdealGate,
@@ -91,7 +91,8 @@ class ProtocolConfig:
     finite and normalized. ``t_over_t2`` is the dephasing exponent applied to
     a stored spin per waiting interval; it must be finite and nonnegative. An
     array of ``t_over_t2`` values is a batch, and is either all zero or all
-    positive, so that every element has the same output type.
+    positive, so that every element has the same output type. A broken rule
+    raises ParameterError.
     """
 
     gate: GateMode = IdealGate()
@@ -107,16 +108,16 @@ class ProtocolConfig:
             ("alpha2", "beta2", self.alpha2, self.beta2),
         ):
             if not (cmath.isfinite(a) and cmath.isfinite(b)):
-                raise ValueError(f"{name_a}/{name_b} must be finite, got {a!r}, {b!r}")
+                raise ParameterError(f"{name_a}/{name_b} must be finite, got {a!r}, {b!r}")
             if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
-                raise ValueError(f"{name_a}/{name_b} are not normalized")
+                raise ParameterError(f"{name_a}/{name_b} are not normalized")
         t = np.asarray(self.t_over_t2, dtype=float)
         bad = ~(np.isfinite(t) & (t >= 0))
         if bad.any():
-            raise ValueError(
+            raise ParameterError(
                 f"t_over_t2 must be finite and nonnegative, got {float(t[bad].flat[0])!r}")
         if (t > 0).any() and not (t > 0).all():
-            raise ValueError("a batch of t_over_t2 values must be all zero or all positive")
+            raise ParameterError("a batch of t_over_t2 values must be all zero or all positive")
 
     @cached_property
     def batch_shape(self) -> tuple[int, ...]:
@@ -237,20 +238,19 @@ def _leaf(label, w, post, kept, correct=None):
     """Close one measurement leaf over the ``kept`` register.
 
     ``w`` and ``post`` are the stacked trajectories' weights and post states
-    (see ``_trajectories``); ``post`` is None when no trajectory reaches the
-    leaf, and is over ``kept`` after the optional ``correct``. Returns (label,
-    probability, state): probability sum_k w_k p_k of the run's batch shape
-    ``w.shape[1:]``, p_k each trajectory's norm_tracking, and for a mixture
-    of several trajectories the state sum_k w_k p_k |psi_k><psi_k| / p, else
-    the one trajectory's state. Elements at or below the floor get
-    probability 0 and a zero state, and trajectories below the floor add to
-    the probability but not to the state.
+    (see ``_trajectories``); ``post`` is over ``kept`` after the optional
+    ``correct``. Returns (label, probability, state): probability
+    sum_k w_k p_k of the run's batch shape ``w.shape[1:]``, p_k each
+    trajectory's norm_tracking, and for a mixture of several trajectories the
+    state sum_k w_k p_k |psi_k><psi_k| / p, else the one trajectory's state.
+    Elements at or below the floor get probability 0 and a zero state, and
+    trajectories below the floor add to the probability but not to the state.
     """
     batch, mixed = w.shape[1:], len(w) > 1
     zero = np.zeros(batch)
     empty = np.zeros(batch + (2 ** len(kept),) * (1 + mixed), dtype=np.complex128)
     # summed in trajectory order, starting from zero, as are the mixture's terms
-    prob = zero if post is None else reduce(np.add, w * post.norm_tracking, zero)
+    prob = reduce(np.add, w * post.norm_tracking, zero)
     alive = prob > PROBABILITY_FLOOR
     if not alive.any():
         return label, zero, (DensityState if mixed else PureState)(tuple(kept), empty, zero)
@@ -295,13 +295,11 @@ def _readout(w, psi: PureState, spin_q: QubitLabel, ancilla: QubitLabel, kept,
     """
     leaves = []
     for o in gfr_spin_readout(psi, spin_q, ancilla, gate):
-        post = o.post_state
-        posts = ({m.label: m.post_state for m in measure(post, spin_q, "updown")}
-                 if (post.norm_tracking > 0.0).any() else {})
+        posts = {m.label: m.post_state for m in measure(o.post_state, spin_q, "updown")}
         announced = (announce or {}).get(o.label, o.label)
         fix = None if correct is None else (lambda st, a=announced: correct(st, a))
         for sl in ("up", "down"):
-            leaves.append(_leaf(f"{announced}/{sl}", w, posts.get(sl), kept, fix))
+            leaves.append(_leaf(f"{announced}/{sl}", w, posts[sl], kept, fix))
     return leaves
 
 
@@ -439,8 +437,10 @@ def _chain_leaves(config: ProtocolConfig, n: int):
         state = apply_gate(state, make_gate(p, s, config.gate))
     # one waiting interval after each photon, merged ahead of the pi/2 pulse;
     # the pulse sends (up-down)/sqrt2 -> up, so the correlated-pair branch
-    # reads out as spin-up / +45
-    w, state = _trajectories(state, config.batch_shape, [s], n * config.t_over_t2)
+    # reads out as spin-up / +45; a total past the float range is inf, q = 1/2
+    with np.errstate(over="ignore"):
+        total = n * config.t_over_t2
+    w, state = _trajectories(state, config.batch_shape, [s], total)
     state = apply_unitary(state, [s], ry(math.pi / 2))
 
     phase_fix = np.diag([1.0, (-1j) ** n]).astype(np.complex128)

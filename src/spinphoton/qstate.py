@@ -25,8 +25,9 @@ the batch of shape ``()`` and runs the same code. Every reduction is a sum over
 the last axis, which numpy evaluates identically for each element whatever
 the batch size, so a batch element equals the unbatched run bit for bit. A
 batch element of zero norm is carried as a dead element (zero amplitudes,
-``norm_tracking`` 0); an operation refuses a zero state only when every
-element is zero.
+``norm_tracking`` 0). ``measure`` treats a state whose every element is zero
+(a run that lost its photon) the same way; ``normalize`` and ``drop_qubit``
+refuse one.
 """
 from __future__ import annotations
 
@@ -422,8 +423,6 @@ def measure(state: PureState, target: QubitLabel, basis: str) -> list[Projective
     pos = state.index_of(target)
     pairs = measurement_basis(target.kind, basis)
     total = state.squared_norm()
-    if not (total > 0.0).any():
-        raise ValueError("cannot measure a zero-norm state")
     arr, nb = _qubit_axes(state)
     lead = (slice(None),) * (nb + pos)
     a0, a1 = arr[lead + (0,)], arr[lead + (1,)]

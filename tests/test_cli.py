@@ -140,7 +140,8 @@ def test_seed_flag_only_on_sample(tmp_path, capsys, args):
     ("gate.mode = realistic\n", ["sweep", "--sweep", "detuning_rel", "--grid=-1e308:1e308:3"],
      "--grid points must be finite"),
     ("gate.mode = realistic\ncavity.kappa = 10\n",
-     ["sweep", "--sweep", "g_rel", "--grid=1:1e308:2"], "--grid times cavity.kappa"),
+     ["sweep", "--sweep", "g_rel", "--grid=1:1e308:2"],
+     "check --grid, the cavity.* keys and gate.detuning_rel"),
     # kappa * h and h * c overflow inside the cavity formula, so r = inf/inf
     ("gate.mode = realistic\ncavity.kappa = 1e10\n",
      ["sweep", "--sweep", "gamma_rel", "--grid=1:1e290:2"],
@@ -156,15 +157,20 @@ def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, config, args, named)
     assert not out.exists()
 
 
-def test_internal_error_exits_1(tmp_path, capsys, monkeypatch):
+# a plain ValueError inside the run is the program's fault, whatever its type's base
+@pytest.mark.parametrize("patched, args", [
+    ("run_protocol", ["protocol"]),
+    ("sweep_columns", ["sweep", "--sweep", "t_over_t2", "--grid=0:1:2"]),
+])
+def test_internal_error_exits_1(tmp_path, capsys, monkeypatch, patched, args):
     from spinphoton import cli
 
     def broken(*args, **kwargs):
         raise ValueError("an invariant failed")
 
-    monkeypatch.setattr(cli, "run_protocol", broken)
-    out = tmp_path / "o.json"
-    assert run_cli(["protocol", "--out", str(out)]) == 1
+    monkeypatch.setattr(cli, patched, broken)
+    out = tmp_path / "o.txt"
+    assert run_cli(args + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "internal error" in err and "an invariant failed" in err
     assert not out.exists()
@@ -177,18 +183,20 @@ def test_negative_detuning_sweep_accepted(tmp_path):
                     "--out", out]) == 0
 
 
-def test_sweep_to_a_huge_coupling_is_quiet_and_equals_the_single_run(tmp_path, capsys):
-    # g * g overflows at g_rel = 1e200; r -> 1 is the g -> infinity limit
-    cfg = write(tmp_path / "c.cfg", "gate.mode = realistic\n")
+def assert_quiet_sweep_point_equals_protocol(tmp_path, capsys, config, sweep, grid, key, value):
+    """The sweep of ``config`` exits 0 with an empty stderr, and its rows at
+    ``value`` equal the ``protocol`` run with ``key = value`` added."""
+    cfg = write(tmp_path / "c.cfg", config)
     out = tmp_path / "s.csv"
-    assert run_cli(["sweep", "--config", cfg, "--sweep", "g_rel", "--grid=1:1e200:2",
+    assert run_cli(["sweep", "--config", cfg, "--sweep", sweep, f"--grid={grid}",
                     "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
-    rows = [r for r in rows if float(r[1]) == 1e200]
-    single = write(tmp_path / "g.cfg", "gate.mode = realistic\ncavity.g_rel = 1e200\n")
+    rows = [r for r in rows if float(r[1]) == value]
+    single = write(tmp_path / "g.cfg", f"{config}{key} = {value!r}\n")
     out = tmp_path / "p.json"
     assert run_cli(["protocol", "--config", single, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     branches = json.loads(out.read_text())["branches"]
     assert [r[2] for r in rows] == [b["label"] for b in branches]
     csv_values = [[float(x) if x else math.nan for x in r[3:]] for r in rows]
@@ -196,6 +204,34 @@ def test_sweep_to_a_huge_coupling_is_quiet_and_equals_the_single_run(tmp_path, c
                     ("probability", "fidelity", "concurrence", "success_probability")]
                    for b in branches]
     np.testing.assert_array_equal(csv_values, json_values)
+    return branches
+
+
+def test_sweep_to_a_huge_coupling_is_quiet_and_equals_the_single_run(tmp_path, capsys):
+    # g * g overflows at g_rel = 1e200; r -> 1 is the g -> infinity limit
+    assert_quiet_sweep_point_equals_protocol(tmp_path, capsys, "gate.mode = realistic\n",
+                                             "g_rel", "1:1e200:2", "cavity.g_rel", 1e200)
+
+
+def test_sweep_to_a_huge_dephasing_is_quiet_and_equals_the_single_run(tmp_path, capsys):
+    # n * t_over_t2 overflows at 1e308; q = 1/2 is the t -> infinity limit
+    assert_quiet_sweep_point_equals_protocol(tmp_path, capsys, "", "t_over_t2", "1:1e308:2",
+                                             "noise.t_over_t2", 1e308)
+
+
+@pytest.mark.parametrize("protocol", ["scheme-a", "scheme-b", "transfer-ps", "transfer-sp",
+                                      "ghz"])
+def test_total_loss_reports_zero_branches(tmp_path, capsys, protocol):
+    # critical coupling on resonance with g = 0: r_hot = r_cold = 0, the photon is lost
+    config = (f"protocol = {protocol}\ngate.mode = realistic\ncavity.kappa_s_rel = 1\n"
+              "gate.detuning_rel = 0\n")
+    branches = assert_quiet_sweep_point_equals_protocol(
+        tmp_path, capsys, config, "g_rel", "0:1:3", "cavity.g_rel", 0.0)
+    assert all(b["probability"] == 0.0 and b["fidelity"] is None for b in branches)
+    out = tmp_path / "d.csv"
+    assert run_cli(["sample", "--config", str(tmp_path / "g.cfg"), "--trials", "4",
+                    "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [f"{i},no_detection" for i in range(4)]
 
 
 # --- reflectance ----------------------------------------------------------------

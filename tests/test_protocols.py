@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from spinphoton import gates, protocols
 from spinphoton import qstate as qs
-from spinphoton.cavity import CavityParams, reflection_coefficient
+from spinphoton.cavity import CavityParams, ParameterError, reflection_coefficient
 from spinphoton.gates import IdealGate, RealisticGate
-from spinphoton.metrics import entanglement_entropy
+from spinphoton.metrics import SweepSpec, entanglement_entropy
 from spinphoton.protocols import (
     PROTOCOL_NAMES,
     ProtocolBranch,
@@ -578,3 +579,22 @@ def test_config_normalization_enforced():
 def test_config_rejects_non_finite_amplitudes(field, pair, value):
     with pytest.raises(ValueError, match=f"{pair} must be finite"):
         ProtocolConfig(**{field: value})
+
+
+def test_non_finite_gate_is_refused_as_a_parameter_error_without_a_warning():
+    # kappa / c overflows: the hot coefficient is (-inf+nanj)
+    gate = RealisticGate(CavityParams(g=10, kappa=1e-320, gamma=0.1), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"coefficient .* is not finite"):
+            run_protocol("scheme-b", ProtocolConfig(gate=gate))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CavityParams(g=1.0, kappa=0.0, gamma=0.1),
+    lambda: ProtocolConfig(t_over_t2=-1.0),
+    lambda: SweepSpec("g_rel", (2.0, 1.0), UNIFORM, "scheme-b"),
+])
+def test_every_input_rule_raises_the_one_input_error_type(build):
+    with pytest.raises(ParameterError):
+        build()

@@ -458,8 +458,11 @@ def test_dead_batch_elements_pass_through_as_zero_branches():
     assert outs[0].post_state.norm_tracking[1] == 0.0
     assert not np.any(outs[0].post_state.amplitudes[1])
     assert qs.normalize(state).amplitudes[1].tolist() == [0, 0, 0, 0]
-    with pytest.raises(ValueError, match="zero-norm"):
-        qs.measure(qs.PureState(labels, np.zeros((2, 4))), labels[0], "RL")
+    # a state whose every element is dead gives zero branches, not an error
+    for o in qs.measure(qs.PureState(labels, np.zeros((2, 4))), labels[0], "RL"):
+        assert o.probability.tolist() == [0.0, 0.0]
+        assert o.post_state.norm_tracking.tolist() == [0.0, 0.0]
+        assert not np.any(o.post_state.amplitudes)
 
 
 def test_sample_indices_follow_the_sequential_rule():
