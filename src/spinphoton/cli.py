@@ -14,7 +14,7 @@ each sweep row equals the ``protocol`` run at that grid point bit for bit.
 ``sample`` draws all its trials at once; its ``--seed`` (default: the config's
 ``seed`` key) is the only seed any subcommand reads. ``protocol`` writes the
 bytes ``json.dumps(indent=2)`` would, but fills each complex array into one
-``%r`` template cached per shape.
+``%s`` template cached per shape and formats each mirrored pair once.
 """
 from __future__ import annotations
 
@@ -105,9 +105,8 @@ def resolve_config(raw: dict) -> RunConfig:
         rel = key + "_rel"
         if key in vals and rel in vals:
             raise ConfigError(f"both {key!r} and {rel!r} given")
-        for k in (key, rel):
-            if vals.get(k, 0.0) < 0:
-                raise ConfigError(f"{k} must be nonnegative, got {vals[k]!r}")
+        if vals.get(rel, 0.0) < 0:  # CavityParams checks only the scaled value
+            raise ConfigError(f"{rel} must be nonnegative, got {vals[rel]!r}")
         if rel in vals:
             return vals[rel] * kappa
         return vals.get(key, default)
@@ -254,8 +253,7 @@ def _dump(obj, depth: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         if not np.isfinite(obj).all():
             raise ValueError(f"non-finite value in a complex array of shape {obj.shape}")
-        return _template(obj.shape, depth) % tuple(
-            np.stack([obj.real, obj.imag], -1).ravel().tolist())
+        return _template(obj.shape, depth) % tuple(_reprs(obj))
     if isinstance(obj, dict):
         items = [json.dumps(k) + ": " + _dump(v, depth + 1) for k, v in obj.items()]
     elif isinstance(obj, list):
@@ -270,11 +268,27 @@ def _dump(obj, depth: int = 0) -> str:
             + "\n" + "  " * depth + brackets[1])
 
 
+def _reprs(obj: np.ndarray) -> list[str]:
+    """The repr (what ``json`` writes) of each float of ``obj``'s ``[re, im]``
+    pairs, in order. A square matrix's strict upper entry that is its mirror's
+    conjugate bit for bit reuses the mirror's strings, imaginary sign flipped."""
+    pairs = np.stack([obj.real, obj.imag], -1)
+    if obj.ndim != 2 or obj.shape[0] != obj.shape[1]:
+        return list(map(repr, pairs.ravel().tolist()))
+    conj = pairs.swapaxes(0, 1) * [1.0, -1.0]
+    mirror = np.triu((pairs.view(np.int64) == conj.view(np.int64)).all(-1), 1)
+    out = np.empty(pairs.shape, dtype=object)
+    out[~mirror] = np.frompyfunc(repr, 1, 1)(pairs[~mirror])
+    low = out.swapaxes(0, 1)[mirror]
+    out[mirror, 0] = low[:, 0]
+    out[mirror, 1] = [s[1:] if s[0] == "-" else "-" + s for s in low[:, 1]]  # repr(-x)
+    return out.ravel().tolist()
+
+
 @functools.lru_cache
 def _template(shape: tuple, depth: int) -> str:
-    """``_dump``'s text for a complex array of ``shape``, with ``%r`` for each float
-    (the float repr is what ``json`` writes)."""
-    return _dump(np.zeros(shape + (2,)).tolist(), depth).replace("0.0", "%r")
+    """``_dump``'s text for a complex array of ``shape``, a ``%s`` per float."""
+    return _dump(np.zeros(shape + (2,)).tolist(), depth).replace("0.0", "%s")
 
 
 # --- subcommands -------------------------------------------------------------

@@ -65,6 +65,7 @@ from .qstate import (
     apply_unitary,
     fidelity,
     ket_state,
+    make_hermitian,
     measure,
     photon,
     qubit_state,
@@ -239,12 +240,12 @@ def _leaf(label, w, post, kept, correct=None):
 
     ``w`` and ``post`` are the stacked trajectories' weights and post states
     (see ``_trajectories``); ``post`` is over ``kept`` after the optional
-    ``correct``. Returns (label, probability, state): probability
-    sum_k w_k p_k of the run's batch shape ``w.shape[1:]``, p_k each
-    trajectory's norm_tracking, and for a mixture of several trajectories the
-    state sum_k w_k p_k |psi_k><psi_k| / p, else the one trajectory's state.
-    Elements at or below the floor get probability 0 and a zero state, and
-    trajectories below the floor add to the probability but not to the state.
+    ``correct``. Returns (label, probability, state): probability sum_k w_k p_k
+    of the run's batch shape ``w.shape[1:]``, p_k each trajectory's
+    norm_tracking, and for a mixture the state sum_k w_k p_k |psi_k><psi_k| / p
+    (made exactly Hermitian by ``make_hermitian``), else the one trajectory's
+    state. Elements at or below the floor get probability 0 and a zero state,
+    and trajectories below the floor add to the probability but not to the state.
     """
     batch, mixed = w.shape[1:], len(w) > 1
     zero = np.zeros(batch)
@@ -253,7 +254,8 @@ def _leaf(label, w, post, kept, correct=None):
     prob = reduce(np.add, w * post.norm_tracking, zero)
     alive = prob > PROBABILITY_FLOOR
     if not alive.any():
-        return label, zero, (DensityState if mixed else PureState)(tuple(kept), empty, zero)
+        return label, zero, (DensityState(tuple(kept), make_hermitian(empty), zero) if mixed
+                             else PureState(tuple(kept), empty, zero))
     own = post.norm_tracking > PROBABILITY_FLOOR
     post = _keep(post, own)
     if correct is not None:
@@ -266,7 +268,7 @@ def _leaf(label, w, post, kept, correct=None):
     coef = np.where(alive & own, w * post.norm_tracking / scale, 0.0)
     mat = reduce(np.add, (c[..., None, None] * (a[..., :, None] * a.conj()[..., None, :])
                           for c, a in zip(coef, post.amplitudes)), empty)
-    return label, prob, DensityState(tuple(kept), mat, prob)
+    return label, prob, DensityState(tuple(kept), make_hermitian(mat), prob)
 
 
 def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: QubitLabel,
@@ -603,6 +605,6 @@ def merged_detection_branch(result: ProtocolResult, detection: str) -> ProtocolB
         for b in live:
             rho = to_density(b.state) if isinstance(b.state, PureState) else b.state
             mat += (b.probability / p_tot) * (rho.matrix / max(rho.trace(), 1e-300))
-        state = DensityState(state.register, mat, min(p_tot, 1.0))
+        state = DensityState(state.register, make_hermitian(mat), min(p_tot, 1.0))
     target = next((b.target for b in picked if b.target is not None), None)
     return _result(result.protocol, [(detection, p_tot, state)], lambda _: target).branches[0]

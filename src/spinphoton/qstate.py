@@ -337,6 +337,16 @@ def to_density(state: PureState) -> DensityState:
                         state.norm_tracking)
 
 
+def make_hermitian(mat: np.ndarray) -> np.ndarray:
+    """``mat`` made exactly Hermitian over its trailing two axes, in place: the upper
+    triangle becomes the ``np.conj`` of the lower one (which ``np.linalg.eigh``
+    reads), and the diagonal's imaginary part +0.0."""
+    n = mat.shape[-1]
+    np.copyto(mat, np.conj(np.swapaxes(mat, -1, -2)), where=np.triu(np.ones((n, n), bool), 1))
+    np.copyto(mat.imag, 0.0, where=np.eye(n, dtype=bool))
+    return mat
+
+
 def _check_unitary(matrix: np.ndarray, k: int) -> np.ndarray:
     mat = np.asarray(matrix, dtype=np.complex128)
     dim = 2 ** k

@@ -101,3 +101,14 @@ CORR_D = {
     "up": np.outer(KET["H"], KET["+45"].conj()) - 1j * np.outer(KET["V"], KET["-45"].conj()),
     "down": np.outer(KET["H"], KET["+45"].conj()) + 1j * np.outer(KET["V"], KET["-45"].conj()),
 }
+
+
+def mirrored(mat):
+    """``mat`` as the engine keeps a mixture (``qstate.make_hermitian``): its
+    strict lower triangle, that triangle's conjugate mirrored into the upper
+    one, and the real part of its diagonal, over the trailing two axes."""
+    dim = mat.shape[-1]
+    upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
+    out = np.where(upper, np.swapaxes(mat, -1, -2).conj(), mat)
+    out[..., range(dim), range(dim)] = np.diagonal(mat, 0, -2, -1).real
+    return out

@@ -19,7 +19,14 @@ from spinphoton import metrics
 from spinphoton.cavity import CavityParams
 from spinphoton.gates import IdealGate, RealisticGate
 from spinphoton.metrics import SWEEP_PARAMETERS, SweepSpec, run_sweep
-from spinphoton.protocols import ProtocolBatch, ProtocolConfig, run_protocol
+from spinphoton.protocols import (
+    PROTOCOL_NAMES,
+    ProtocolBatch,
+    ProtocolConfig,
+    merged_detection_branch,
+    run_protocol,
+)
+from spinphoton.qstate import DensityState
 
 settings.register_profile(
     "spinphoton-derandomized", derandomize=True, database=None, deadline=None,
@@ -173,3 +180,60 @@ def test_batched_config_returns_one_result_per_element():
 def test_mixed_zero_and_positive_dephasing_batch_rejected():
     with pytest.raises(ValueError, match="all zero or all positive"):
         ProtocolConfig(t_over_t2=np.array([0.0, 0.5]))
+
+
+def assert_exactly_hermitian(mat: np.ndarray) -> None:
+    """Bit for bit over the trailing two axes: each off-diagonal real part equals
+    its mirror's, each off-diagonal imaginary part equals its mirror's negation,
+    and each diagonal imaginary part is +0.0."""
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.int64)
+
+    mirror = np.swapaxes(mat, -1, -2)
+    off = ~np.eye(mat.shape[-1], dtype=bool)
+    assert np.array_equal(bits(mat.real), bits(mirror.real))
+    assert np.array_equal(bits(mat.imag)[..., off], bits(-mirror.imag)[..., off])
+    assert not np.diagonal(bits(mat.imag), 0, -2, -1).any()
+
+
+@st.composite
+def dephased_configs(draw, batched: bool):
+    """A ProtocolConfig with t_over_t2 > 0: a batch of one to four values when
+    ``batched``, and then also a batch of couplings when the gate is realistic."""
+    realistic = draw(st.booleans())
+    cavity = draw(cavities())
+    if realistic and batched and draw(st.booleans()):
+        cavity = replace(cavity, g=np.array(draw(st.lists(
+            st.floats(0.5, 20.0), min_size=2, max_size=3))) * cavity.kappa)
+    gate = (RealisticGate(cavity, cavity.omega_c + draw(st.floats(0.2, 1.0)) * cavity.kappa)
+            if realistic else IdealGate())
+    (a1, b1), (a2, b2) = draw(amplitude_pairs()), draw(amplitude_pairs())
+    t = draw(st.lists(st.floats(0.01, 4.0), min_size=1, max_size=4)) if batched else [
+        draw(st.floats(0.01, 4.0))]
+    return ProtocolConfig(gate=gate, alpha1=a1, beta1=b1, alpha2=a2, beta2=b2,
+                          t_over_t2=np.array(t)[:, None] if batched else t[0])
+
+
+@pytest.mark.parametrize("protocol,n_photons", [
+    *((name, 3) for name in PROTOCOL_NAMES if name != "ghz"),
+    *(("ghz", n) for n in range(2, 7))])
+@pytest.mark.parametrize("batched", [False, True])
+@DERANDOMIZED
+@given(data=st.data())
+def test_every_density_matrix_is_exactly_hermitian(protocol, n_photons, batched, data):
+    result = run_protocol(protocol, data.draw(dephased_configs(batched)), n_photons=n_photons)
+    assert isinstance(result, ProtocolBatch) == batched
+    states = [c.state for c in (result.columns if batched else result.branches)]
+    assert all(isinstance(s, DensityState) for s in states) == (protocol != "transfer-ps")
+    for state in states:
+        if isinstance(state, DensityState):
+            assert_exactly_hermitian(state.matrix)
+
+
+@pytest.mark.parametrize("g", [1.0, 2.0, 5.0, 10.0, 50.0])
+def test_merged_detection_branch_is_exactly_hermitian(g):
+    # demo 03's heralded +45 pair: the mixture of the +45/up and +45/down branches
+    cfg = ProtocolConfig(gate=RealisticGate(CavityParams(g=g, kappa=1.0, gamma=0.1), 0.5))
+    merged = merged_detection_branch(run_protocol("scheme-b", cfg), "+45")
+    assert isinstance(merged.state, DensityState)
+    assert_exactly_hermitian(merged.state.matrix)

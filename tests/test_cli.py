@@ -120,6 +120,8 @@ def test_seed_flag_only_on_sample(tmp_path, capsys, args):
     ("gate.mode = realistic\n", ["sweep", "--sweep", "kappa_s_rel", "--grid=-1:0:2"],
      "--grid for kappa_s_rel"),
     ("cavity.gamma = -1\n", ["protocol"], "gamma must be nonnegative"),
+    ("cavity.g = -1\n", ["protocol"], "cavity.g must be nonnegative"),
+    ("cavity.kappa_s = -1\n", ["protocol"], "cavity.kappa_s must be nonnegative"),
     ("cavity.kappa = 2\ncavity.g_rel = -1\n", ["protocol"], "cavity.g_rel"),
     ("cavity.kappa = -2\n", ["protocol"], "cavity.kappa"),
     ("", ["sweep", "--sweep", "g_rel", "--grid=2:20:3"], "gate.mode"),

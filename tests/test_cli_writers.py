@@ -15,6 +15,7 @@ from spinphoton import cli, protocols
 from spinphoton import qstate as qs
 from spinphoton.metrics import SweepSpec, run_sweep
 from spinphoton.protocols import BranchColumn, ProtocolBranch, ProtocolResult, run_protocol
+from matrix_oracle import mirrored
 
 
 # --- the old pipeline, as the reference ------------------------------------------
@@ -159,6 +160,50 @@ def test_protocol_json_equals_the_old_pipeline_at_ghz_size_and_with_no_branches(
         assert cli.main(["protocol", "--config", cfg, "--out", str(out)]) == 0
         expected = reference_protocol_json(run, result)
         assert _lines(out.read_text(encoding="utf-8")) == _lines(expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_protocol_json_equals_the_old_pipeline_on_hermitian_branches(tmp_path, monkeypatch,
+                                                                      seed):
+    # the writer formats each mirrored pair once and must still write json's bytes;
+    # every other branch has a fifth of its entries redrawn, so that mirrored and
+    # unmirrored pairs share a matrix
+    rng = np.random.default_rng(200 + seed)
+    special = SPECIAL + [1e308, -1e308]
+    cfg = _write(tmp_path / "c.cfg", _random_config(rng))
+    branches = []
+    for k in range(int(rng.integers(2, 6))):
+        br = _random_branch(rng, int(rng.integers(1, 7)), True, special)
+        mat = mirrored(br.state.matrix)
+        if k % 2:
+            redraw = rng.random(mat.shape) < 0.2
+            mat[redraw] = (_special_floats(rng, mat.shape, special)
+                           + 1j * _special_floats(rng, mat.shape, special))[redraw]
+        branches.append(ProtocolBranch(br.label, br.probability,
+                                       qs.DensityState(br.state.register, mat), None,
+                                       br.fidelity_vs_target, br.concurrence))
+    result = ProtocolResult("ghz", tuple(branches))
+    monkeypatch.setattr(cli, "run_protocol", lambda *args, **kwargs: result)
+    out = tmp_path / "p.json"
+    assert cli.main(["protocol", "--config", cfg, "--out", str(out)]) == 0
+    expected = reference_protocol_json(cli.load_config(cfg), result)
+    assert _lines(out.read_text(encoding="utf-8")) == _lines(expected)
+
+
+def test_a_mirrored_zero_imaginary_part_is_written_with_its_sign():
+    # the lower entry is written from its own repr, the upper one from the lower
+    # entry's strings with the imaginary sign flipped
+    upper_plus = np.array([[1.0, complex(0.5, 0.0)], [complex(0.5, -0.0), 0.0]])
+    assert cli._dump(upper_plus) == json.dumps(
+        [[[1.0, 0.0], [0.5, 0.0]], [[0.5, -0.0], [0.0, 0.0]]], indent=2)
+    # equal by value but not bit for bit: each entry is written from its own repr
+    both_plus = np.array([[1.0, complex(-0.0, 0.0)], [complex(0.0, 0.0), 0.0]])
+    assert cli._dump(both_plus) == json.dumps(
+        [[[1.0, 0.0], [-0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], indent=2)
+    # the engine keeps the lower triangle, so a real mixture gets -0.0 above it
+    engine = qs.make_hermitian(np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex))
+    assert cli._dump(engine) == json.dumps(
+        [[[0.75, 0.0], [0.25, -0.0]], [[0.25, 0.0], [0.25, 0.0]]], indent=2)
 
 
 @pytest.mark.parametrize("config", [

@@ -25,6 +25,7 @@ from spinphoton.protocols import (
     transfer_photon_to_spin,
     transfer_spin_to_photon,
 )
+from matrix_oracle import mirrored
 from reference_states import (
     photon_pair_anticorrelated,
     photon_pair_correlated,
@@ -236,7 +237,7 @@ def merged_reference(result, detection):
     for b in live:
         rho = qs.to_density(b.state) if isinstance(b.state, qs.PureState) else b.state
         mat += (b.probability / p_tot) * (rho.matrix / max(rho.trace(), 1e-300))
-    mixed = qs.DensityState(live[0].state.register, mat, min(p_tot, 1.0))
+    mixed = qs.DensityState(live[0].state.register, mirrored(mat), min(p_tot, 1.0))
     return p_tot, mixed, qs.fidelity(target, mixed)
 
 
@@ -549,7 +550,7 @@ def test_stacked_trajectories_equal_the_list_form_bit_for_bit(batch):
             coef = np.asarray(wk * post.norm_tracking / ref_prob)
             ref_mat = ref_mat + coef[..., None, None] * (a[..., :, None] * a.conj()[..., None, :])
         assert np.array_equal(prob, ref_prob)
-        assert np.array_equal(rho.matrix, ref_mat)
+        assert np.array_equal(rho.matrix, mirrored(ref_mat))
 
 
 def test_protocols_are_deterministic():
