@@ -30,7 +30,27 @@ import numpy as np
 
 class ParameterError(ValueError):
     """A model input the program cannot evaluate: a parameter outside its
-    range, or cavity values whose reflection coefficients are not finite."""
+    range, or cavity values whose reflection coefficients are not finite.
+    ``field`` names the field or argument refused. Every CavityParams,
+    ProtocolConfig and sweep-grid message starts with that name, so a front
+    end can put its own key in its place."""
+
+    def __init__(self, message: str, *, field: str):
+        super().__init__(message)
+        self.field = field
+
+
+_RULES = {"finite": np.isfinite, "positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
+
+
+def check_field(name: str, value, rule: str) -> None:
+    """Raise ParameterError naming ``name`` unless every element of ``value``
+    is ``rule``, a key of _RULES. Check "finite" first: NaN fails the others."""
+    v = np.asarray(value, dtype=float)
+    bad = ~_RULES[rule](v)
+    if bad.any():
+        raise ParameterError(f"{name} must be {rule}, got {float(v[bad].flat[0])!r}",
+                             field=name)
 
 
 @dataclass(frozen=True)
@@ -53,17 +73,10 @@ class CavityParams:
         if self.omega_x is None:
             object.__setattr__(self, "omega_x", self.omega_c)
         for name, value in vars(self).items():
-            v = np.asarray(value, dtype=float)
-            bad = ~np.isfinite(v)
-            if bad.any():
-                raise ParameterError(f"{name} must be finite, got {float(v[bad].flat[0])!r}")
-        if np.any(np.asarray(self.kappa) <= 0):
-            raise ParameterError(f"kappa must be positive, got {float(np.min(self.kappa))!r}")
+            check_field(name, value, "finite")
+        check_field("kappa", self.kappa, "positive")
         for name in ("g", "gamma", "kappa_s"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if (v < 0).any():
-                raise ParameterError(
-                    f"{name} must be nonnegative, got {float(v[v < 0].flat[0])!r}")
+            check_field(name, getattr(self, name), "nonnegative")
 
     def strong_coupling(self) -> bool:
         return self.g > self.kappa and self.g > self.gamma
@@ -124,13 +137,16 @@ def find_operating_point(params: CavityParams, target_phase: float,
     """Detuning omega - omega_c at which the conditional phase hits the target.
 
     Bisection over detunings in (0, 5 kappa]; the conditional phase spans
-    (0, pi) there in the strong-coupling regime. Raises if the target is not
-    bracketed.
+    (0, pi) there in the strong-coupling regime. Raises ParameterError for a
+    batch of cavities, weak coupling or a target the bracket does not hold.
     """
+    for name, value in vars(params).items():
+        if np.ndim(value):
+            raise ParameterError(f"{name} must be a scalar, not a batch", field=name)
     if not 0.0 < target_phase < math.pi:
-        raise ValueError("target phase must lie in (0, pi)")
+        raise ParameterError("target phase must lie in (0, pi)", field="target_phase")
     if not params.strong_coupling():
-        raise ValueError("operating-point search requires strong coupling")
+        raise ParameterError("operating-point search requires strong coupling", field="g")
 
     def f(detuning: float) -> float:
         return conditional_phase(params, params.omega_c + detuning) - target_phase
@@ -143,7 +159,7 @@ def find_operating_point(params: CavityParams, target_phase: float,
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
-        raise ValueError("target phase unreachable in the (0, 5 kappa] bracket")
+        raise ParameterError("target phase unreachable in (0, 5 kappa]", field="target_phase")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)

@@ -6,7 +6,9 @@ rates may be given in units of kappa with a ``_rel`` suffix. Data goes to
 --out (or stdout) as CSV or JSON; human messages go to stderr. Exit codes:
 0 success; 2 a usage or configuration error, with the flag or key at fault
 named; 1 the program was at fault (an internal error, with its traceback) or
-the output could not be written.
+the output could not be written. The library checks each model rule once and
+raises ParameterError naming the field; ``_naming`` names the key or flag
+that field came from, by the field -> key table of the config or the sweep.
 
 ``reflectance`` evaluates its whole grid as one array, and ``sweep`` runs its
 grid as one batched protocol pass and writes the CSV from its score columns;
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import json
 import math
@@ -41,15 +44,17 @@ class ConfigError(ValueError):
     """Raised for malformed configuration files or flag values."""
 
 
-_FLOAT_KEYS = {
-    "cavity.g", "cavity.g_rel", "cavity.kappa", "cavity.gamma", "cavity.gamma_rel",
-    "cavity.kappa_s", "cavity.kappa_s_rel", "cavity.omega_c", "cavity.omega_x",
-    "cavity.omega_x_rel", "gate.detuning_rel", "noise.t_over_t2",
+# each known key's parser; a number must also be finite
+_PARSERS = {
+    **dict.fromkeys(("cavity.g", "cavity.g_rel", "cavity.kappa", "cavity.gamma",
+                     "cavity.gamma_rel", "cavity.kappa_s", "cavity.kappa_s_rel",
+                     "cavity.omega_c", "cavity.omega_x", "cavity.omega_x_rel",
+                     "gate.detuning_rel", "noise.t_over_t2"), float),
+    **dict.fromkeys(("alpha1", "beta1", "alpha2", "beta2"), lambda v: complex(v.replace(" ", ""))),
+    **dict.fromkeys(("seed", "trials", "ghz.n_photons"), int),
+    "gate.mode": str, "protocol": str,
 }
-_COMPLEX_KEYS = {"alpha1", "beta1", "alpha2", "beta2"}
-_INT_KEYS = {"seed", "trials", "ghz.n_photons"}
-_STR_KEYS = {"gate.mode", "protocol"}
-KNOWN_KEYS = _FLOAT_KEYS | _COMPLEX_KEYS | _INT_KEYS | _STR_KEYS
+
 
 def parse_config_text(text: str) -> dict:
     raw = {}
@@ -60,7 +65,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -70,17 +75,10 @@ def parse_config_text(text: str) -> dict:
 
 def _convert(key: str, value: str):
     try:
-        if key in _FLOAT_KEYS:
-            x = float(value)
-        elif key in _COMPLEX_KEYS:
-            x = complex(value.replace(" ", ""))
-        elif key in _INT_KEYS:
-            return int(value)
-        else:
-            return value
+        x = _PARSERS[key](value)
     except ValueError:
         raise ConfigError(f"cannot parse value for {key!r}: {value!r}")
-    if not cmath.isfinite(x):
+    if not (isinstance(x, str) or cmath.isfinite(x)):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return x
 
@@ -96,19 +94,41 @@ class RunConfig:
     echo: dict
 
 
+@contextlib.contextmanager
+def _naming(keys: dict):
+    """Re-raise a ParameterError from the block as a ConfigError: the template
+    ``keys[field]``, its ``{}`` filled with the message minus the field name."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(keys[exc.field].format(str(exc).removeprefix(exc.field)))
+
+
+def _at_least(name: str, value: int, low: int) -> int:
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def resolve_config(raw: dict) -> RunConfig:
     vals = {k: _convert(k, v) for k, v in raw.items()}
 
     kappa = vals.get("cavity.kappa", 1.0)  # CavityParams refuses kappa <= 0
+    # field -> message template (see _naming); cavity_value and omega_x_rel add
+    # the rest. A finite omega_c or absolute omega_x breaks no rule: no entry.
+    keys = {"kappa": "cavity.kappa{}", "t_over_t2": "noise.t_over_t2{}",
+            "alpha1/beta1": "alpha1/beta1{}", "alpha2/beta2": "alpha2/beta2{}",
+            "coefficients": "{}: check the cavity.* keys and gate.detuning_rel"}
 
-    def cavity_value(key: str, default: float) -> float:
-        rel = key + "_rel"
+    def cavity_value(field: str, default: float) -> float:
+        key, rel = f"cavity.{field}", f"cavity.{field}_rel"
         if key in vals and rel in vals:
             raise ConfigError(f"both {key!r} and {rel!r} given")
-        if vals.get(rel, 0.0) < 0:  # CavityParams checks only the scaled value
-            raise ConfigError(f"{rel} must be nonnegative, got {vals[rel]!r}")
         if rel in vals:
+            keys[field] = rel + " * cavity.kappa{}"
             return vals[rel] * kappa
+        # g's and gamma's defaults scale with cavity.kappa
+        keys[field] = key + ("{}" if key in vals else "{}: check cavity.kappa")
         return vals.get(key, default)
 
     omega_c = vals.get("cavity.omega_c", 0.0)
@@ -116,59 +136,43 @@ def resolve_config(raw: dict) -> RunConfig:
         raise ConfigError("both 'cavity.omega_x' and 'cavity.omega_x_rel' given")
     if "cavity.omega_x_rel" in vals:  # offset from the cavity line, in kappa units
         omega_x = omega_c + vals["cavity.omega_x_rel"] * kappa
+        keys["omega_x"] = "cavity.omega_c + cavity.omega_x_rel * cavity.kappa{}"
     else:
         omega_x = vals.get("cavity.omega_x", omega_c)
-    g = cavity_value("cavity.g", 10.0 * kappa)
-    gamma = cavity_value("cavity.gamma", 0.1 * kappa)
-    kappa_s = cavity_value("cavity.kappa_s", 0.0)
-    try:  # a large kappa can still overflow a default or a _rel value
-        cavity = CavityParams(g=g, kappa=kappa, gamma=gamma, omega_c=omega_c,
-                              omega_x=omega_x, kappa_s=kappa_s)
-    except ParameterError as exc:  # its messages start with the field name
-        raise ConfigError(f"cavity.{exc}")
+    g = cavity_value("g", 10.0 * kappa)
+    gamma = cavity_value("gamma", 0.1 * kappa)
+    kappa_s = cavity_value("kappa_s", 0.0)
 
     mode_name = vals.get("gate.mode", "ideal")
-    detuning_rel = vals.get("gate.detuning_rel", 0.5)
-    if mode_name == "ideal":
-        gate: GateMode = IdealGate()
-    elif mode_name == "realistic":
-        gate = RealisticGate(cavity, omega_c + detuning_rel * kappa)
-        try:
-            gate.coefficients  # evaluated here, so that a refusal names the keys
-        except ParameterError as exc:
-            raise ConfigError(f"{exc}: check the cavity.* keys and gate.detuning_rel")
-    else:
+    if mode_name not in ("ideal", "realistic"):
         raise ConfigError(f"gate.mode must be 'ideal' or 'realistic', got {mode_name!r}")
-
-    protocol = vals.get("protocol", "scheme-b")
-    if protocol not in PROTOCOL_NAMES:
-        raise ConfigError(
-            f"unknown protocol {protocol!r} (valid: {', '.join(PROTOCOL_NAMES)})"
-        )
-
-    t_over_t2 = vals.get("noise.t_over_t2", 0.0)
-    if t_over_t2 < 0:
-        raise ConfigError(f"noise.t_over_t2 must be nonnegative, got {t_over_t2!r}")
+    detuning_rel = vals.get("gate.detuning_rel", 0.5)
     sq = 1.0 / math.sqrt(2.0)
-    try:
+    with _naming(keys):
+        cavity = CavityParams(g=g, kappa=kappa, gamma=gamma, omega_c=omega_c,
+                              omega_x=omega_x, kappa_s=kappa_s)
+        gate: GateMode = IdealGate()
+        if mode_name == "realistic":
+            gate = RealisticGate(cavity, omega_c + detuning_rel * kappa)
+            gate.coefficients  # evaluated here, where a refusal can name the keys
         config = ProtocolConfig(
             gate=gate,
             alpha1=vals.get("alpha1", sq), beta1=vals.get("beta1", sq),
             alpha2=vals.get("alpha2", sq), beta2=vals.get("beta2", sq),
-            t_over_t2=t_over_t2,
+            t_over_t2=vals.get("noise.t_over_t2", 0.0),
         )
-    except ParameterError as exc:
-        raise ConfigError(str(exc))
 
-    seed = vals.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    trials = vals.get("trials", 1)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    # Checked here, as reflectance runs no protocol and only ghz reaches the
+    # library's n_photons rule: both would take a bad value without a word.
+    protocol = vals.get("protocol", "scheme-b")
+    if protocol not in PROTOCOL_NAMES:
+        raise ConfigError(f"unknown protocol {protocol!r} (valid: {', '.join(PROTOCOL_NAMES)})")
     n_photons = vals.get("ghz.n_photons", 3)
     if not 2 <= n_photons <= 6:
         raise ConfigError(f"ghz.n_photons must be in [2, 6], got {n_photons}")
+
+    seed = _at_least("seed", vals.get("seed", 0), 0)
+    trials = _at_least("trials", vals.get("trials", 1), 1)
 
     echo: dict = {"protocol": protocol}
     if isinstance(gate, IdealGate):
@@ -205,24 +209,19 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def parse_grid(spec: str) -> list[float]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid must be 'start:stop:count', got {spec!r}")
     try:
-        a, b = float(parts[0]), float(parts[1])
-        n = int(parts[2])
-    except ValueError:
-        raise ConfigError(f"cannot parse grid {spec!r}")
+        a, b, n = spec.split(":")
+        a, b, n = float(a), float(b), int(n)
+    except ValueError:  # not three parts, or one that does not parse
+        raise ConfigError(f"grid must be 'start:stop:count', got {spec!r}")
     if n <= 0:
         raise ConfigError("empty range: grid count must be >= 1")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ConfigError(f"--grid start and stop must be finite, got {spec!r}")
-    if n == 1 and a != b:
-        raise ConfigError(f"--grid with count 1 needs start == stop, got {spec!r}")
-    with np.errstate(all="ignore"):  # an overflowing step is refused just below
+    with np.errstate(all="ignore"):  # an infinite end or step is refused just below
         grid = np.linspace(a, b, n)
     if not np.isfinite(grid).all():
         raise ConfigError(f"--grid points must be finite, got {spec!r}")
+    if n == 1 and a != b:
+        raise ConfigError(f"--grid with count 1 needs start == stop, got {spec!r}")
     return list(grid)
 
 
@@ -346,18 +345,17 @@ def cmd_protocol(args) -> int:
 
 def cmd_sweep(args) -> int:
     run = load_config(args.config)
-    if args.sweep != "t_over_t2" and isinstance(run.config.gate, IdealGate):
-        raise ConfigError(f"sweeping {args.sweep} needs gate.mode = realistic, got ideal")
     grid = parse_grid(args.grid)
-    if args.sweep != "detuning_rel" and min(grid) < 0:
-        raise ConfigError(
-            f"--grid for {args.sweep} must be nonnegative, got {float(min(grid))!r}")
-    try:  # every pass runs before --out is opened
+    # load_config accepted the other fields: a pass refuses only these
+    swept = f"--grid for {args.sweep}"
+    check = ": check --grid, the cavity.* keys and gate.detuning_rel"
+    keys = {"grid": "--grid{}", "gate": "gate.mode{}", "t_over_t2": swept + "{}",
+            "coefficients": "{}" + check,
+            **dict.fromkeys(("g", "gamma", "kappa_s"), swept + " * cavity.kappa{}" + check)}
+    with _naming(keys):  # every pass runs before --out is opened
         passes = list(sweep_columns(SweepSpec(
             parameter=args.sweep, grid=tuple(grid), config=run.config,
             protocol=run.protocol, n_photons=run.n_photons)))
-    except ParameterError as exc:
-        raise ConfigError(f"{exc}: check --grid, the cavity.* keys and gate.detuning_rel")
     _emit(_sweep_chunks(args.sweep, passes), args.out)
     return 0
 
@@ -382,12 +380,8 @@ def _sweep_chunks(name: str, passes):
 
 def cmd_sample(args) -> int:
     run = load_config(args.config)
-    trials = args.trials if args.trials is not None else run.trials
-    if trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {trials}")
-    seed = args.seed if args.seed is not None else run.seed
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    trials = run.trials if args.trials is None else _at_least("--trials", args.trials, 1)
+    seed = run.seed if args.seed is None else _at_least("--seed", args.seed, 0)
     result = run_protocol(run.protocol, run.config, n_photons=run.n_photons)
     labels = [b.label for b in result.branches]
     probabilities = [b.probability for b in result.branches]

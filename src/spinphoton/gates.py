@@ -68,7 +68,7 @@ class RealisticGate:
         bad = np.array(r)[~np.isfinite(r)]
         if bad.size:
             raise ParameterError(f"the realistic gate's reflection coefficient "
-                                 f"{complex(bad[0])!r} is not finite")
+                                 f"{complex(bad[0])!r} is not finite", field="coefficients")
         return r
 
 
@@ -130,9 +130,7 @@ def trion_emission_map(state: PureState, spin: QubitLabel,
         raise ValueError(f"{spin} is not a spin qubit")
     if new_photon.kind is not QubitKind.PHOTON:
         raise ValueError(f"{new_photon} is not a photon label")
-    pos = state.index_of(spin)
-    if new_photon in state.register:
-        raise ValueError(f"label {new_photon} already present in register")
+    pos = state.index_of(spin)  # a new_photon already present is refused by PureState
     register = tuple(new_photon if i == pos else q
                      for i, q in enumerate(state.register))
     # up (index 0) becomes L (index 1): swap the basis index at this position

@@ -7,12 +7,11 @@ run at its grid point bit for bit, read from per-label columns.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import ParameterError
+from .cavity import ParameterError, check_field
 from .gates import RealisticGate
 from .qstate import PureState, normalize, partial_trace
 
@@ -46,9 +45,7 @@ def concurrence(state):
 
 def entanglement_entropy(state, partition) -> float:
     """Von Neumann entropy (natural log) of the reduced state over ``partition``."""
-    part = list(partition)
-    if not part:
-        raise ValueError("partition must be nonempty")
+    part = list(partition)  # partial_trace refuses an empty one
     if len(part) >= state.n_qubits:
         raise ValueError("partition must be a proper subset of the register")
     rho = normalize(partial_trace(state, part))
@@ -72,17 +69,14 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
-            raise ParameterError(
-                f"unknown sweep parameter {self.parameter!r} "
-                f"(valid: {', '.join(SWEEP_PARAMETERS)})"
-            )
+            raise ParameterError(f"unknown sweep parameter {self.parameter!r} "
+                                 f"(valid: {', '.join(SWEEP_PARAMETERS)})", field="parameter")
         grid = tuple(float(v) for v in self.grid)
         if not grid:
-            raise ParameterError("sweep grid must be nonempty")
-        if not all(map(math.isfinite, grid)):
-            raise ParameterError("sweep grid values must be finite")
+            raise ParameterError("grid must be nonempty", field="grid")
+        check_field("grid", grid, "finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ParameterError("sweep grid must be strictly increasing")
+            raise ParameterError("grid must be strictly increasing", field="grid")
         object.__setattr__(self, "grid", grid)
 
 
@@ -98,9 +92,7 @@ def _batched_config(spec: SweepSpec, values: np.ndarray):
     if spec.parameter == "t_over_t2":
         return replace(cfg, t_over_t2=values)
     if not isinstance(cfg.gate, RealisticGate):
-        raise ParameterError(
-            f"sweeping {spec.parameter!r} requires a realistic gate configuration"
-        )
+        raise ParameterError(f"gate must be realistic to sweep {spec.parameter!r}", field="gate")
     p = cfg.gate.params
     with np.errstate(over="ignore"):
         scaled = values * p.kappa

@@ -43,7 +43,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .cavity import CavityParams, ParameterError
+from .cavity import CavityParams, ParameterError, check_field
 from .gates import (
     GateMode,
     IdealGate,
@@ -93,7 +93,7 @@ class ProtocolConfig:
     a stored spin per waiting interval; it must be finite and nonnegative. An
     array of ``t_over_t2`` values is a batch, and is either all zero or all
     positive, so that every element has the same output type. A broken rule
-    raises ParameterError.
+    raises ParameterError naming ``t_over_t2`` or the pair (``"alpha1/beta1"``).
     """
 
     gate: GateMode = IdealGate()
@@ -104,21 +104,18 @@ class ProtocolConfig:
     t_over_t2: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        for name_a, name_b, a, b in (
-            ("alpha1", "beta1", self.alpha1, self.beta1),
-            ("alpha2", "beta2", self.alpha2, self.beta2),
-        ):
+        for pair in ("alpha1/beta1", "alpha2/beta2"):
+            a, b = (getattr(self, name) for name in pair.split("/"))
             if not (cmath.isfinite(a) and cmath.isfinite(b)):
-                raise ParameterError(f"{name_a}/{name_b} must be finite, got {a!r}, {b!r}")
+                raise ParameterError(f"{pair} must be finite, got {a!r}, {b!r}", field=pair)
             if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
-                raise ParameterError(f"{name_a}/{name_b} are not normalized")
-        t = np.asarray(self.t_over_t2, dtype=float)
-        bad = ~(np.isfinite(t) & (t >= 0))
-        if bad.any():
-            raise ParameterError(
-                f"t_over_t2 must be finite and nonnegative, got {float(t[bad].flat[0])!r}")
-        if (t > 0).any() and not (t > 0).all():
-            raise ParameterError("a batch of t_over_t2 values must be all zero or all positive")
+                raise ParameterError(f"{pair} are not normalized", field=pair)
+        for rule in ("finite", "nonnegative"):
+            check_field("t_over_t2", self.t_over_t2, rule)
+        positive = np.asarray(self.t_over_t2) > 0
+        if positive.any() and not positive.all():
+            raise ParameterError("t_over_t2 must be all zero or all positive in a batch",
+                                 field="t_over_t2")
 
     @cached_property
     def batch_shape(self) -> tuple[int, ...]:
@@ -340,7 +337,7 @@ def _spin_pair_leaves(config: ProtocolConfig, second_cavity: CavityParams | None
     mode2 = config.gate
     if second_cavity is not None:
         if not isinstance(config.gate, RealisticGate):
-            raise ValueError("a second cavity needs a realistic gate configuration")
+            raise ParameterError("gate must be realistic for a second cavity", field="gate")
         mode2 = RealisticGate(second_cavity, config.gate.omega)
 
     state = tensor_all([
@@ -507,7 +504,7 @@ def chain_multiphoton(config: ProtocolConfig, n_photons: int):
     (``_chain_targets``).
     """
     if not 2 <= n_photons <= 6:
-        raise ValueError("register overflow: n_photons must be in [2, 6]")
+        raise ParameterError("register overflow: n_photons must be in [2, 6]", field="n_photons")
     return _chain("ghz", config, n_photons)
 
 
@@ -578,7 +575,8 @@ def run_protocol(name: str, config: ProtocolConfig, n_photons: int = 3):
         return transfer_spin_to_photon(config)
     if name == "ghz":
         return chain_multiphoton(config, n_photons)
-    raise ValueError(f"unknown protocol {name!r} (valid: {', '.join(PROTOCOL_NAMES)})")
+    raise ParameterError(f"unknown protocol {name!r} (valid: {', '.join(PROTOCOL_NAMES)})",
+                         field="name")
 
 
 def merged_detection_branch(result: ProtocolResult, detection: str) -> ProtocolBranch:

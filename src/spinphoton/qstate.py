@@ -129,7 +129,8 @@ def measurement_basis(kind: QubitKind, name: str):
 def _check_register(register) -> tuple[QubitLabel, ...]:
     reg = tuple(register)
     if len(set(reg)) != len(reg):
-        raise ValueError("duplicate qubit in register")
+        dup = next(q for i, q in enumerate(reg) if q in reg[:i])
+        raise ValueError(f"duplicate qubit: {dup} already present in register")
     if len(reg) > MAX_QUBITS:
         raise ValueError(f"register cap exceeded ({len(reg)} > {MAX_QUBITS} qubits)")
     return reg
@@ -253,11 +254,7 @@ class DensityState:
     def batch_shape(self) -> tuple[int, ...]:
         return self.matrix.shape[:-2]
 
-    def index_of(self, label: QubitLabel) -> int:
-        try:
-            return self.register.index(label)
-        except ValueError:
-            raise ValueError(f"qubit {label} not in register")
+    index_of = PureState.index_of  # reads only the register
 
     def trace(self):
         diag = np.ascontiguousarray(np.diagonal(self.matrix, 0, -2, -1).real)
@@ -307,9 +304,8 @@ def ket_state(label: QubitLabel, name: str) -> PureState:
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    """Kronecker product; registers concatenate, norm_tracking multiplies."""
-    if set(a.register) & set(b.register):
-        raise ValueError("duplicate qubit")
+    """Kronecker product; registers concatenate, norm_tracking multiplies.
+    A label in both registers is refused by PureState's register check."""
     amps = a.amplitudes[..., :, None] * b.amplitudes[..., None, :]
     return PureState(
         a.register + b.register,

@@ -5,6 +5,7 @@ import pytest
 
 from spinphoton.cavity import (
     CavityParams,
+    ParameterError,
     conditional_phase,
     find_operating_point,
     reflect,
@@ -168,9 +169,9 @@ def test_operating_point_unreachable_target():
 
 
 def test_operating_point_validation():
-    with pytest.raises(ValueError, match="strong coupling"):
+    with pytest.raises(ParameterError, match="strong coupling"):
         find_operating_point(params(g=0.5), math.pi / 2)
-    with pytest.raises(ValueError, match="target phase"):
+    with pytest.raises(ParameterError, match="target phase"):
         find_operating_point(params(), 3.5)
 
 

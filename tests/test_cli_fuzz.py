@@ -4,7 +4,8 @@ Hypothesis draws every cavity key, ``gate.detuning_rel``, ``noise.t_over_t2``
 and the ``--grid`` ends from a few magnitudes between the smallest subnormal
 and the largest float, signed where a key allows it, and runs ``reflectance``,
 ``protocol``, ``sweep`` and ``sample`` in-process with RuntimeWarnings as
-errors. An input the program cannot evaluate must exit 2; a run that exits 0
+errors. An input the program cannot evaluate must exit 2, naming a key the
+config set, a flag of the command line, or ``cavity.*``; a run that exits 0
 must print only finite, physical numbers. The profile is derandomized, so the
 suite is deterministic.
 """
@@ -149,6 +150,8 @@ def test_extreme_input_exits_0_with_finite_output_or_2(command, config, ends, co
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith("error: ") and out is None, err
+        named = [*config, "cavity.*"] + [a.split("=")[0] for a in argv if a.startswith("--")]
+        assert any(name in err for name in named), (err, named)
         return
     assert err == ""
     if command == "reflectance":

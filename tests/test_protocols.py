@@ -7,9 +7,14 @@ import pytest
 
 from spinphoton import gates, protocols
 from spinphoton import qstate as qs
-from spinphoton.cavity import CavityParams, ParameterError, reflection_coefficient
+from spinphoton.cavity import (
+    CavityParams,
+    ParameterError,
+    find_operating_point,
+    reflection_coefficient,
+)
 from spinphoton.gates import IdealGate, RealisticGate
-from spinphoton.metrics import SweepSpec, entanglement_entropy
+from spinphoton.metrics import SweepSpec, entanglement_entropy, run_sweep
 from spinphoton.protocols import (
     PROTOCOL_NAMES,
     ProtocolBranch,
@@ -591,11 +596,25 @@ def test_non_finite_gate_is_refused_as_a_parameter_error_without_a_warning():
             run_protocol("scheme-b", ProtocolConfig(gate=gate))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: CavityParams(g=1.0, kappa=0.0, gamma=0.1),
-    lambda: ProtocolConfig(t_over_t2=-1.0),
-    lambda: SweepSpec("g_rel", (2.0, 1.0), UNIFORM, "scheme-b"),
+@pytest.mark.parametrize("build, field", [
+    (lambda: CavityParams(g=1.0, kappa=0.0, gamma=0.1), "kappa"),
+    (lambda: CavityParams(g=-1.0, kappa=1.0, gamma=0.1), "g"),
+    (lambda: ProtocolConfig(t_over_t2=-1.0), "t_over_t2"),
+    (lambda: ProtocolConfig(alpha2=0.9, beta2=0.9), "alpha2/beta2"),
+    (lambda: SweepSpec("g_rel", (2.0, 1.0), UNIFORM, "scheme-b"), "grid"),
+    (lambda: SweepSpec("g_rel", (1.0, math.nan), UNIFORM, "scheme-b"), "grid"),
+    # the ideal gate has no cavity to sweep
+    (lambda: run_sweep(SweepSpec("g_rel", (1.0,), UNIFORM, "scheme-b")), "gate"),
+    (lambda: RealisticGate(CavityParams(g=10, kappa=1e-320, gamma=0.1), 0.0).coefficients,
+     "coefficients"),
+    (lambda: run_protocol("scheme-x", UNIFORM), "name"),
+    (lambda: chain_multiphoton(UNIFORM, 7), "n_photons"),
+    (lambda: scheme_a_photon_pairs(UNIFORM, second_cavity=CavityParams(10, 1, 0.1)), "gate"),
+    # the search takes one cavity, not a batch
+    (lambda: find_operating_point(CavityParams(np.array([2.4, 3.0]), 1.0, 0.1), math.pi / 2),
+     "g"),
 ])
-def test_every_input_rule_raises_the_one_input_error_type(build):
-    with pytest.raises(ParameterError):
+def test_every_input_rule_raises_the_one_input_error_type(build, field):
+    with pytest.raises(ParameterError) as exc:
         build()
+    assert exc.value.field == field

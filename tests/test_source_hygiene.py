@@ -1,4 +1,5 @@
-"""Static checks on the package source: no unused imports, no dead private helpers."""
+"""Static checks on the package source: no unused imports, no dead private helpers,
+and no input refusal without the field it refuses."""
 import ast
 from pathlib import Path
 
@@ -34,3 +35,12 @@ def test_every_private_helper_has_a_caller():
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
             and not any(stmt.name in names for key, names in refs.items() if key != (name, i))]
     assert dead == []
+
+
+def test_every_parameter_error_names_its_field():
+    # the CLI finds the config key or flag of a refusal by its field
+    calls = [(name, n) for name, tree in MODULES.items() for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and "ParameterError" in referenced(n.func)]
+    assert calls
+    assert [f"{name}:{n.lineno}" for name, n in calls
+            if "field" not in {k.arg for k in n.keywords}] == []
