@@ -16,7 +16,7 @@ each sweep row equals the ``protocol`` run at that grid point bit for bit.
 ``sample`` draws all its trials at once; its ``--seed`` (default: the config's
 ``seed`` key) is the only seed any subcommand reads. ``protocol`` writes the
 bytes ``json.dumps(indent=2)`` would, but fills each complex array into one
-``%s`` template cached per shape and formats each mirrored pair once.
+template cached per shape and formats each mirrored pair once.
 """
 from __future__ import annotations
 
@@ -252,7 +252,10 @@ def _dump(obj, depth: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         if not np.isfinite(obj).all():
             raise ValueError(f"non-finite value in a complex array of shape {obj.shape}")
-        return _template(obj.shape, depth) % tuple(_reprs(obj))
+        parts = _template(obj.shape, depth)
+        out = [""] * (2 * len(parts) - 1)
+        out[::2], out[1::2] = parts, _reprs(obj)
+        return "".join(out)
     if isinstance(obj, dict):
         items = [json.dumps(k) + ": " + _dump(v, depth + 1) for k, v in obj.items()]
     elif isinstance(obj, list):
@@ -285,9 +288,9 @@ def _reprs(obj: np.ndarray) -> list[str]:
 
 
 @functools.lru_cache
-def _template(shape: tuple, depth: int) -> str:
-    """``_dump``'s text for a complex array of ``shape``, a ``%s`` per float."""
-    return _dump(np.zeros(shape + (2,)).tolist(), depth).replace("0.0", "%s")
+def _template(shape: tuple, depth: int) -> list[str]:
+    """``_dump``'s text for a complex array of ``shape``, split at each float."""
+    return _dump(np.zeros(shape + (2,)).tolist(), depth).split("0.0")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -348,10 +351,9 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     # load_config accepted the other fields: a pass refuses only these
     swept = f"--grid for {args.sweep}"
-    check = ": check --grid, the cavity.* keys and gate.detuning_rel"
     keys = {"grid": "--grid{}", "gate": "gate.mode{}", "t_over_t2": swept + "{}",
-            "coefficients": "{}" + check,
-            **dict.fromkeys(("g", "gamma", "kappa_s"), swept + " * cavity.kappa{}" + check)}
+            "coefficients": "{}: check --grid, the cavity.* keys and gate.detuning_rel",
+            **dict.fromkeys(("g", "gamma", "kappa_s"), swept + " * cavity.kappa{}")}
     with _naming(keys):  # every pass runs before --out is opened
         passes = list(sweep_columns(SweepSpec(
             parameter=args.sweep, grid=tuple(grid), config=run.config,

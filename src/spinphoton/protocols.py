@@ -4,11 +4,10 @@ Every protocol is deterministic: it enumerates all post-selection branches
 with exact probabilities and canonical output states, never sampling.
 Branch probabilities are absolute (they include reflection losses), so they
 sum to the run's survival probability, which is 1 with the ideal gate.
-
-Protocols that read the spin out via an ancilla photon report the joint
-(detection, spin) outcome in the branch label, e.g. "+45/up", so that in
-realistic mode the imperfect readout correlation can be attributed. With the
-ideal gate the mismatched combinations carry exactly zero probability.
+Protocols that read the spin out via an ancilla photon label a branch with
+the joint (detection, spin) outcome, e.g. "+45/up", so that in realistic mode
+the imperfect readout correlation can be attributed; with the ideal gate the
+mismatched combinations carry exactly zero probability.
 
 Waiting intervals enter only through pure dephasing of the stored spin
 (``t_over_t2`` per interval), the Kraus pair {sqrt(1-q) I, sqrt(q) Z} with
@@ -16,22 +15,21 @@ q = (1 - exp(-t/T2)) / 2. Z on the spin commutes with the reflection gate,
 which is diagonal in the spin basis whether lossy or not, so the intervals up
 to the next non-diagonal spin operation merge into one channel, and a dephased
 run is exactly the weighted mixture of pure trajectories (1-q, psi) and
-(q, Z psi): two per dephased spin, four for scheme A. The trajectories sit on
-a leading axis of one state, in front of the batch axes (an undephased run has
-one), so each later step runs once over all of them. A branch's probability is
-the weighted sum over trajectories, and only its kept register is turned into
-a density matrix. A branch state is a DensityState exactly when the run has
-more than one trajectory (a spin dephased with t_over_t2 > 0), and a
-PureState otherwise.
+(q, Z psi). A branch's probability is the weighted sum over trajectories, and
+its state is a DensityState exactly when t_over_t2 > 0. scheme-a and the
+transfers run on ``qstate`` registers, the trajectories on a leading axis.
+scheme-b and ghz build no register: their photons meet only the one spin, so
+each branch is a sum of two photon product states, scored in O(n) from
+per-photon factors (``_chain_factors``), its 2^n state built when read.
 
 A config may be batched: ``t_over_t2``, or the cavity fields and probe
-frequency of a realistic gate, given as arrays of one batch shape. The drivers
-then run the whole batch in one pass over batched states (see ``qstate``):
-each per-run decision (a branch below the probability floor, a zero branch, a
-NaN score, a trajectory left out of a mixture) is a per-element mask, so each
-batch element equals the unbatched run at its parameters bit for bit. An
-unbatched config is the batch of shape ``()``. A batched run keeps per-label
-columns and builds per-element results only when asked.
+frequency of a realistic gate, given as arrays of one batch shape. The whole
+batch then runs in one pass; each per-run decision (a branch below the
+probability floor, a zero branch, a NaN score, a trajectory left out of a
+mixture) is a per-element mask, so each batch element equals the unbatched
+run at its parameters bit for bit. An unbatched config is the batch of shape
+``()``. A batched run keeps per-label columns and builds per-element results
+and branch states only when asked.
 """
 from __future__ import annotations
 
@@ -39,7 +37,7 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -53,7 +51,6 @@ from .gates import (
     circular_to_z,
     hadamard,
     make_gate,
-    ry,
     trion_emission_map,
 )
 from .metrics import concurrence
@@ -65,6 +62,7 @@ from .qstate import (
     apply_unitary,
     fidelity,
     ket_state,
+    _nonzero,
     make_hermitian,
     measure,
     photon,
@@ -160,6 +158,14 @@ class ProtocolResult:
 BranchColumn = namedtuple("BranchColumn", "label target state probability fidelity concurrence")
 
 
+class _BuiltOnRead(BranchColumn):
+    """A BranchColumn whose state slot holds the function that builds ``state``."""
+
+    @cached_property
+    def state(self):
+        return self[2]()
+
+
 @dataclass(frozen=True)
 class ProtocolBatch:
     """The runs of a batched config, as one BranchColumn per branch label; the
@@ -232,6 +238,14 @@ def _keep(state: PureState, mask) -> PureState:
                      np.where(mask, state.norm_tracking, 0.0))
 
 
+def _floored(w, p):
+    """sum_k w_k p_k over stacked trajectories, in order from zero as a mixture's
+    terms, set to 0 at or below the floor; and where it is above the floor."""
+    prob = reduce(np.add, w * p, np.zeros(w.shape[1:]))
+    alive = prob > PROBABILITY_FLOOR
+    return np.where(alive, prob, 0.0), alive
+
+
 def _leaf(label, w, post, kept, correct=None):
     """Close one measurement leaf over the ``kept`` register.
 
@@ -245,19 +259,15 @@ def _leaf(label, w, post, kept, correct=None):
     and trajectories below the floor add to the probability but not to the state.
     """
     batch, mixed = w.shape[1:], len(w) > 1
-    zero = np.zeros(batch)
     empty = np.zeros(batch + (2 ** len(kept),) * (1 + mixed), dtype=np.complex128)
-    # summed in trajectory order, starting from zero, as are the mixture's terms
-    prob = reduce(np.add, w * post.norm_tracking, zero)
-    alive = prob > PROBABILITY_FLOOR
+    prob, alive = _floored(w, post.norm_tracking)
     if not alive.any():
-        return label, zero, (DensityState(tuple(kept), make_hermitian(empty), zero) if mixed
-                             else PureState(tuple(kept), empty, zero))
+        return label, prob, (DensityState(tuple(kept), make_hermitian(empty), prob) if mixed
+                             else PureState(tuple(kept), empty, prob))
     own = post.norm_tracking > PROBABILITY_FLOOR
     post = _keep(post, own)
     if correct is not None:
         post = correct(post)
-    prob = np.where(alive, prob, 0.0)
     if not mixed:
         return label, prob, PureState(post.register, post.amplitudes[0],
                                       post.norm_tracking[0])
@@ -284,48 +294,36 @@ def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: Qubit
             for o in measure(full, ancilla_photon, "45")]
 
 
-def _readout(w, psi: PureState, spin_q: QubitLabel, ancilla: QubitLabel, kept,
-             gate: GateMode, announce=None, correct=None):
-    """The spin-readout tail of the trajectories (w, psi): ``gfr_spin_readout``
-    with a fresh ``ancilla``, then the spin measured in up/down, then the
-    optional ``correct(state, announced)``. Returns one (label, probability,
-    state) leaf per joint outcome, labeled "announced/spin", where ``announce``
-    renames the detection outcome (default: the outcome itself).
-    """
-    leaves = []
-    for o in gfr_spin_readout(psi, spin_q, ancilla, gate):
-        posts = {m.label: m.post_state for m in measure(o.post_state, spin_q, "updown")}
-        announced = (announce or {}).get(o.label, o.label)
-        fix = None if correct is None else (lambda st, a=announced: correct(st, a))
-        for sl in ("up", "down"):
-            leaves.append(_leaf(f"{announced}/{sl}", w, posts[sl], kept, fix))
-    return leaves
+def _flat(x) -> list:
+    return np.reshape(x, -1).tolist()
+
+
+def _batch(name: str, batch, columns):
+    """A ProtocolBatch of the columns when ``batch`` is not (), else the
+    ProtocolResult of the one run."""
+    out = ProtocolBatch(name, batch, tuple(columns))
+    return out if batch else out.results[0]
 
 
 def _result(name: str, leaves, target_of):
     """Score each (label, probability, state) leaf against ``target_of(label)``
-    into a BranchColumn: a ProtocolBatch of them when the probabilities are
-    batched, else the ProtocolResult of the one run. Elements of probability
-    zero score NaN; concurrence is None unless the state has two qubits."""
+    into a BranchColumn (see ``_batch``). Elements of probability zero score
+    NaN; concurrence is None unless the state has two qubits."""
     batch = np.shape(leaves[0][1])
-
-    def flat(x):
-        return np.broadcast_to(x, batch).reshape(-1).tolist()
-
     columns = []
     for label, prob, state in leaves:
         target, two = target_of(label), state.n_qubits == 2
-        alive = np.asarray(prob) > 0.0
-        fid = conc = np.full(batch, math.nan)
-        if alive.any():
-            if target is not None:
-                fid = np.where(alive, fidelity(target, state), math.nan)
-            if two:
-                conc = np.where(alive, concurrence(state), math.nan)
-        columns.append(BranchColumn(label, target, state, flat(prob), flat(fid),
-                                    flat(conc) if two else None))
-    out = ProtocolBatch(name, batch, tuple(columns))
-    return out if batch else out.results[0]
+        fid = _scored(prob, fidelity, target, state) if target is not None \
+            else _flat(np.full(batch, math.nan))
+        columns.append(BranchColumn(label, target, state, _flat(prob), fid,
+                                    _scored(prob, concurrence, state) if two else None))
+    return _batch(name, batch, columns)
+
+
+def _scored(prob, score, *args) -> list:
+    """``score(*args)`` as a flat list, NaN where ``prob`` is 0 (not called if all are)."""
+    alive = np.asarray(prob) > 0.0
+    return _flat(np.where(alive, score(*args) if alive.any() else math.nan, math.nan))
 
 
 # --- scheme A: photon pairs via remote entangled spins ----------------------
@@ -419,65 +417,98 @@ def _chain_inputs(config: ProtocolConfig, n: int):
     return [(config.alpha1, config.beta1), (config.alpha2, config.beta2)] + [(SQH, SQH)] * (n - 2)
 
 
-def _chain_leaves(config: ProtocolConfig, n: int):
-    """Reflect photons 1..n off one spin, then read the spin out with ancilla
-    photon n+1; returns the (label, probability, kept photons' state) leaves.
-
-    For n = 2 (scheme B) the branch states are already the canonical pairs.
-    For n >= 3 they are product states in the +-45 basis pair, so
-    deterministic feed-forward plates (a +-45 -> R/L rotation on every photon
-    plus one phase plate on photon 1) bring them to canonical form.
-    """
-    photons = [photon(i) for i in range(1, n + 1)]
-    s = spin(1)
-    state = tensor_all([qubit_state(p, *ab) for p, ab in zip(photons, _chain_inputs(config, n))]
-                       + [ket_state(s, "+x")])
-    for p in photons:
-        state = apply_gate(state, make_gate(p, s, config.gate))
-    # one waiting interval after each photon, merged ahead of the pi/2 pulse;
-    # the pulse sends (up-down)/sqrt2 -> up, so the correlated-pair branch
-    # reads out as spin-up / +45; a total past the float range is inf, q = 1/2
-    with np.errstate(over="ignore"):
-        total = n * config.t_over_t2
-    w, state = _trajectories(state, config.batch_shape, [s], total)
-    state = apply_unitary(state, [s], ry(math.pi / 2))
-
-    phase_fix = np.diag([1.0, (-1j) ** n]).astype(np.complex128)
-
-    def plates(st, _announced):
-        for p in photons:
-            st = apply_unitary(st, [p], circular_to_z())
-        return apply_unitary(st, [photons[0]], phase_fix)
-
-    return _readout(w, state, s, photon(n + 1), photons, config.gate,
-                    correct=plates if n > 2 else None)
+# Each chain leaf "detection/spin" is x (A + s B) on the undephased trajectory
+# (see _chain_factors), x a function of the gate's (coupled, uncoupled) pair.
+_CHAIN_LEAVES = (("+45/up", lambda c, u: (u - 1j * c) / 4, -1),
+                 ("+45/down", lambda c, u: (c - 1j * u) / 4, 1),
+                 ("-45/up", lambda c, u: (u + 1j * c) / 4, -1),
+                 ("-45/down", lambda c, u: (c + 1j * u) / 4, 1))
 
 
-def _chain_targets(config: ProtocolConfig, n: int):
-    """The chain's branch targets in closed form, keyed by detection outcome.
+def _chain_kets(pairs, c, u):
+    """A and B (see ``_chain_factors``) of the normalized inputs: Kronecker
+    products of per-photon factors, photon 1 first, for n >= 3 each turned by
+    its feed-forward plates (+-45 -> R/L, and a phase on photon 1)."""
+    n, turn = len(pairs), circular_to_z()
+    plates = [np.diag([1.0, (-1j) ** n]) @ turn] + [turn] * (n - 1)
+    kets = []
+    for one, other in ((u, c), (c, u)):
+        fs = [np.stack([one * a, other * b], -1) / math.hypot(abs(a), abs(b)) for a, b in pairs]
+        if n > 2:  # elementwise, so each batch element rounds alike
+            fs = [f[..., :1] * m[:, 0] + f[..., 1:] * m[:, 1] for f, m in zip(fs, plates)]
+        kets.append(reduce(lambda x, y: (x[..., :, None] * y[..., None, :]).reshape(
+            x.shape[:-1] + (-1,)), fs))
+    return kets
 
-    The ideal chain leaves A = (x)_k (a_k|R> + i b_k|L>) with the spin up and
-    B = i^n (x)_k (a_k|R> - i b_k|L>) with it down, (a_k, b_k) being the
-    configured pairs and |H> for k >= 3; the pulse sends A - B to the +45
-    readout and A + B to -45, and for n >= 3 the plates act on every factor.
-    No engine operation is used, so the targets score the engine independently.
-    """
+
+def _chain_factors(config: ProtocolConfig, n: int):
+    """Score the n-photon chain's leaves from per-photon factors, in O(n).
+
+    The gate is diagonal in the spin basis, so after the photons the chain is
+    (|up> A + |down> B)/sqrt2, A = (x)_k (u a_k, c b_k), B = (x)_k (c a_k, u b_k).
+    Dephasing flips B on the trajectory of weight q = (1 - exp(-n t/T2))/2; the
+    pulse and the readouts leave each leaf x (A + s B). The +45 (-45) target is
+    the ideal (c, u) = (i, 1) chain's A - B (A + B). A basis state with m photons
+    in |L> has in A + s B its input amplitude times u^(n-m) c^m + s c^(n-m) u^m,
+    so each norm and overlap is a sum over m weighted by e_m, the inputs'
+    probability of m photons in |L>. Returns a target-less _BuiltOnRead column
+    per leaf."""
+    batch = config.batch_shape
+    shape = batch or (1,)  # array loops round as a batch's do; 0-d math does not
+    c, u = (np.broadcast_to(np.asarray(k, dtype=np.complex128), shape)
+            for k in config.gate.coefficients)
     pairs = _chain_inputs(config, n)
-    plates = [np.eye(2)] * n
-    if n > 2:
-        plates = [np.diag([1.0, (-1j) ** n]) @ circular_to_z()] + [circular_to_z()] * (n - 1)
-    # Kronecker products of the per-photon factors, photon 1 most significant
-    a = reduce(np.multiply.outer, [u @ [x, 1j * y] for u, (x, y) in zip(plates, pairs)])
-    b = 1j ** n * reduce(np.multiply.outer, [u @ [x, -1j * y] for u, (x, y) in zip(plates, pairs)])
-    photons = [photon(i) for i in range(1, n + 1)]
-    return {"+45": _target_state(photons, (a - b).ravel()),
-            "-45": _target_state(photons, (a + b).ravel())}
+    e = reduce(np.convolve, ([abs(a) ** 2, abs(b) ** 2] for a, b in pairs))
+    e = (e / e.sum()).reshape((n + 1,) + (1,) * len(shape))
+
+    def per_m(c, u):  # {s: u^(n-m) c^m + s c^(n-m) u^m}, m = 0..n on a leading axis
+        pu, pc = (np.cumprod([np.ones(np.shape(c))] + [z] * n, axis=0) for z in (u, c))
+        return {s: pu[::-1] * pc + s * pc[::-1] * pu for s in (-1, 1)}
+
+    def over_m(terms):  # in order, so each element sums alike in any batch
+        return reduce(np.add, terms * e)
+
+    h, ideal = per_m(c, u), per_m(1j, 1.0)
+    with np.errstate(over="ignore"):  # a total past the float range is inf, q = 1/2
+        total = n * np.broadcast_to(config.t_over_t2, shape)
+    q = (1.0 - np.exp(-total)) / 2  # split on total > 0, as _trajectories: q may round to 0
+    w = np.stack([1.0 - q, q] if (total > 0.0).any() else [np.ones(shape)])
+    lead, photons = (len(w),) + batch, tuple(photon(i) for i in range(1, n + 1))
+    kets = cache(lambda: _chain_kets(pairs, c, u))
+    columns = []
+    for label, coefficient, s0 in _CHAIN_LEAVES:
+        x, signs = coefficient(c, u), (s0, -s0)[:len(w)]
+        target = ideal[-1 if label[0] == "+" else 1].reshape(e.shape)
+        p = np.minimum(np.stack([np.abs(x) ** 2 * over_m(np.abs(h[s]) ** 2) for s in signs]), 1.0)
+        prob, alive = _floored(w, p)
+        own = w * (p > PROBABILITY_FLOOR)  # the trajectories the fidelity takes, as _leaf's state
+        tt, fid = float(over_m(np.abs(target) ** 2).sum()), np.full(shape, math.nan)
+        if tt >= 1e-30:  # else the target vanishes, as in _target_state
+            hit = np.stack([np.abs(x * over_m(np.conj(target) * h[s])) ** 2 for s in signs])
+            fid = reduce(np.add, own * hit) / (tt * _nonzero(reduce(np.add, own * p)))
+            fid = np.where(alive, np.clip(fid, 0.0, 1.0), math.nan)
+
+        def build(label=label, x=x[..., None], signs=signs, p=p):
+            a, b = kets()
+            post = np.stack([x * (a + s * b) for s in signs]) / np.sqrt(_nonzero(p))[..., None]
+            return _leaf(label, w.reshape(lead), PureState(
+                photons, post.reshape(lead + (-1,)), p.reshape(lead)), photons)[2]
+
+        columns.append(_BuiltOnRead(label, None, build, _flat(prob), _flat(fid), None))
+    return columns
 
 
 def _chain(name: str, config: ProtocolConfig, n: int):
-    """The n-photon chain, each branch scored against ``_chain_targets``."""
-    targets = _chain_targets(config, n)
-    return _result(name, _chain_leaves(config, n), lambda label: targets[label.split("/")[0]])
+    """The chain's columns, scored against the ideal chain's A - B (+45) and
+    A + B (-45)."""
+    a, b = _chain_kets(_chain_inputs(config, n), 1j, 1.0)
+    photons = tuple(photon(i) for i in range(1, n + 1))
+    targets = {"+45": _target_state(photons, a - b), "-45": _target_state(photons, a + b)}
+    columns = [c._replace(target=targets[c.label[:3]]) for c in _chain_factors(config, n)]
+    if n == 2:  # scheme-b builds its pairs to score their concurrence
+        columns = [BranchColumn(*c[:2], c.state, *c[3:5], _scored(
+            np.reshape(c.probability, config.batch_shape), concurrence, c.state)) for c in columns]
+    return _batch(name, config.batch_shape, columns)
 
 
 def scheme_b_entangle_photons(config: ProtocolConfig):
@@ -500,8 +531,8 @@ def chain_multiphoton(config: ProtocolConfig, n_photons: int):
     Photons 1 and 2 carry the configured amplitudes, photons 3..n enter as
     |H>. For n = 2 this is exactly scheme B. For n >= 3 the feed-forward wave
     plates bring the branch states to canonical form; with uniform inputs the
-    +45 branch is then (|R...R> - |L...L>)/sqrt2. Targets are closed-form
-    (``_chain_targets``).
+    +45 branch is then (|R...R> - |L...L>)/sqrt2. Scores and targets come
+    from one closed form in per-photon factors (``_chain_factors``).
     """
     if not 2 <= n_photons <= 6:
         raise ParameterError("register overflow: n_photons must be in [2, 6]", field="n_photons")
@@ -551,9 +582,12 @@ def transfer_spin_to_photon(config: ProtocolConfig):
 
     a, b = config.alpha1, config.beta1
     target = _target_state((p1,), [(a + b) * SQH, (a - b) * SQH])  # alpha|H> + beta|V>
-    leaves = _readout(w, state, s, photon(3), (p1,), config.gate,
-                      announce={"+45": "up", "-45": "down"},
-                      correct=lambda st, announced: apply_correction(st, p1, announced, "D"))
+    leaves = []
+    for o in gfr_spin_readout(state, s, photon(3), config.gate):
+        announced = {"+45": "up", "-45": "down"}[o.label]
+        leaves += [_leaf(f"{announced}/{m.label}", w, m.post_state, (p1,),
+                         lambda st, a=announced: apply_correction(st, p1, a, "D"))
+                   for m in measure(o.post_state, s, "updown")]
     return _result("transfer-sp", leaves, lambda _: target)
 
 

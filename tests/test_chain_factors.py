@@ -1,0 +1,224 @@
+"""The chain's product-form scores against the engine-driven reference and
+the dense-matrix oracle, and the paper's claim that the chain scales.
+
+``protocols._chain_factors`` scores scheme-b and ghz from per-photon factors
+and builds the 2^n branch states only on request. Here every probability,
+fidelity, concurrence and state must agree to 1e-12 with the step-by-step
+engine run of ``chain_reference`` and with the dense Kraus oracle of
+``test_oracle_equivalence``, for ideal and lossy gates, with and without
+dephasing, batched and unbatched.
+"""
+import math
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from spinphoton import protocols
+from spinphoton import qstate as qs
+from spinphoton.cavity import CavityParams
+from spinphoton.gates import IdealGate, RealisticGate
+from spinphoton.metrics import concurrence
+from spinphoton.protocols import ProtocolBatch, ProtocolConfig, chain_multiphoton
+from chain_reference import reference_chain, reference_targets
+from reference_states import rand_amp_pair
+from test_oracle_equivalence import _kraus_chain, gate_coeffs
+
+TOL = 1e-12
+LOSSY = CavityParams(g=4.0, kappa=1.0, gamma=0.1, kappa_s=0.2)
+GATES = {"ideal": IdealGate(), "lossy": RealisticGate(LOSSY, 0.5)}
+
+
+def random_config(rng, gate=IdealGate(), t_over_t2=0.0):
+    (a1, b1), (a2, b2) = rand_amp_pair(rng), rand_amp_pair(rng)
+    return ProtocolConfig(gate=gate, alpha1=a1, beta1=b1, alpha2=a2, beta2=b2,
+                          t_over_t2=t_over_t2)
+
+
+def close(a, b) -> bool:
+    """Within TOL, with NaN equal to NaN and None to None."""
+    if a is None or b is None:
+        return a is b
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return abs(a - b) <= TOL
+
+
+def data(state) -> np.ndarray:
+    return state.amplitudes if isinstance(state, qs.PureState) else state.matrix
+
+
+def assert_agrees_with_reference(got, ref) -> None:
+    """Branch by branch: the scores within TOL, and the states (global phase
+    included) entry by entry."""
+    assert [b.label for b in got.branches] == [b.label for b in ref.branches]
+    for g, r in zip(got.branches, ref.branches):
+        for a, b in ((g.probability, r.probability), (g.fidelity_vs_target, r.fidelity_vs_target),
+                     (g.concurrence, r.concurrence)):
+            assert close(a, b), (g.label, a, b)
+        assert type(g.state) is type(r.state) and g.state.register == r.state.register
+        assert np.max(np.abs(data(g.state) - data(r.state))) <= TOL, g.label
+
+
+def assert_agrees_with_oracle(result, config, n) -> None:
+    """Probabilities, states, fidelities and concurrences against the dense
+    Kraus oracle; a branch's target is the ideal oracle run's live leaf."""
+    amps = ((config.alpha1, config.beta1), (config.alpha2, config.beta2))
+    leaves = _kraus_chain(*gate_coeffs(config.gate), amps, float(config.t_over_t2), n)
+    ideal = _kraus_chain(*gate_coeffs(IdealGate()), amps, 0.0, n)
+    for br in result.branches:
+        p, rho = leaves[br.label]
+        assert abs(br.probability - p) <= TOL, br.label
+        if br.probability == 0.0:
+            continue
+        got = qs.to_density(br.state).matrix if isinstance(br.state, qs.PureState) \
+            else br.state.matrix
+        assert np.max(np.abs(got - rho)) <= TOL, br.label
+        target = ideal["+45/up" if br.label.startswith("+45") else "-45/down"][1]
+        assert abs(br.fidelity_vs_target - np.trace(target @ rho).real) <= TOL, br.label
+        if n == 2:
+            oracle = concurrence(qs.DensityState(br.state.register, rho))
+            assert abs(br.concurrence - oracle) <= TOL, br.label
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("gate", sorted(GATES))
+@pytest.mark.parametrize("t_over_t2", [0.0, 0.05, 0.3, 2.0])
+def test_chain_matches_the_reference_and_the_matrix_oracle(n, gate, t_over_t2):
+    rng = np.random.default_rng(1000 * n + int(100 * t_over_t2))
+    for _ in range(2):
+        cfg = random_config(rng, GATES[gate], t_over_t2)
+        result = chain_multiphoton(cfg, n)
+        assert_agrees_with_reference(result, reference_chain(cfg, n))
+        assert_agrees_with_oracle(result, cfg, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("dephased", [False, True])
+def test_batched_chain_matches_the_reference_element_by_element(n, dephased):
+    rng = np.random.default_rng(50 + n)
+    cavity = CavityParams(g=np.array([2.0, 5.0, 12.0]), kappa=1.0, gamma=0.1, kappa_s=0.2)
+    t = np.array([0.05, 0.3, 2.0]) if dephased else 0.0
+    cfg = random_config(rng, RealisticGate(cavity, 0.5), t)
+    got, ref = chain_multiphoton(cfg, n), reference_chain(cfg, n)
+    assert isinstance(got, ProtocolBatch) and got.batch_shape == (3,)
+    for a, b in zip(got.results, ref.results, strict=True):
+        assert_agrees_with_reference(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_dephasing_too_small_for_q_still_gives_mixtures(n):
+    # t/T2 = 1e-300 rounds q to 0, yet the run is dephased: its states are
+    # density matrices, alone and in a batch with t/T2 = 1
+    cfg = random_config(np.random.default_rng(7), GATES["lossy"], 1e-300)
+    assert_agrees_with_reference(chain_multiphoton(cfg, n), reference_chain(cfg, n))
+    batch = replace(cfg, t_over_t2=np.array([1e-300, 1.0]))
+    got, ref = chain_multiphoton(batch, n).results, reference_chain(batch, n).results
+    for a, b in zip(got, ref, strict=True):
+        assert_agrees_with_reference(a, b)
+    assert all(isinstance(br.state, qs.DensityState) for br in got[0].branches)
+
+
+@pytest.mark.parametrize("t_over_t2", [0.0, 0.3])
+def test_inputs_at_the_normalization_tolerance_give_unit_states(t_over_t2):
+    # ProtocolConfig accepts a pair normalized to within 1e-9; the states, like
+    # the probabilities, are those of the normalized inputs
+    cfg = ProtocolConfig(alpha1=0.6, beta1=0.8000000005, t_over_t2=t_over_t2)
+    result = chain_multiphoton(cfg, 3)
+    assert_agrees_with_reference(result, reference_chain(cfg, 3))
+    for br in result.branches:
+        if br.probability > 0.0:
+            norm = np.linalg.norm(br.state.amplitudes) ** 2 if t_over_t2 == 0.0 \
+                else np.trace(br.state.matrix).real
+            assert abs(norm - 1.0) < 1e-14
+
+
+def flipped_leaf(label: str):
+    """``_CHAIN_LEAVES`` with the sign between A and B of one leaf flipped."""
+    return tuple((name, x, -s if name == label else s)
+                 for name, x, s in protocols._CHAIN_LEAVES)
+
+
+def test_a_wrong_sign_leaf_keeps_its_probability_but_fails_its_target(monkeypatch):
+    # a chain bug that also shows in ideal mode must not score fidelity 1
+    monkeypatch.setattr(protocols, "_CHAIN_LEAVES", flipped_leaf("+45/up"))
+    res = chain_multiphoton(ProtocolConfig(), 3)
+    assert res.branch("+45/up").probability == pytest.approx(0.5, abs=1e-12)
+    assert res.branch("+45/up").fidelity_vs_target < 0.5
+    with pytest.raises(AssertionError):
+        assert_agrees_with_reference(res, reference_chain(ProtocolConfig(), 3))
+
+
+@pytest.mark.parametrize("label", [name for name, _, _ in protocols._CHAIN_LEAVES])
+def test_a_sign_flip_of_any_leaf_fails_the_reference_check(monkeypatch, label):
+    cfg = random_config(np.random.default_rng(3), GATES["lossy"])  # every leaf is live
+    monkeypatch.setattr(protocols, "_CHAIN_LEAVES", flipped_leaf(label))
+    with pytest.raises(AssertionError):
+        assert_agrees_with_reference(chain_multiphoton(cfg, 3), reference_chain(cfg, 3))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_chain_targets_equal_the_reference_ideal_pass(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        cfg = random_config(rng)
+        res = chain_multiphoton(cfg, n)
+        ideal = reference_targets(cfg, n)
+        assert sorted(ideal) == ["+45", "-45"]
+        for det, ref in ideal.items():
+            got = res.branch(det + "/up").target
+            assert got.register == ref.register
+            overlap = np.vdot(got.amplitudes, ref.amplitudes)
+            aligned = got.amplitudes * overlap / abs(overlap)
+            assert np.max(np.abs(aligned - ref.amplitudes)) < 1e-14
+
+
+def test_a_batched_chain_builds_its_states_only_when_read(monkeypatch):
+    calls = []
+    leaf = protocols._leaf
+
+    def counting(label, w, post, kept, correct=None):
+        calls.append(post.batch_shape)
+        return leaf(label, w, post, kept, correct)
+
+    monkeypatch.setattr(protocols, "_leaf", counting)
+    cavity = CavityParams(g=np.array([2.0, 5.0, 12.0]), kappa=1.0, gamma=0.1, kappa_s=0.2)
+    batch = chain_multiphoton(ProtocolConfig(gate=RealisticGate(cavity, 0.5),
+                                             t_over_t2=np.array([0.1, 0.2, 0.3])), 5)
+    assert calls == []
+    assert all(isinstance(b.state, qs.DensityState) for b in batch.branches)
+    assert calls == [(2, 3)] * 4  # one build of each leaf's two trajectories
+    chain_multiphoton(ProtocolConfig(), 5)  # a single run builds its states
+    assert calls == [(2, 3)] * 4 + [(1,)] * 4
+
+
+# --- the paper's claim: deterministic, and any number of photons ----------------
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_ideal_chain_is_deterministic_at_any_length(n):
+    cfg = random_config(np.random.default_rng(n))
+    scores = {c.label: (c.probability[0], c.fidelity[0])
+              for c in protocols._chain_factors(cfg, n)}
+    assert abs(sum(p for p, _ in scores.values()) - 1.0) <= 1e-12
+    assert abs(scores["+45/up"][1] - 1.0) <= 1e-12
+
+
+def test_lossy_chain_survival_falls_with_every_photon():
+    survival = [sum(c.probability[0] for c in protocols._chain_factors(
+        ProtocolConfig(gate=GATES["lossy"], t_over_t2=0.3), n)) for n in range(2, 33)]
+    assert all(0.0 <= s <= 1.0 for s in survival)
+    assert all(b < a for a, b in zip(survival, survival[1:]))
+
+
+def test_scoring_forty_photons_builds_nothing_of_size_two_to_the_n():
+    cfg = ProtocolConfig(gate=GATES["lossy"], t_over_t2=0.3)
+    protocols._chain_factors(cfg, 40)  # first-call caches out of the measurement
+    tracemalloc.start()
+    try:
+        columns = protocols._chain_factors(cfg, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert all(0.0 < c.probability[0] < 1.0 and 0.0 <= c.fidelity[0] <= 1.0 for c in columns)

@@ -143,7 +143,7 @@ def test_seed_flag_only_on_sample(tmp_path, capsys, args):
      "--grid points must be finite"),
     ("gate.mode = realistic\ncavity.kappa = 10\n",
      ["sweep", "--sweep", "g_rel", "--grid=1:1e308:2"],
-     "check --grid, the cavity.* keys and gate.detuning_rel"),
+     "error: --grid for g_rel * cavity.kappa must be finite, got inf\n"),
     # kappa * h and h * c overflow inside the cavity formula, so r = inf/inf
     ("gate.mode = realistic\ncavity.kappa = 1e10\n",
      ["sweep", "--sweep", "gamma_rel", "--grid=1:1e290:2"],
