@@ -16,7 +16,8 @@ each sweep row equals the ``protocol`` run at that grid point bit for bit.
 ``sample`` draws all its trials at once; its ``--seed`` (default: the config's
 ``seed`` key) is the only seed any subcommand reads. ``protocol`` writes the
 bytes ``json.dumps(indent=2)`` would, but fills each complex array into one
-template cached per shape and formats each mirrored pair once.
+template cached per shape and formats each distinct magnitude of a density
+matrix once. ``main`` builds its argument parser once per process.
 """
 from __future__ import annotations
 
@@ -272,19 +273,17 @@ def _dump(obj, depth: int = 0) -> str:
 
 def _reprs(obj: np.ndarray) -> list[str]:
     """The repr (what ``json`` writes) of each float of ``obj``'s ``[re, im]``
-    pairs, in order. A square matrix's strict upper entry that is its mirror's
-    conjugate bit for bit reuses the mirror's strings, imaginary sign flipped."""
-    pairs = np.stack([obj.real, obj.imag], -1)
-    if obj.ndim != 2 or obj.shape[0] != obj.shape[1]:
-        return list(map(repr, pairs.ravel().tolist()))
-    conj = pairs.swapaxes(0, 1) * [1.0, -1.0]
-    mirror = np.triu((pairs.view(np.int64) == conj.view(np.int64)).all(-1), 1)
-    out = np.empty(pairs.shape, dtype=object)
-    out[~mirror] = np.frompyfunc(repr, 1, 1)(pairs[~mirror])
-    low = out.swapaxes(0, 1)[mirror]
-    out[mirror, 0] = low[:, 0]
-    out[mirror, 1] = [s[1:] if s[0] == "-" else "-" + s for s in low[:, 1]]  # repr(-x)
-    return out.ravel().tolist()
+    pairs, in order. A matrix formats each distinct magnitude once: floats are
+    told apart by their bits, sign bit cleared, and ``repr(-x) == "-" + repr(x)``
+    for every finite double, -0.0 included."""
+    pairs = np.stack([obj.real, obj.imag], -1).ravel()
+    if obj.ndim != 2:
+        return list(map(repr, pairs.tolist()))
+    bits = pairs.view(np.int64)
+    mags, inverse = np.unique(bits & np.int64(2 ** 63 - 1), return_inverse=True)
+    table = list(map(repr, mags.view(np.float64).tolist()))
+    table += ["-" + s for s in table]
+    return np.array(table, dtype=object)[inverse + len(mags) * (bits < 0)].tolist()
 
 
 @functools.lru_cache
@@ -403,6 +402,7 @@ def cmd_sample(args) -> int:
 
 # --- entry point -------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinphoton",
@@ -441,8 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

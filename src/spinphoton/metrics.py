@@ -80,8 +80,8 @@ class SweepSpec:
         object.__setattr__(self, "grid", grid)
 
 
-# Upper bound on batch elements x register amplitudes in one protocol pass;
-# longer grids run in several passes.
+# Upper bound on batch elements x values per element (see _passes) in one
+# protocol pass; longer grids run in several passes.
 MAX_BATCH_AMPLITUDES = 2 ** 14
 
 
@@ -109,15 +109,17 @@ def _passes(spec: SweepSpec) -> list[np.ndarray]:
 
     The t_over_t2 = 0 point runs apart from the dephased ones, since its
     branch states are pure. Each pass holds at most MAX_BATCH_AMPLITUDES
-    amplitudes of the largest register the protocol builds (n photons, the
-    ancilla and the spin for ghz; four qubits for the others).
+    values per element of what the pass builds: the chain (scheme-b, and ghz
+    of n photons) its n + 1 per-m terms, plus at n = 2 the 4x4 density matrix
+    of the pair it scores; the other protocols a four-qubit register.
     """
     grid = np.array(spec.grid)
     groups = [grid]
     if spec.parameter == "t_over_t2":
         groups = [grid[grid == 0.0], grid[grid != 0.0]]
-    qubits = spec.n_photons + 2 if spec.protocol == "ghz" else 4
-    size = max(1, MAX_BATCH_AMPLITUDES >> qubits)
+    n = {"scheme-b": 2, "ghz": spec.n_photons}.get(spec.protocol)
+    per_element = 16 if n is None else n + 1 + 16 * (n == 2)
+    size = max(1, MAX_BATCH_AMPLITUDES // per_element)
     return [g[i:i + size] for g in groups for i in range(0, len(g), size)]
 
 

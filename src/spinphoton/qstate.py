@@ -31,6 +31,7 @@ refuse one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -218,12 +219,7 @@ class PureState:
         """Human-readable basis labels, e.g. 'RL' or 'Rd', index-aligned."""
         chars = [("R", "L") if q.kind is QubitKind.PHOTON else ("u", "d")
                  for q in self.register]
-        n = self.n_qubits
-        out = []
-        for idx in range(2 ** n):
-            bits = [(idx >> (n - 1 - k)) & 1 for k in range(n)]
-            out.append("".join(chars[k][b] for k, b in enumerate(bits)))
-        return out
+        return list(map("".join, itertools.product(*chars)))
 
 
 @dataclass(frozen=True, eq=False)

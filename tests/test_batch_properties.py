@@ -154,7 +154,8 @@ def test_sweep_across_passes_equals_single_runs(monkeypatch):
     config = ProtocolConfig(gate=RealisticGate(cavity, 0.5), alpha1=0.6, beta1=0.8j)
     spec = SweepSpec("g_rel", tuple(np.linspace(1.0, 12.0, 19)), config, "scheme-b")
     assert_rows_match_single_runs(spec)
-    assert calls == [(8,), (8,), (3,)]  # 2**7 amplitudes, 16 per register
+    # 2**7 values a pass, 19 per scheme-b element: 3 per-m terms and a 4x4 pair
+    assert calls == [(6,), (6,), (6,), (1,)]
 
 
 def test_dephasing_sweep_runs_zero_point_apart():

@@ -418,6 +418,21 @@ def test_sample_seed_changes_draws(tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    from spinphoton.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    cfg = write(tmp_path / "c.cfg", IDEAL_B)
+    argv = ["sample", "--config", cfg, "--trials", "50", "--out"]
+    _build_parser.cache_clear()  # the command alone, on a parser of its own
+    assert run_cli(argv + [str(tmp_path / "alone.csv")]) == 0
+    assert run_cli(argv + [str(tmp_path / "seeded.csv"), "--seed", "5"]) == 0
+    assert run_cli(argv + [str(tmp_path / "after.csv")]) == 0  # config seed 7 again
+    alone = (tmp_path / "alone.csv").read_bytes()
+    assert (tmp_path / "after.csv").read_bytes() == alone
+    assert (tmp_path / "seeded.csv").read_bytes() != alone
+
+
 def test_sample_frequencies_match_probabilities(tmp_path):
     cfg = write(tmp_path / "c.cfg", IDEAL_B)
     out = tmp_path / "s.csv"

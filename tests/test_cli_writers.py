@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from spinphoton import cli, protocols
+from spinphoton import cli, metrics, protocols
 from spinphoton import qstate as qs
 from spinphoton.metrics import SweepSpec, run_sweep
 from spinphoton.protocols import BranchColumn, ProtocolBranch, ProtocolResult, run_protocol
@@ -165,9 +165,9 @@ def test_protocol_json_equals_the_old_pipeline_at_ghz_size_and_with_no_branches(
 @pytest.mark.parametrize("seed", range(4))
 def test_protocol_json_equals_the_old_pipeline_on_hermitian_branches(tmp_path, monkeypatch,
                                                                       seed):
-    # the writer formats each mirrored pair once and must still write json's bytes;
-    # every other branch has a fifth of its entries redrawn, so that mirrored and
-    # unmirrored pairs share a matrix
+    # the writer formats each distinct magnitude once and must still write json's
+    # bytes; every other branch has a fifth of its entries redrawn, so that
+    # mirrored and unmirrored pairs share a matrix
     rng = np.random.default_rng(200 + seed)
     special = SPECIAL + [1e308, -1e308]
     cfg = _write(tmp_path / "c.cfg", _random_config(rng))
@@ -191,12 +191,11 @@ def test_protocol_json_equals_the_old_pipeline_on_hermitian_branches(tmp_path, m
 
 
 def test_a_mirrored_zero_imaginary_part_is_written_with_its_sign():
-    # the lower entry is written from its own repr, the upper one from the lower
-    # entry's strings with the imaginary sign flipped
+    # 0.0 and -0.0 share a magnitude: the sign bit alone picks "-0.0"
     upper_plus = np.array([[1.0, complex(0.5, 0.0)], [complex(0.5, -0.0), 0.0]])
     assert cli._dump(upper_plus) == json.dumps(
         [[[1.0, 0.0], [0.5, 0.0]], [[0.5, -0.0], [0.0, 0.0]]], indent=2)
-    # equal by value but not bit for bit: each entry is written from its own repr
+    # equal by value but not bit for bit: each entry keeps its own sign
     both_plus = np.array([[1.0, complex(-0.0, 0.0)], [complex(0.0, 0.0), 0.0]])
     assert cli._dump(both_plus) == json.dumps(
         [[[1.0, 0.0], [-0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], indent=2)
@@ -204,6 +203,72 @@ def test_a_mirrored_zero_imaginary_part_is_written_with_its_sign():
     engine = qs.make_hermitian(np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex))
     assert cli._dump(engine) == json.dumps(
         [[[0.75, 0.0], [0.25, -0.0]], [[0.25, 0.0], [0.25, 0.0]]], indent=2)
+
+
+SQH = 1.0 / math.sqrt(2.0)
+
+
+def _json_pairs(matrix):
+    return [[_c2pair(z) for z in row] for row in matrix]
+
+
+def _product_state_matrix():
+    # a rank-1 product of single-qubit factors, as the chain's photons 3..n give
+    ket = np.ones(1, dtype=complex)
+    for a, b in [(0.6, 0.8j), (0.8, -0.6), *[(SQH, SQH)] * 4]:
+        ket = np.kron(ket, [a, b])
+    return np.outer(ket, ket.conj())
+
+
+_GENERIC = np.random.default_rng(7).standard_normal((2, 16, 16))
+REPEATING_MATRICES = {
+    "all-equal": np.full((8, 8), complex(0.125, -0.125)),
+    "plus-minus-pairs": np.array([[1.5, -1.5 + 0.25j], [-1.5 - 0.25j, 1.5j]]),
+    "signed-zeros": np.array([[0.0, -0.0 + 0.0j], [complex(0.0, -0.0), complex(-0.0, -0.0)]]),
+    "smallest-subnormal": np.array([[5e-324, -5e-324j], [complex(-5e-324, 5e-324), 0.0]]),
+    "largest": np.array([[1e308, -1e308 + 1e308j], [complex(-1e308, -1e308), 1.0]]),
+    "product-state": _product_state_matrix(),
+    "generic-hermitian": qs.make_hermitian(_GENERIC[0] + 1j * _GENERIC[1]),
+}
+
+
+def _counting_repr(monkeypatch) -> list:
+    """The floats the writer formats: a ``repr`` in ``cli``'s namespace that logs."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(cli, "repr", counting, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("name", REPEATING_MATRICES)
+def test_dump_equals_json_on_matrices_that_repeat_values(name):
+    matrix = REPEATING_MATRICES[name]
+    for depth in (0, 3):
+        expected = json.dumps(_json_pairs(matrix), indent=2).replace(
+            "\n", "\n" + "  " * depth)
+        assert cli._dump(matrix, depth) == expected
+
+
+@pytest.mark.parametrize("name", REPEATING_MATRICES)
+def test_a_matrix_formats_each_distinct_magnitude_once(monkeypatch, name):
+    matrix = REPEATING_MATRICES[name]
+    calls = _counting_repr(monkeypatch)
+    assert cli._dump(matrix) == json.dumps(_json_pairs(matrix), indent=2)
+    floats = np.stack([matrix.real, matrix.imag], -1).ravel()
+    magnitudes = {abs(x).hex() for x in floats.tolist()}  # -0.0 and 0.0 are one
+    assert len(calls) == len(magnitudes)
+    assert {x.hex() for x in calls} == magnitudes
+
+
+def test_an_amplitude_vector_formats_every_float(monkeypatch):
+    vector = np.array([SQH, SQH, -SQH, 0.0j])
+    calls = _counting_repr(monkeypatch)
+    assert cli._dump(vector) == json.dumps([_c2pair(z) for z in vector], indent=2)
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("config", [
@@ -259,7 +324,7 @@ def test_sweep_csv_equals_the_old_pipeline_on_random_rows(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("config, sweep, grid", [
     ("protocol = ghz\nghz.n_photons = 6\ngate.mode = realistic\n", "t_over_t2",
-     "--grid=0:2:150"),  # the zero point apart, then three dephased passes
+     "--grid=0:2:150"),  # the zero point apart, then one dephased pass
     ("protocol = scheme-a\ngate.mode = realistic\nalpha1 = 1\nbeta1 = 0\n", "g_rel",
      "--grid=0:20:1500"),  # zero-probability branches, several passes
     ("protocol = transfer-sp\ngate.mode = realistic\n", "detuning_rel", "--grid=-2:2:41"),
@@ -276,6 +341,28 @@ def test_sweep_csv_equals_the_old_pipeline_on_batched_sweeps(tmp_path, config, s
                                config=run.config, protocol=run.protocol,
                                n_photons=run.n_photons))
     assert _lines(out.read_text(encoding="utf-8")) == _lines(reference_sweep_csv(rows))
+
+
+def test_a_long_ghz_sweep_runs_as_one_pass(tmp_path, monkeypatch):
+    # a chain pass is sized by its n + 1 per-m terms per element: 150 points
+    # of ghz n = 6 make one run_protocol call
+    cfg = _write(tmp_path / "c.cfg", "protocol = ghz\nghz.n_photons = 6\n"
+                                     "gate.mode = realistic\ncavity.kappa_s_rel = 0.2\n")
+    argv = ["sweep", "--config", cfg, "--sweep", "t_over_t2", "--grid=0.01:2:150", "--out"]
+    calls = []
+
+    def counting(name, config, n_photons=3):
+        calls.append(config.batch_shape)
+        return run_protocol(name, config, n_photons)
+
+    monkeypatch.setattr(protocols, "run_protocol", counting)
+    assert cli.main(argv + [str(tmp_path / "one.csv")]) == 0
+    assert calls == [(150,)]
+    # the same bytes as the old split into passes of 64, 64 and 22 points
+    monkeypatch.setattr(metrics, "MAX_BATCH_AMPLITUDES", 64 * 7)
+    assert cli.main(argv + [str(tmp_path / "three.csv")]) == 0
+    assert calls[1:] == [(64,), (64,), (22,)]
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "three.csv").read_bytes()
 
 
 @pytest.mark.parametrize("config, sweep, grid", [

@@ -23,6 +23,29 @@ def random_unitary(rng, dim):
 
 # --- basis conventions -------------------------------------------------------
 
+def _basis_strings_by_bits(register):
+    # label by label from the index bits, the first qubit the top bit
+    chars = [("R", "L") if q.kind is qs.QubitKind.PHOTON else ("u", "d") for q in register]
+    n = len(register)
+    return ["".join(chars[k][(idx >> (n - 1 - k)) & 1] for k in range(n))
+            for idx in range(2 ** n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_strings_follow_the_index_bits(n):
+    rng = np.random.default_rng(n)
+    register = tuple(qs.photon(k + 1) if rng.random() < 0.5 else qs.spin(k + 1)
+                     for k in range(n))
+    kinds = {q.kind for q in register}
+    if n > 1 and len(kinds) == 1:  # mix photons and spins
+        register = (qs.spin(n + 1) if qs.QubitKind.PHOTON in kinds else qs.photon(n + 1),
+                    *register[1:])
+    state = qs.PureState(register, np.eye(2 ** n)[0])
+    assert state.basis_strings() == _basis_strings_by_bits(register)
+    rho = qs.DensityState(register, np.eye(2 ** n, dtype=complex) / 2 ** n)
+    assert rho.basis_strings() == _basis_strings_by_bits(register)
+
+
 def test_derived_photon_bases_orthonormal():
     for a, b in [(qs.KET_H, qs.KET_V), (qs.KET_P45, qs.KET_M45)]:
         assert abs(np.vdot(a, a) - 1) < 1e-15
