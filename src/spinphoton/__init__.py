@@ -22,7 +22,6 @@ from .gates import (
     IdealGate,
     RealisticGate,
     apply_gate,
-    correction_unitary,
     hadamard,
     make_gate,
     trion_emission_map,
@@ -52,7 +51,6 @@ from .qstate import (
     QubitLabel,
     apply_diagonal_pair,
     apply_unitary,
-    basis_ket,
     dephase_spin,
     drop_qubit,
     fidelity,

@@ -34,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cavity import CavityParams, ParameterError, conditional_phase, reflect
+from .cavity import CavityParams, ParameterError, phase_difference, reflect
 from .gates import GateMode, IdealGate, RealisticGate
 from .metrics import SWEEP_PARAMETERS, SweepSpec, sweep_columns
 from .protocols import PROTOCOL_NAMES, ProtocolConfig, run_protocol
@@ -218,7 +218,10 @@ def parse_grid(spec: str) -> list[float]:
     if n <= 0:
         raise ConfigError("empty range: grid count must be >= 1")
     with np.errstate(all="ignore"):  # an infinite end or step is refused just below
-        grid = np.linspace(a, b, n)
+        try:
+            grid = np.linspace(a, b, n)
+        except MemoryError:
+            raise ConfigError(f"--grid count must be small enough to allocate, got {n}")
     if not np.isfinite(grid).all():
         raise ConfigError(f"--grid points must be finite, got {spec!r}")
     if n == 1 and a != b:
@@ -304,7 +307,7 @@ def cmd_reflectance(args) -> int:
         hot = reflect(params, omega, coupled=True)
         table = np.column_stack([grid, cold.r.real, cold.r.imag, cold.phase,
                                  hot.r.real, hot.r.imag, hot.phase,
-                                 conditional_phase(params, omega)])
+                                 phase_difference(hot, cold)])
     if not np.isfinite(table).all():
         raise ConfigError("the reflectance table is not finite: "
                           "check the cavity.* keys and --grid")
@@ -381,7 +384,8 @@ def _sweep_chunks(name: str, passes):
 
 def cmd_sample(args) -> int:
     run = load_config(args.config)
-    trials = run.trials if args.trials is None else _at_least("--trials", args.trials, 1)
+    key = "trials" if args.trials is None else "--trials"
+    trials = run.trials if args.trials is None else _at_least(key, args.trials, 1)
     seed = run.seed if args.seed is None else _at_least("--seed", args.seed, 0)
     result = run_protocol(run.protocol, run.config, n_photons=run.n_photons)
     labels = [b.label for b in result.branches]
@@ -392,7 +396,10 @@ def cmd_sample(args) -> int:
         labels.append("no_detection")
         probabilities.append(missing)
     endings = np.array([f",{label}\n" for label in labels], dtype=object)
-    draws = endings[sample_indices(probabilities, np.random.default_rng(seed), trials)]
+    try:
+        draws = endings[sample_indices(probabilities, np.random.default_rng(seed), trials)]
+    except MemoryError:
+        raise ConfigError(f"{key} must be small enough to allocate its draws, got {trials}")
     _emit(_csv_chunks("trial_index,branch_label", trials,
                       lambda a, b: "".join(map(str.__add__, map(str, range(a, b)),
                                                draws[a:b].tolist()))),

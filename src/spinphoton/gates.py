@@ -9,7 +9,7 @@ as an unobservable global factor). Each gate mode carries its (coupled,
 uncoupled) coefficient pair, evaluated once per mode.
 
 Also here: the polarization and spin unitaries the protocols need (Hadamard,
-pi/2 spin pulses, the feed-forward correction unitaries) and the
+the circular-to-pole pulse, the table of feed-forward corrections) and the
 trion-emission map that converts a stored spin qubit into a flying
 polarization qubit (selection rule: up -> L, down -> R).
 
@@ -33,6 +33,7 @@ from .qstate import (
     PureState,
     QubitKind,
     QubitLabel,
+    _split,
     apply_diagonal_pair,
     apply_unitary,
 )
@@ -101,12 +102,6 @@ def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=np.complex128) / SQ2
 
 
-def ry(theta: float) -> np.ndarray:
-    """Rotation about y. ry(pi/2) sends (|0>-|1>)/sqrt2 to |0>, (|0>+|1>)/sqrt2 to |1>."""
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
 def circular_to_z() -> np.ndarray:
     """Maps (|0>+i|1>)/sqrt2 to |0> and (|0>-i|1>)/sqrt2 to |1>.
 
@@ -130,42 +125,27 @@ def trion_emission_map(state: PureState, spin: QubitLabel,
         raise ValueError(f"{spin} is not a spin qubit")
     if new_photon.kind is not QubitKind.PHOTON:
         raise ValueError(f"{new_photon} is not a photon label")
-    pos = state.index_of(spin)  # a new_photon already present is refused by PureState
-    register = tuple(new_photon if i == pos else q
-                     for i, q in enumerate(state.register))
-    # up (index 0) becomes L (index 1): swap the basis index at this position
-    amps = state.amplitudes
-    arr = np.flip(amps.reshape(amps.shape[:-1] + (2,) * state.n_qubits),
-                  axis=amps.ndim - 1 + pos)
-    return PureState(register, arr.reshape(amps.shape), state.norm_tracking)
+    # up (index 0) becomes L (index 1): swap the basis index of this qubit
+    arr = np.flip(_split(state, spin), axis=-2)
+    # a new_photon already present is refused by PureState
+    register = tuple(new_photon if q == spin else q for q in state.register)
+    return PureState(register, arr.reshape(state.amplitudes.shape), state.norm_tracking)
 
 
 # --- feed-forward corrections ----------------------------------------------
 
-def correction_unitary(branch: str, scheme: str) -> np.ndarray:
-    """Unitary that maps a detection branch's conditioned state onto the
-    canonical transfer target.
-
-    Scheme "C" (photon-to-spin, branch = photon outcome "H" or "V"): acts on
-    the spin, mapping alpha|up> +- i beta|down> to alpha|up> + beta|down>.
-
-    Scheme "D" (spin-to-photon, branch = spin readout "up" or "down"): acts on
-    the output photon, mapping alpha|+45> +- i beta|-45> to alpha|H> + beta|V>.
-    """
-    if scheme == "C":
-        if branch == "H":
-            return np.diag([1.0, -1.0j]).astype(np.complex128)
-        if branch == "V":
-            return np.diag([1.0, 1.0j]).astype(np.complex128)
-        raise ValueError(f"unknown scheme C branch {branch!r}")
-    if scheme == "D":
-        if branch == "up":
-            return np.outer(KET_H, KET_P45.conj()) - 1j * np.outer(KET_V, KET_M45.conj())
-        if branch == "down":
-            return np.outer(KET_H, KET_P45.conj()) + 1j * np.outer(KET_V, KET_M45.conj())
-        raise ValueError(f"unknown scheme D branch {branch!r}")
-    raise ValueError(f"unknown scheme {scheme!r} (use 'C' or 'D')")
+# Feed-forward correction unitaries, keyed by (scheme, branch). Scheme "C"
+# (photon-to-spin, branch = photon outcome "H" or "V") acts on the spin,
+# mapping alpha|up> +- i beta|down> to alpha|up> + beta|down>. Scheme "D"
+# (spin-to-photon, branch = spin readout "up" or "down") acts on the output
+# photon, mapping alpha|+45> +- i beta|-45> to alpha|H> + beta|V>.
+_CORRECTIONS = {
+    ("C", "H"): np.diag([1.0, -1.0j]),
+    ("C", "V"): np.diag([1.0, 1.0j]),
+    ("D", "up"): np.outer(KET_H, KET_P45.conj()) - 1j * np.outer(KET_V, KET_M45.conj()),
+    ("D", "down"): np.outer(KET_H, KET_P45.conj()) + 1j * np.outer(KET_V, KET_M45.conj()),
+}
 
 
 def apply_correction(state, target: QubitLabel, branch: str, scheme: str):
-    return apply_unitary(state, [target], correction_unitary(branch, scheme))
+    return apply_unitary(state, target, _CORRECTIONS[scheme, branch])

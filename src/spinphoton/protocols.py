@@ -223,7 +223,7 @@ def _trajectories(psi: PureState, batch, spins=(), t_over_t2=0.0):
         return np.stack([x, z], axis=1).reshape((-1,) + x.shape[1:])
 
     for s in spins:
-        z = apply_unitary(psi, [s], _PAULI_Z)
+        z = apply_unitary(psi, s, _PAULI_Z)
         w = twins(w * (1.0 - q), w * q)
         psi = PureState(psi.register, twins(psi.amplitudes, z.amplitudes),
                         twins(psi.norm_tracking, z.norm_tracking))
@@ -558,7 +558,7 @@ def transfer_photon_to_spin(config: ProtocolConfig):
     leaves = []
     for o in measure(state, ph, "HV"):
         def correct(st, label=o.label):
-            return apply_correction(apply_unitary(st, [s], circular_to_z()), s, label, "C")
+            return apply_correction(apply_unitary(st, s, circular_to_z()), s, label, "C")
         leaves.append(_leaf(o.label, w, o.post_state, (s,), correct))
     return _result("transfer-ps", leaves, lambda _: target)
 
@@ -578,7 +578,7 @@ def transfer_spin_to_photon(config: ProtocolConfig):
     state = tensor(ket_state(p1, "H"), qubit_state(s, config.alpha1, config.beta1))
     state = apply_gate(state, make_gate(p1, s, config.gate))
     w, state = _trajectories(state, config.batch_shape, [s], config.t_over_t2)
-    state = apply_unitary(state, [s], hadamard())
+    state = apply_unitary(state, s, hadamard())
 
     a, b = config.alpha1, config.beta1
     target = _target_state((p1,), [(a + b) * SQH, (a - b) * SQH])  # alpha|H> + beta|V>

@@ -13,6 +13,16 @@ keep the amplitudes unnormalized and accumulate the survival probability in
 ``norm_tracking``, so post-selection probabilities can always be read from one
 place.
 
+The first label of a register is the most significant bit of the basis
+index. ``_split`` is the view of that layout the one-qubit steps read: the
+amplitudes as a ``(*batch, 2**k, 2, 2**(n-1-k))`` array around the qubit at
+position k, read by ``apply_unitary``, ``measure``, ``drop_qubit`` and the
+trion emission map. Two places read the same order their own way: ``_bits``
+as a per-index bit mask (the photon-spin parity of ``apply_diagonal_pair``,
+the sign of ``dephase_spin``), and ``partial_trace``, which keeps any subset
+of qubits, as per-qubit axes of the density matrix. Every step acts on one
+qubit (a 2x2 unitary, a measurement) or on one photon-spin pair.
+
 Circuits evolve kets only. Density operators describe results: mixtures of
 pure runs, reduced states (``partial_trace``) and the dephasing channel
 (``dephase_spin``), scored by ``fidelity`` and normalized by ``normalize``.
@@ -107,14 +117,6 @@ _BASES = {
         "x": (("+x", KET_XP), ("-x", KET_XM)),
     },
 }
-
-
-def basis_ket(label: QubitLabel, name: str) -> np.ndarray:
-    """Length-2 amplitude vector of a named single-qubit basis state."""
-    try:
-        return _NAMED_KETS[label.kind][name].copy()
-    except KeyError:
-        raise ValueError(f"no state named {name!r} for a {label.kind.value} qubit")
 
 
 def measurement_basis(kind: QubitKind, name: str):
@@ -296,7 +298,11 @@ def qubit_state(label: QubitLabel, alpha: complex, beta: complex) -> PureState:
 
 
 def ket_state(label: QubitLabel, name: str) -> PureState:
-    return PureState((label,), basis_ket(label, name))
+    """Single-qubit state named in the label's kind, e.g. "H" or "+x"."""
+    try:
+        return PureState((label,), _NAMED_KETS[label.kind][name])
+    except KeyError:
+        raise ValueError(f"no state named {name!r} for a {label.kind.value} qubit")
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -339,44 +345,34 @@ def make_hermitian(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _check_unitary(matrix: np.ndarray, k: int) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=np.complex128)
-    dim = 2 ** k
-    if mat.shape != (dim, dim):
-        raise ValueError(f"matrix shape {mat.shape} does not act on {k} qubit(s)")
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) > ATOL:
-        raise ValueError("matrix is not unitary")
-    return mat
+def _split(state: PureState, q: QubitLabel) -> np.ndarray:
+    """The register layout: amplitudes as a ``(*batch, 2**k, 2, 2**(n-1-k))``
+    view, qubit ``q`` (register position k) on the middle axis, the qubits
+    before it (more significant) on the left axis, those after it on the right."""
+    k = state.index_of(q)
+    return state.amplitudes.reshape(state.batch_shape + (2 ** k, 2, 2 ** (state.n_qubits - 1 - k)))
 
 
-def _qubit_axes(state: PureState):
-    """Amplitudes as a (*batch, 2, ..., 2) tensor, and the batch rank."""
-    amps = state.amplitudes
-    return amps.reshape(amps.shape[:-1] + (2,) * state.n_qubits), amps.ndim - 1
+def _bits(state, q: QubitLabel) -> np.ndarray:
+    """The bit of qubit ``q`` in each basis index, first qubit most significant."""
+    n = state.n_qubits
+    return (np.arange(2 ** n) >> (n - 1 - state.index_of(q))) & 1
 
 
-def apply_unitary(state: PureState, targets, matrix) -> PureState:
-    """Apply a small unitary to the target qubits; norm is preserved.
+def apply_unitary(state: PureState, target: QubitLabel, matrix) -> PureState:
+    """Apply a 2x2 unitary to one qubit; norm is preserved.
 
     The contraction is written out element by element (no BLAS call), so
     every batch element gets the same arithmetic.
     """
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError("repeated target qubit")
-    pos = [state.index_of(t) for t in targets]
-    mat = _check_unitary(matrix, len(targets))
-    arr, nb = _qubit_axes(state)
-    k = len(pos)
-    targets_last = [i for i in range(arr.ndim) if i - nb not in pos] + [nb + p for p in pos]
-    arr = arr.transpose(targets_last)
-    vec = arr.reshape(arr.shape[:-k] + (2 ** k,))
-    out = vec[..., 0:1] * mat[:, 0]
-    for j in range(1, 2 ** k):
-        out = out + vec[..., j:j + 1] * mat[:, j]
-    out = out.reshape(arr.shape).transpose(sorted(range(arr.ndim), key=targets_last.__getitem__))
-    return PureState(state.register, out.reshape(state.amplitudes.shape),
-                     state.norm_tracking)
+    arr = _split(state, target)
+    mat = np.asarray(matrix, dtype=np.complex128)
+    if mat.shape != (2, 2):
+        raise ValueError(f"matrix shape {mat.shape} does not act on one qubit")
+    if np.max(np.abs(mat.conj().T @ mat - np.eye(2))) > ATOL:
+        raise ValueError("matrix is not unitary")
+    out = arr[..., 0:1, :] * mat[:, 0, None] + arr[..., 1:2, :] * mat[:, 1, None]
+    return PureState(state.register, out.reshape(state.amplitudes.shape), state.norm_tracking)
 
 
 def apply_diagonal_pair(state: PureState, photon_q: QubitLabel, spin_q: QubitLabel,
@@ -393,21 +389,11 @@ def apply_diagonal_pair(state: PureState, photon_q: QubitLabel, spin_q: QubitLab
         raise ValueError(f"{photon_q} is not a photon qubit")
     if spin_q.kind is not QubitKind.SPIN:
         raise ValueError(f"{spin_q} is not a spin qubit")
-    p = state.index_of(photon_q)
-    s = state.index_of(spin_q)
-    n = state.n_qubits
     # coupled combinations are (L,up) and (R,down): photon and spin bits differ
-    cc = np.asarray(coeff_coupled, dtype=np.complex128)
-    cu = np.asarray(coeff_uncoupled, dtype=np.complex128)
-    f = np.moveaxis(np.array([[cu, cc], [cc, cu]]), [0, 1], [-2, -1])
-    shape = [1] * n
-    shape[p] = 2
-    shape[s] = 2
-    f_nd = f.reshape(f.shape[:-2] + tuple(shape))  # f is symmetric: axis order is free
-
-    arr, _ = _qubit_axes(state)
-    arr = arr * f_nd
-    arr = arr.reshape(arr.shape[:-n] + (-1,))
+    coupled = _bits(state, photon_q) != _bits(state, spin_q)
+    cc = np.asarray(coeff_coupled, dtype=np.complex128)[..., None]
+    cu = np.asarray(coeff_uncoupled, dtype=np.complex128)[..., None]
+    arr = state.amplitudes * np.where(coupled, cc, cu)
     ratio = _norm2(arr) / _nonzero(state.squared_norm())
     return PureState(state.register, arr, np.minimum(state.norm_tracking * ratio, 1.0))
 
@@ -422,12 +408,10 @@ def measure(state: PureState, target: QubitLabel, basis: str) -> list[Projective
     probability; a branch of probability zero keeps zero amplitudes and
     norm_tracking 0.
     """
-    pos = state.index_of(target)
     pairs = measurement_basis(target.kind, basis)
     total = state.squared_norm()
-    arr, nb = _qubit_axes(state)
-    lead = (slice(None),) * (nb + pos)
-    a0, a1 = arr[lead + (0,)], arr[lead + (1,)]
+    arr = _split(state, target)
+    a0, a1 = arr[..., 0, :], arr[..., 1, :]
     batch = state.batch_shape
     rest_reg = tuple(q for q in state.register if q != target)
     outcomes = []
@@ -477,15 +461,8 @@ def dephase_spin(rho: DensityState, target: QubitLabel, t_over_t2: float) -> Den
         raise ValueError("negative dephasing time")
     if not isinstance(rho, DensityState):
         raise TypeError("dephase_spin acts on a DensityState")
-    pos = rho.index_of(target)
-    n = rho.n_qubits
-    lam = math.exp(-t_over_t2)
-    q = (1.0 - lam) / 2.0
-    z = np.ones((2,) * n)
-    sl = [slice(None)] * n
-    sl[pos] = 1
-    z[tuple(sl)] = -1.0
-    z = z.reshape(-1)
+    q = (1.0 - math.exp(-t_over_t2)) / 2.0
+    z = 1.0 - 2.0 * _bits(rho, target)
     zz = np.outer(z, z)
     mat = (1.0 - q) * rho.matrix + q * (rho.matrix * zz)
     return DensityState(rho.register, mat, rho.norm_tracking)
@@ -553,19 +530,13 @@ def partial_trace(state, keep) -> DensityState:
 
 def drop_qubit(state: PureState, label: QubitLabel) -> PureState:
     """Remove one qubit that is in a product state with the rest (checked)."""
-    pos = state.index_of(label)
-    n = state.n_qubits
-    batch = state.batch_shape
-    # (*batch, qubits before, the qubit, qubits after): rows[k] is the rest of
-    # the register with the dropped qubit in |k>
-    arr = state.amplitudes.reshape(batch + (2 ** pos, 2, 2 ** (n - 1 - pos)))
-    rows = [arr[..., k, :].reshape(batch + (-1,)) for k in (0, 1)]
+    # arr[..., k, :] is the rest of the register with the dropped qubit in |k>
+    arr = np.swapaxes(_split(state, label), -2, -3).reshape(state.batch_shape + (2, -1))
     total = np.sqrt(state.squared_norm())
     if not (total > 0.0).any():
         raise ValueError("cannot drop a qubit from a zero state")
     tol = 1e-9 * total
     new_reg = tuple(q for q in state.register if q != label)
-    arr = np.stack(rows, axis=-2)
     norms = np.sqrt(_norm2(arr))
     i = np.argmax(norms, axis=-1)[..., None]
     row = np.take_along_axis(arr, i[..., None], axis=-2)[..., 0, :]

@@ -3,20 +3,20 @@ independent reference for the chain's product-form scores.
 
 Photons 1..n reflect off one spin (``apply_gate`` on the full register), the
 spin dephases between arrivals as two weighted trajectories, a pi/2 pulse
-(``ry``) and a fresh ancilla photon (``gfr_spin_readout``) read the spin out,
+(``RY90``) and a fresh ancilla photon (``gfr_spin_readout``) read the spin out,
 the spin is measured, and for n >= 3 the feed-forward plates act on every
 photon. Branch targets are the normalized branch states of the ideal,
 undephased run of the same circuit, so no closed form is shared with the
 package's chain.
 """
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from spinphoton import qstate as qs
-from spinphoton.gates import IdealGate, apply_gate, circular_to_z, make_gate, ry
+from spinphoton.gates import IdealGate, apply_gate, circular_to_z, make_gate
 from spinphoton.protocols import _chain_inputs, _leaf, _result, _trajectories, gfr_spin_readout
+from matrix_oracle import RY90
 
 
 def reference_leaves(config, n):
@@ -32,13 +32,13 @@ def reference_leaves(config, n):
     with np.errstate(over="ignore"):
         total = n * config.t_over_t2
     w, state = _trajectories(state, config.batch_shape, [s], total)
-    state = qs.apply_unitary(state, [s], ry(math.pi / 2))
+    state = qs.apply_unitary(state, s, RY90)
     phase_fix = np.diag([1.0, (-1j) ** n]).astype(np.complex128)
 
     def plates(st):
         for p in photons:
-            st = qs.apply_unitary(st, [p], circular_to_z())
-        return qs.apply_unitary(st, [photons[0]], phase_fix)
+            st = qs.apply_unitary(st, p, circular_to_z())
+        return qs.apply_unitary(st, photons[0], phase_fix)
 
     return [_leaf(f"{o.label}/{m.label}", w, m.post_state, photons, plates if n > 2 else None)
             for o in gfr_spin_readout(state, s, qs.photon(n + 1), config.gate)

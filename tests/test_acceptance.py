@@ -106,7 +106,8 @@ def test_criterion_3_equation_reproduction():
                                 p_reg, res_em.branch("H").state))
 
         # intermediate joint states of scheme B (pre-measurement)
-        from spinphoton.gates import apply_gate, make_gate, ry
+        from spinphoton.gates import apply_gate, make_gate
+        from matrix_oracle import RY90
         from spinphoton.gates import IdealGate
         st = qs.tensor_all([
             qs.qubit_state(qs.photon(1), a1, b1),
@@ -126,7 +127,7 @@ def test_criterion_3_equation_reproduction():
         ])
         for p in (qs.photon(1), qs.photon(2)):
             st3 = apply_gate(st3, make_gate(p, qs.spin(1), IdealGate()))
-        st3 = qs.apply_unitary(st3, [qs.spin(1)], ry(math.pi / 2))
+        st3 = qs.apply_unitary(st3, qs.spin(1), RY90)
         st3 = apply_gate(st3, make_gate(qs.photon(3), qs.spin(1), IdealGate()))
         ref3 = qs.PureState(st3.register, three_photon_readout_state(a1, b1, a2, b2))
         worst = max(worst, 1.0 - qs.fidelity(ref3, st3))

@@ -150,6 +150,12 @@ def test_seed_flag_only_on_sample(tmp_path, capsys, args):
      "check --grid, the cavity.* keys and gate.detuning_rel"),
     ("cavity.omega_x = 1e308\ncavity.omega_c = -1e308\n", ["reflectance", "--grid=-1:1:3"],
      "check the cavity.* keys and --grid"),
+    # 10**13 float64 values (72.8 TiB) are refused by numpy before anything is allocated
+    ("", ["reflectance", "--grid=0:1:10000000000000"], "error: --grid count must be small"),
+    ("gate.mode = realistic\n", ["sweep", "--sweep", "g_rel", "--grid=2:20:10000000000000"],
+     "error: --grid count must be small"),
+    ("", ["sample", "--trials", "10000000000000"], "error: --trials must be small"),
+    ("trials = 10000000000000\n", ["sample"], "error: trials must be small"),
 ])
 def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, config, args, named):
     cfg = write(tmp_path / "c.cfg", config)

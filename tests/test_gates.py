@@ -6,17 +6,18 @@ import pytest
 from spinphoton import qstate as qs
 from spinphoton.cavity import CavityParams, conditional_phase
 from spinphoton.gates import (
+    _CORRECTIONS,
     ConditionalReflectionGate,
     IdealGate,
     RealisticGate,
+    apply_correction,
     apply_gate,
     circular_to_z,
-    correction_unitary,
     hadamard,
     make_gate,
-    ry,
     trion_emission_map,
 )
+from matrix_oracle import RY90, embed
 from reference_states import double_reflection_state, rand_amp_pair
 
 SQH = 1.0 / math.sqrt(2.0)
@@ -120,7 +121,7 @@ def test_realistic_gate_records_survival_in_norm_tracking():
 # --- spin pulses and polarization unitaries ------------------------------------------
 
 def test_ry_half_pulse_maps_interference_branches_to_poles():
-    u = ry(math.pi / 2)
+    u = RY90
     minus = np.array([SQH, -SQH])
     plus = np.array([SQH, SQH])
     assert np.allclose(u @ minus, [1, 0], atol=1e-12)
@@ -204,38 +205,47 @@ def test_emission_map_label_collision_and_kind_checks():
 
 # --- correction unitaries ----------------------------------------------------------------
 
+def _correction_cases(a, b):
+    """(scheme, branch) -> (the conditioned state of the corrected qubit, the
+    canonical transfer target alpha|up> + beta|down> or alpha|H> + beta|V>)."""
+    target_spin = np.array([a, b])
+    target_photon = a * qs.KET_H + b * qs.KET_V
+    return {
+        ("C", "H"): (np.array([a, 1j * b]), target_spin),
+        ("C", "V"): (np.array([a, -1j * b]), target_spin),
+        ("D", "up"): (a * qs.KET_P45 + 1j * b * qs.KET_M45, target_photon),
+        ("D", "down"): (a * qs.KET_P45 - 1j * b * qs.KET_M45, target_photon),
+    }
+
+
+def test_correction_table_holds_both_schemes_and_both_branches():
+    assert sorted(_CORRECTIONS) == sorted(_correction_cases(1.0, 0.0))
+
+
 def test_corrections_reach_canonical_targets():
     rng = np.random.default_rng(21)
     for _ in range(100):
         a, b = rand_amp_pair(rng)
-        target_spin = np.array([a, b])
-        target_photon = a * qs.KET_H + b * qs.KET_V
-        cases = [
-            ("H", "C", np.array([a, 1j * b]), target_spin),
-            ("V", "C", np.array([a, -1j * b]), target_spin),
-            ("up", "D", a * qs.KET_P45 + 1j * b * qs.KET_M45, target_photon),
-            ("down", "D", a * qs.KET_P45 - 1j * b * qs.KET_M45, target_photon),
-        ]
-        for branch, scheme, pre, target in cases:
-            post = correction_unitary(branch, scheme) @ pre
+        for key, (pre, target) in _correction_cases(a, b).items():
+            post = _CORRECTIONS[key] @ pre
             fid = abs(np.vdot(target / np.linalg.norm(target),
                               post / np.linalg.norm(post))) ** 2
             assert fid == pytest.approx(1.0, abs=1e-12)
 
 
 def test_corrections_identity_input():
-    for branch, scheme, pre, target in [
-        ("H", "C", np.array([1.0, 0.0]), np.array([1.0, 0.0])),
-        ("V", "C", np.array([1.0, 0.0]), np.array([1.0, 0.0])),
-        ("up", "D", qs.KET_P45.copy(), qs.KET_H.copy()),
-        ("down", "D", qs.KET_P45.copy(), qs.KET_H.copy()),
-    ]:
-        post = correction_unitary(branch, scheme) @ pre
-        assert np.max(np.abs(post - target)) < 1e-12
+    for key, (pre, target) in _correction_cases(1.0, 0.0).items():
+        assert np.max(np.abs(_CORRECTIONS[key] @ pre - target)) < 1e-12
 
 
-def test_correction_unknown_branch():
-    with pytest.raises(ValueError, match="branch"):
-        correction_unitary("X", "C")
-    with pytest.raises(ValueError, match="scheme"):
-        correction_unitary("H", "E")
+@pytest.mark.parametrize("scheme, branch", sorted(_CORRECTIONS))
+def test_apply_correction_acts_on_its_target_only(scheme, branch):
+    # scheme C corrects the spin, scheme D the output photon; either may sit first
+    rng = np.random.default_rng(22)
+    target, other = (S1, P1) if scheme == "C" else (P1, S1)
+    for register in ((target, other), (other, target)):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        st = qs.PureState(register, v / np.linalg.norm(v))
+        out = apply_correction(st, target, branch, scheme)
+        expected = embed(_CORRECTIONS[scheme, branch], register.index(target), 2) @ st.amplitudes
+        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12

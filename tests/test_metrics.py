@@ -57,7 +57,7 @@ def test_concurrence_invariant_under_local_unitaries():
     for _ in range(100):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         st = two_photon(v)
-        rotated = qs.apply_unitary(qs.apply_unitary(st, [P1], rand_u()), [P2], rand_u())
+        rotated = qs.apply_unitary(qs.apply_unitary(st, P1, rand_u()), P2, rand_u())
         assert abs(concurrence(rotated) - concurrence(st)) <= 1e-10
 
 

@@ -342,7 +342,7 @@ def test_transfer_spin_to_photon_pre_correction_state():
     st = qs.tensor_all([qs.ket_state(p1, "H"), qs.qubit_state(s, a, b),
                         qs.ket_state(p3, "H")])
     st = apply_gate(st, make_gate(p1, s, IdealGate()))
-    st = qs.apply_unitary(st, [s], hadamard())
+    st = qs.apply_unitary(st, s, hadamard())
     st = apply_gate(st, make_gate(p3, s, IdealGate()))
     plus = qs.measure(st, p3, "45")[0]
     up = qs.measure(plus.post_state, s, "updown")[0]
@@ -495,7 +495,7 @@ def list_form_split(trajectories, spin_q, t_over_t2):
     q = (1.0 - np.exp(-np.asarray(t_over_t2))) / 2.0
     z = np.diag([1.0, -1.0])
     return [pair for w, psi in trajectories
-            for pair in ((w * (1.0 - q), psi), (w * q, qs.apply_unitary(psi, [spin_q], z)))]
+            for pair in ((w * (1.0 - q), psi), (w * q, qs.apply_unitary(psi, spin_q, z)))]
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spinphoton import qstate as qs
-from matrix_oracle import branch as oracle_branch
+from spinphoton.gates import trion_emission_map
+from matrix_oracle import X, embed, branch as oracle_branch
 from reference_states import double_reflection_state, rand_amp_pair, three_photon_readout_state
 
 SQH = 1.0 / math.sqrt(2.0)
@@ -103,21 +104,21 @@ HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
 
 
 def test_hadamard_on_up():
-    out = qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), [qs.spin(1)], HADAMARD)
+    out = qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), qs.spin(1), HADAMARD)
     assert np.allclose(out.amplitudes, [SQH, SQH], atol=1e-15)
 
 
 def test_hadamard_involution():
     rng = np.random.default_rng(3)
     st = random_state(rng, [qs.photon(1), qs.spin(1)])
-    out = qs.apply_unitary(st, [qs.spin(1)], HADAMARD)
-    out = qs.apply_unitary(out, [qs.spin(1)], HADAMARD)
+    out = qs.apply_unitary(st, qs.spin(1), HADAMARD)
+    out = qs.apply_unitary(out, qs.spin(1), HADAMARD)
     assert np.max(np.abs(out.amplitudes - st.amplitudes)) < 1e-12
 
 
 def test_hadamard_maps_minus_superposition_to_down():
     st = qs.qubit_state(qs.spin(1), SQH, -SQH)
-    out = qs.apply_unitary(st, [qs.spin(1)], HADAMARD)
+    out = qs.apply_unitary(st, qs.spin(1), HADAMARD)
     assert np.allclose(out.amplitudes, [0, 1], atol=1e-15)
 
 
@@ -127,29 +128,69 @@ def test_unitarity_preserved_on_random_states():
     for _ in range(1000):
         st = random_state(rng, labels)
         u = random_unitary(rng, 2)
-        out = qs.apply_unitary(st, [labels[int(rng.integers(3))]], u)
+        out = qs.apply_unitary(st, labels[int(rng.integers(3))], u)
         assert abs(out.squared_norm() - 1.0) < 1e-12
 
 
-def test_two_qubit_unitary_embedding():
-    rng = np.random.default_rng(5)
-    labels = [qs.photon(1), qs.photon(2), qs.spin(1)]
-    st = random_state(rng, labels)
-    u = random_unitary(rng, 4)
-    out = qs.apply_unitary(st, [qs.photon(2), qs.spin(1)], u)
-    full = np.kron(np.eye(2), u)
-    assert np.max(np.abs(out.amplitudes - full @ st.amplitudes)) < 1e-12
+def test_apply_unitary_rejects_a_matrix_for_two_qubits():
+    with pytest.raises(ValueError, match="does not act on one qubit"):
+        qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), qs.spin(1), np.eye(4))
 
 
 def test_apply_unitary_rejects_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
-        qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), [qs.spin(1)],
+        qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), qs.spin(1),
                          np.array([[1, 0], [0, 2]]))
 
 
 def test_apply_unitary_rejects_unknown_target():
     with pytest.raises(ValueError, match="not in register"):
-        qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), [qs.spin(2)], HADAMARD)
+        qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), qs.spin(2), HADAMARD)
+
+
+# --- the register layout -------------------------------------------------------
+
+BASES = {qs.QubitKind.PHOTON: ("RL", "HV", "45"), qs.QubitKind.SPIN: ("updown", "x")}
+
+
+def _layout_register(n, pos, kind):
+    """n qubits of alternating kinds, the one at ``pos`` of ``kind``."""
+    kinds = [kind if (k - pos) % 2 == 0 else next(kd for kd in qs.QubitKind if kd is not kind)
+             for k in range(n)]
+    return tuple(qs.QubitLabel(kd, k + 1) for k, kd in enumerate(kinds))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("n, pos, kind", [(n, pos, kind) for n in range(1, 6)
+                                          for pos in range(n) for kind in qs.QubitKind])
+def test_one_qubit_steps_act_at_their_register_position(n, pos, kind, batch):
+    # the dense oracle embeds each step with np.kron, the first qubit most significant
+    rng = np.random.default_rng([n, pos, len(batch), kind is qs.QubitKind.SPIN])
+    register = _layout_register(n, pos, kind)
+    q, rest = register[pos], register[:pos] + register[pos + 1:]
+    v = rng.normal(size=batch + (2 ** n,)) + 1j * rng.normal(size=batch + (2 ** n,))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    state = qs.PureState(register, v)
+    vecs = v.reshape(-1, 2 ** n)  # one row per batch element
+
+    u = random_unitary(rng, 2)
+    out = qs.apply_unitary(state, q, u)
+    assert out.amplitudes.shape == v.shape
+    assert np.max(np.abs(out.amplitudes.reshape(vecs.shape) - vecs @ embed(u, pos, n).T)) < 1e-12
+
+    for basis in BASES[kind]:
+        outcomes = qs.measure(state, q, basis)
+        for o, (label, ket) in zip(outcomes, qs.measurement_basis(kind, basis), strict=True):
+            expected = [oracle_branch(x, pos, n, ket) for x in vecs]
+            assert o.label == label and o.post_state.register == rest
+            assert np.max(np.abs(np.reshape(o.probability, -1) - [p for p, _ in expected])) < 1e-12
+            assert np.max(np.abs(o.post_state.amplitudes.reshape(len(vecs), -1)
+                                 - [r for _, r in expected])) < 1e-12
+
+    if kind is qs.QubitKind.SPIN:
+        emitted = trion_emission_map(state, q, qs.photon(n + 1))
+        assert emitted.register == register[:pos] + (qs.photon(n + 1),) + register[pos + 1:]
+        assert np.array_equal(emitted.amplitudes.reshape(vecs.shape), vecs @ embed(X, pos, n).T)
 
 
 # --- apply_diagonal_pair -------------------------------------------------------
@@ -440,14 +481,14 @@ def test_batched_ops_equal_stack_of_unbatched_ops(size):
     singles = [_unbatched(batch, i) for i in range(size)]
     cc = rng.uniform(0.5, 1.0, size) * np.exp(1j * rng.uniform(0, 6, size))
     cu = rng.uniform(0.5, 1.0, size) * np.exp(1j * rng.uniform(0, 6, size))
-    u = random_unitary(rng, 4)
+    u = random_unitary(rng, 2)
 
     gated = qs.apply_diagonal_pair(batch, labels[0], labels[2], cc, cu)
     gated_singles = [qs.apply_diagonal_pair(s, labels[0], labels[2], a, b)
                      for s, a, b in zip(singles, cc, cu)]
     _assert_stack_equal(gated, gated_singles)
-    _assert_stack_equal(qs.apply_unitary(gated, [labels[2], labels[0]], u),
-                        [qs.apply_unitary(s, [labels[2], labels[0]], u) for s in gated_singles])
+    _assert_stack_equal(qs.apply_unitary(gated, labels[2], u),
+                        [qs.apply_unitary(s, labels[2], u) for s in gated_singles])
     for k, out in enumerate(qs.measure(gated, labels[1], "45")):
         outs = [qs.measure(s, labels[1], "45")[k] for s in gated_singles]
         assert np.array_equal(out.probability, [o.probability for o in outs])

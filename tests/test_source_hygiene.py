@@ -1,10 +1,22 @@
 """Static checks on the package source: no unused imports, no dead private helpers,
-and no input refusal without the field it refuses."""
+no export without a user, and no input refusal without the field it refuses."""
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spinphoton"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spinphoton"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+# Exports that no other module, demo or README example uses, and why each stays.
+KEPT = {
+    "ReflectionResponse": "reflect returns it",
+    "ConditionalReflectionGate": "make_gate returns it",
+    "scheme_a_photon_pairs": "it is run_protocol's scheme-a driver",
+    "drop_qubit": "bench/tracing.py LAYERS wraps it; deleted with the layer",
+    "dephase_spin": "bench/tracing.py LAYERS wraps it; deleted with the layer",
+    "sample_outcome": "bench/tracing.py LAYERS wraps it; deleted with the layer",
+}
 
 
 def referenced(node) -> set[str]:
@@ -35,6 +47,20 @@ def test_every_private_helper_has_a_caller():
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
             and not any(stmt.name in names for key, names in refs.items() if key != (name, i))]
     assert dead == []
+
+
+def test_every_export_has_a_user_outside_its_module():
+    exports = {a.asname or a.name: f"{n.module}.py" for n in MODULES["__init__.py"].body
+               if isinstance(n, ast.ImportFrom) for a in n.names}
+    demos = set().union(*(referenced(ast.parse(p.read_text(encoding="utf-8")))
+                          for p in (ROOT / "demos").glob("*.py")))
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    unused = sorted(name for name, home in exports.items()
+                    if name not in demos | readme
+                    and not any(name in referenced(tree) for module, tree in MODULES.items()
+                                if module not in (home, "__init__.py")))
+    assert unused == sorted(KEPT)
+    assert set(KEPT) <= set(exports)
 
 
 def test_every_parameter_error_names_its_field():
