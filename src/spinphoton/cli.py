@@ -18,6 +18,15 @@ each sweep row equals the ``protocol`` run at that grid point bit for bit.
 bytes ``json.dumps(indent=2)`` would, but fills each complex array into one
 template cached per shape and formats each distinct magnitude of a density
 matrix once. ``main`` builds its argument parser once per process.
+
+The ``reflectance`` and ``sample`` CSVs of at least ``_SPLIT_ROWS`` rows are
+formatted across the CPUs this process may use: the rows are cut into one
+contiguous share per CPU, this process formats the first, and children made
+with ``os.fork`` format the others, which are written after it in order. The
+bytes are those of one process formatting every row. A shorter table, one
+CPU, or a platform without ``os.fork`` (or ``os.sched_getaffinity``) runs in
+one process. Nothing about this is configured: the split follows from the row
+count and the CPUs alone.
 """
 from __future__ import annotations
 
@@ -27,6 +36,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 import traceback
 from dataclasses import dataclass
@@ -209,7 +219,7 @@ def load_config(path: str | None) -> RunConfig:
     return resolve_config(parse_config_text(text))
 
 
-def parse_grid(spec: str) -> list[float]:
+def parse_grid(spec: str) -> np.ndarray:
     try:
         a, b, n = spec.split(":")
         a, b, n = float(a), float(b), int(n)
@@ -226,10 +236,16 @@ def parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"--grid points must be finite, got {spec!r}")
     if n == 1 and a != b:
         raise ConfigError(f"--grid with count 1 needs start == stop, got {spec!r}")
-    return list(grid)
+    return grid
 
 
 _CHUNK_ROWS = 4096  # rows formatted per write, to bound the text held at once
+# A table of at least this many rows (16 chunks) is formatted on every usable
+# CPU; a shorter one stays in one process.
+_SPLIT_ROWS = 16 * _CHUNK_ROWS
+# Characters read from a child's pipe at once: pieces of 1 MiB were measured
+# to leave the reading process about 5 MiB larger after the run.
+_PIECE = 1 << 16
 
 
 def _emit(parts, out_path: str | None) -> None:
@@ -242,10 +258,75 @@ def _emit(parts, out_path: str | None) -> None:
 
 
 def _csv_chunks(header: str, n_rows: int, format_rows):
-    """The header line, then ``format_rows(start, stop)`` chunk by chunk."""
+    """The header line, then the rows: ``format_rows(start, stop)`` chunk by
+    chunk, in order. The rows are cut into one contiguous share per CPU this
+    process may use when there are at least ``_SPLIT_ROWS`` of them and
+    ``os.fork`` and ``os.sched_getaffinity`` exist, else into one share. This process formats the first
+    share and yields it; a forked child formats each later share and writes it
+    to a pipe, which is read in order and yielded in pieces of at most
+    ``_PIECE`` characters. Every child is reaped before this returns or
+    raises, killed first if it is still running; one that fails raises."""
     yield header + "\n"
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        yield format_rows(start, min(start + _CHUNK_ROWS, n_rows))
+    shares = 1
+    if n_rows >= _SPLIT_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        shares = len(os.sched_getaffinity(0))
+    bounds = [n_rows * i // shares for i in range(shares + 1)]
+    children = []  # (pid, text reader of its pipe), in row order
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_share(format_rows, start, stop))
+        yield from _share(format_rows, 0, bounds[1])
+        while children:
+            pid, pipe = children[0]
+            yield from iter(functools.partial(pipe.read, _PIECE), "")
+            del children[0]
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise RuntimeError(f"a child formatting CSV rows exited with code {code}")
+    finally:  # the consumer stopped early, or a fork or a child failed
+        if children:
+            import signal  # needed only here, so startup does not load it
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _share(format_rows, start: int, stop: int):
+    """``format_rows`` over rows ``start`` to ``stop``, ``_CHUNK_ROWS`` at a time."""
+    for a in range(start, stop, _CHUNK_ROWS):
+        yield format_rows(a, min(a + _CHUNK_ROWS, stop))
+
+
+def _fork_share(format_rows, start: int, stop: int):
+    """Fork a child that formats rows ``start`` to ``stop`` into a pipe and
+    leaves through ``os._exit``: 0 once it has written them all, 1 on any
+    error. It formats its whole share before writing, so a full pipe does
+    not stall it. It only slices arrays and formats numbers, and calls no
+    BLAS routine, so the threads a fork does not copy are never waited on.
+    Returns (its pid, a text reader of the pipe)."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "w", encoding="utf-8") as fh:
+                fh.writelines(list(_share(format_rows, start, stop)))
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, open(read_end, "r", encoding="utf-8")
 
 
 def _dump(obj, depth: int = 0) -> str:
@@ -299,7 +380,7 @@ def _template(shape: tuple, depth: int) -> list[str]:
 
 def cmd_reflectance(args) -> int:
     run = load_config(args.config)
-    grid = np.array(parse_grid(args.grid))
+    grid = parse_grid(args.grid)
     params = run.cavity
     with np.errstate(all="ignore"):  # extreme values are refused just below
         omega = params.omega_c + grid * params.kappa
@@ -358,7 +439,7 @@ def cmd_sweep(args) -> int:
             **dict.fromkeys(("g", "gamma", "kappa_s"), swept + " * cavity.kappa{}")}
     with _naming(keys):  # every pass runs before --out is opened
         passes = list(sweep_columns(SweepSpec(
-            parameter=args.sweep, grid=tuple(grid), config=run.config,
+            parameter=args.sweep, grid=grid, config=run.config,
             protocol=run.protocol, n_photons=run.n_photons)))
     _emit(_sweep_chunks(args.sweep, passes), args.out)
     return 0

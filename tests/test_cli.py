@@ -77,8 +77,8 @@ def test_complex_amplitudes_parse(tmp_path):
 
 
 def test_grid_parsing():
-    assert parse_grid("0:1:3") == [0.0, 0.5, 1.0]
-    assert parse_grid("0.5:0.5:1") == [0.5]
+    assert parse_grid("0:1:3").tolist() == [0.0, 0.5, 1.0]
+    assert parse_grid("0.5:0.5:1").tolist() == [0.5]
     with pytest.raises(ValueError, match="empty range"):
         parse_grid("0:1:0")
     with pytest.raises(ValueError, match="grid"):

@@ -7,6 +7,8 @@ document turned NaN into None (``_sanitize``), and the sweep CSV joined one
 """
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -429,3 +431,113 @@ def test_stdout_gets_the_same_bytes_as_out(tmp_path, capsys, args):
     assert capsys.readouterr().out == ""
     assert cli.main(args + ["--config", cfg]) == 0
     assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+# --- CSV rows formatted across forked children -------------------------------------
+
+def _count_forks(monkeypatch, cpus: int) -> list:
+    """Let the process use ``cpus`` CPUs; the list returned collects the pid of
+    each child forked."""
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def _split(monkeypatch, cpus: int) -> list:
+    """``_count_forks``, with every CSV table split from its first row on, in
+    4-row chunks."""
+    monkeypatch.setattr(cli, "_SPLIT_ROWS", 1)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+    return _count_forks(monkeypatch, cpus)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 9 rows make shares of 4 and 5 rows; 7 rows, which neither 2 nor 3 divides,
+# make shares of 3 and 4, or of 2, 2 and 3: each shorter than a chunk or not
+# a whole number of chunks
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("args", [
+    ["reflectance", "--grid=-3:3:9"],
+    ["reflectance", "--grid=-3:3:7"],
+    ["sample", "--trials", "300"],
+])
+def test_a_split_csv_writes_the_unsplit_bytes(tmp_path, capsys, monkeypatch, args, cpus):
+    args = args + ["--config", _write(tmp_path / "c.cfg", "protocol = scheme-b\n"
+                                      "gate.mode = realistic\ncavity.kappa_s_rel = 0.2\n")]
+    assert cli.main(args) == 0
+    unsplit = capsys.readouterr().out
+    forked = _split(monkeypatch, cpus)
+    out = tmp_path / "o.csv"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8") == unsplit
+    assert len(forked) == 2 * (cpus - 1) and 0 not in forked
+    _assert_no_child_left()
+
+
+def _chunk_bounds(bounds) -> str:
+    return "".join(f"{a}:{min(a + cli._CHUNK_ROWS, stop)}\n" for start, stop
+                   in zip(bounds, bounds[1:]) for a in range(start, stop, cli._CHUNK_ROWS))
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_a_table_of_split_rows_or_more_is_split_one_share_per_usable_cpu(monkeypatch, fork):
+    forked = _count_forks(monkeypatch, 3)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    rows = "{}:{}\n".format
+    n = cli._SPLIT_ROWS
+    assert "".join(cli._csv_chunks("h", n - 1, rows)) == "h\n" + _chunk_bounds([0, n - 1])
+    assert forked == []
+    shares = [0, n // 3, 2 * n // 3, n] if fork else [0, n]
+    assert "".join(cli._csv_chunks("h", n, rows)) == "h\n" + _chunk_bounds(shares)
+    assert len(forked) == len(shares) - 2
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["child raises", "write fails"])
+def test_a_failed_split_run_exits_1_and_leaves_no_child(tmp_path, capsys, monkeypatch,
+                                                        failure):
+    _split(monkeypatch, 3)
+    out = str(tmp_path / "o.csv")
+    if failure == "child raises":
+        def broken(a, b):
+            raise ValueError("a row could not be formatted")
+
+        fork_share = cli._fork_share
+        monkeypatch.setattr(cli, "_fork_share", lambda f, a, b: fork_share(broken, a, b))
+    else:
+        out = "/dev/full"  # every write to it fails with ENOSPC
+    assert cli.main(["reflectance", "--grid=-3:3:200", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert ("internal error" in err) == (failure == "child raises")
+    _assert_no_child_left()
+
+
+def test_closing_the_chunks_early_kills_and_reaps_the_children(monkeypatch):
+    _split(monkeypatch, 3)
+    parent = os.getpid()
+
+    def rows(a, b):
+        if os.getpid() != parent:
+            time.sleep(60)  # only a kill ends this child in time
+        return "row\n" * (b - a)
+
+    chunks = cli._csv_chunks("h", 12, rows)  # one 4-row chunk per share
+    assert next(chunks) == "h\n"
+    assert next(chunks) == "row\n" * 4  # both children are forked by now
+    t0 = time.perf_counter()
+    chunks.close()
+    assert time.perf_counter() - t0 < 30
+    _assert_no_child_left()
