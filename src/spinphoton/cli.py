@@ -19,6 +19,12 @@ bytes ``json.dumps(indent=2)`` would, but fills each complex array into one
 template cached per shape and formats each distinct magnitude of a density
 matrix once. ``main`` builds its argument parser once per process.
 
+The ``reflectance`` CSV's numbers are written by ``floatrows.csv_rows``: a
+cell ``%.17g`` writes in fixed notation is rounded to 17 significant digits
+with exact integer arithmetic on whole arrays, and every other cell goes
+through ``%``; which way a cell goes follows from its value alone. The bytes
+are those of one ``%`` per float, and there is nothing to configure.
+
 The ``reflectance`` and ``sample`` CSVs of at least ``_SPLIT_ROWS`` rows are
 formatted across the CPUs this process may use: the rows are cut into one
 contiguous share per CPU, this process formats the first, and children made
@@ -261,11 +267,12 @@ def _csv_chunks(header: str, n_rows: int, format_rows):
     """The header line, then the rows: ``format_rows(start, stop)`` chunk by
     chunk, in order. The rows are cut into one contiguous share per CPU this
     process may use when there are at least ``_SPLIT_ROWS`` of them and
-    ``os.fork`` and ``os.sched_getaffinity`` exist, else into one share. This process formats the first
-    share and yields it; a forked child formats each later share and writes it
-    to a pipe, which is read in order and yielded in pieces of at most
-    ``_PIECE`` characters. Every child is reaped before this returns or
-    raises, killed first if it is still running; one that fails raises."""
+    ``os.fork`` and ``os.sched_getaffinity`` exist, else into one share. This
+    process formats the first share and yields it; a forked child formats
+    each later share and writes it to a pipe, which is read in order and
+    yielded in pieces of at most ``_PIECE`` characters. Every child is reaped
+    before this returns or raises, killed first if it is still running; one
+    that fails raises."""
     yield header + "\n"
     shares = 1
     if n_rows >= _SPLIT_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -382,20 +389,26 @@ def cmd_reflectance(args) -> int:
     run = load_config(args.config)
     grid = parse_grid(args.grid)
     params = run.cavity
+    # parse_grid's linspace can fit while the responses and the table do not
     with np.errstate(all="ignore"):  # extreme values are refused just below
-        omega = params.omega_c + grid * params.kappa
-        cold = reflect(params, omega, coupled=False)
-        hot = reflect(params, omega, coupled=True)
-        table = np.column_stack([grid, cold.r.real, cold.r.imag, cold.phase,
-                                 hot.r.real, hot.r.imag, hot.phase,
-                                 phase_difference(hot, cold)])
-    if not np.isfinite(table).all():
+        try:
+            omega = params.omega_c + grid * params.kappa
+            cold = reflect(params, omega, coupled=False)
+            hot = reflect(params, omega, coupled=True)
+            table = np.column_stack([grid, cold.r.real, cold.r.imag, cold.phase,
+                                     hot.r.real, hot.r.imag, hot.phase,
+                                     phase_difference(hot, cold)])
+            finite = np.isfinite(table).all()
+        except MemoryError:
+            raise ConfigError(f"--grid count must be small enough to allocate its "
+                              f"reflectance table, got {len(grid)}")
+    if not finite:
         raise ConfigError("the reflectance table is not finite: "
                           "check the cavity.* keys and --grid")
-    row = ",".join(["%.17g"] * 8) + "\n"
+    from .floatrows import csv_rows  # needed only here, so startup does not load it
     _emit(_csv_chunks("detuning_rel,r_cold_re,r_cold_im,phase_cold,"
                       "r_hot_re,r_hot_im,phase_hot,delta_phi", len(table),
-                      lambda a, b: "".join(row % tuple(r) for r in table[a:b].tolist())),
+                      lambda a, b: csv_rows(table[a:b])),
           args.out)
     return 0
 

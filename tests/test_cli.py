@@ -184,6 +184,28 @@ def test_internal_error_exits_1(tmp_path, capsys, monkeypatch, patched, args):
     assert not out.exists()
 
 
+# a grid whose linspace fits can still leave no room for the responses or the table
+@pytest.mark.parametrize("holder, patched", [("cli", "reflect"), ("numpy", "column_stack"),
+                                             ("numpy", "isfinite")])
+def test_reflectance_table_too_large_to_allocate_names_grid(tmp_path, capsys, monkeypatch,
+                                                            holder, patched):
+    from spinphoton import cli
+    module = cli if holder == "cli" else np
+    real = getattr(module, patched)
+
+    def out_of_memory(*args, **kwargs):
+        if patched == "isfinite" and np.ndim(args[0]) == 1:  # parse_grid's check
+            return real(*args, **kwargs)
+        raise MemoryError
+
+    monkeypatch.setattr(module, patched, out_of_memory)
+    out = tmp_path / "o.txt"
+    assert run_cli(["reflectance", "--grid=0:1:5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --grid count must be small enough to "
+                                       "allocate its reflectance table, got 5\n")
+    assert not out.exists()
+
+
 def test_negative_detuning_sweep_accepted(tmp_path):
     cfg = write(tmp_path / "c.cfg", "gate.mode = realistic\n")
     out = str(tmp_path / "o.csv")
