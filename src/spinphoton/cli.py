@@ -15,9 +15,11 @@ grid as one batched protocol pass and writes the CSV from its score columns;
 each sweep row equals the ``protocol`` run at that grid point bit for bit.
 ``sample`` draws all its trials at once; its ``--seed`` (default: the config's
 ``seed`` key) is the only seed any subcommand reads. ``protocol`` writes the
-bytes ``json.dumps(indent=2)`` would, but fills each complex array into one
-template cached per shape and formats each distinct magnitude of a density
-matrix once. ``main`` builds its argument parser once per process.
+bytes ``json.dumps(indent=2)`` would, but gathers the document as one list of
+pieces, joined once: each complex array adds a template cached per shape and
+built level by level, and one table, which formats each distinct magnitude
+once, serves every array in the document. ``main`` builds its argument parser
+once per process.
 
 The ``reflectance`` CSV's numbers are written by ``floatrows.csv_rows``: a
 cell ``%.17g`` writes in fixed notation is rounded to 17 significant digits
@@ -218,7 +220,7 @@ def load_config(path: str | None) -> RunConfig:
     if path is None:
         return resolve_config({})
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is skipped
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
@@ -336,41 +338,58 @@ def _fork_share(format_rows, start: int, stop: int):
     return pid, open(read_end, "r", encoding="utf-8")
 
 
+_encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps(x, allow_nan=False)
+
+
 def _dump(obj, depth: int = 0) -> str:
     """The text ``json.dumps(obj, indent=2, allow_nan=False)`` writes for ``obj``
     nested ``depth`` levels deep, where a complex array is written as nested
     lists with an ``[re, im]`` pair per entry. A non-finite number raises
-    ValueError, as in ``json``."""
+    ValueError, as in ``json``. The text is gathered as one list of pieces and
+    joined once; the floats of every array come from one ``_reprs`` table."""
+    pieces, arrays = [], []  # arrays: (index of its first piece, the array)
+    _pieces(obj, depth, pieces, arrays)
+    if arrays:
+        strings, at = _reprs([a for _, a in arrays]), 0
+        for start, a in arrays:  # fill the slots between its template's parts
+            n = 2 * a.size
+            pieces[start + 1:start + 2 * n:2] = strings[at:at + n]
+            at += n
+    return "".join(pieces)
+
+
+def _pieces(obj, depth: int, pieces: list, arrays: list) -> None:
+    """Append ``_dump(obj, depth)``'s pieces to ``pieces``; an array's are its
+    template's parts with an empty slot between each two, noted in ``arrays``."""
     if isinstance(obj, np.ndarray):
         if not np.isfinite(obj).all():
             raise ValueError(f"non-finite value in a complex array of shape {obj.shape}")
-        parts = _template(obj.shape, depth)
-        out = [""] * (2 * len(parts) - 1)
-        out[::2], out[1::2] = parts, _reprs(obj)
-        return "".join(out)
-    if isinstance(obj, dict):
-        items = [json.dumps(k) + ": " + _dump(v, depth + 1) for k, v in obj.items()]
-    elif isinstance(obj, list):
-        items = [_dump(v, depth + 1) for v in obj]
-    else:
-        return json.dumps(obj, allow_nan=False)
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    if not items:
-        return brackets
-    indent = "\n" + "  " * (depth + 1)
-    return (brackets[0] + indent + ("," + indent).join(items)
-            + "\n" + "  " * depth + brackets[1])
+        parts, start = _template(obj.shape, depth), len(pieces)
+        arrays.append((start, obj))
+        pieces += [""] * (2 * len(parts) - 1)
+        pieces[start::2] = parts
+    elif isinstance(obj, (dict, list)) and obj:
+        keyed = isinstance(obj, dict)
+        items = ((_encode(k) + ": ", v) for k, v in obj.items()) if keyed else (
+            ("", v) for v in obj)
+        brackets = "{}" if keyed else "[]"
+        indent = "\n" + "  " * (depth + 1)
+        sep = brackets[0] + indent
+        for key, v in items:
+            pieces.append(sep + key)
+            _pieces(v, depth + 1, pieces, arrays)
+            sep = "," + indent
+        pieces.append("\n" + "  " * depth + brackets[1])
+    else:  # a scalar, or an empty dict or list
+        pieces.append(_encode(obj))
 
 
-def _reprs(obj: np.ndarray) -> list[str]:
-    """The repr (what ``json`` writes) of each float of ``obj``'s ``[re, im]``
-    pairs, in order. A matrix formats each distinct magnitude once: floats are
-    told apart by their bits, sign bit cleared, and ``repr(-x) == "-" + repr(x)``
-    for every finite double, -0.0 included."""
-    pairs = np.stack([obj.real, obj.imag], -1).ravel()
-    if obj.ndim != 2:
-        return list(map(repr, pairs.tolist()))
-    bits = pairs.view(np.int64)
+def _reprs(arrays: list) -> list[str]:
+    """The repr (what ``json`` writes) of each float of the arrays' ``[re, im]``
+    pairs, in order, array after array. Each distinct magnitude is formatted
+    once: floats are told apart by their bits, sign bit cleared, and
+    ``repr(-x) == "-" + repr(x)`` for every finite double, -0.0 included."""
+    bits = np.concatenate([a.ravel() for a in arrays]).astype(complex, copy=False).view(np.int64)
     mags, inverse = np.unique(bits & np.int64(2 ** 63 - 1), return_inverse=True)
     table = list(map(repr, mags.view(np.float64).tolist()))
     table += ["-" + s for s in table]
@@ -379,8 +398,15 @@ def _reprs(obj: np.ndarray) -> list[str]:
 
 @functools.lru_cache
 def _template(shape: tuple, depth: int) -> list[str]:
-    """``_dump``'s text for a complex array of ``shape``, split at each float."""
-    return _dump(np.zeros(shape + (2,)).tolist(), depth).split("0.0")
+    """``_dump``'s text for a complex array of ``shape``, split at each float:
+    built level by level from the ``[re, im]`` pair outwards, each level's
+    text its inner level's repeated with ``join``."""
+    text = "0.0"
+    for d, n in reversed(list(enumerate(shape + (2,), depth))):
+        indent = "\n" + "  " * (d + 1)
+        text = ("[" + indent + ("," + indent).join([text] * n) + "\n" + "  " * d + "]"
+                if n else "[]")
+    return text.split("0.0")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -438,7 +464,7 @@ def cmd_protocol(args) -> int:
         "config": run.echo,
         "branches": [_branch_payload(b) for b in result.branches],
     }
-    _emit([_dump(doc) + "\n"], args.out)
+    _emit([_dump(doc), "\n"], args.out)
     return 0
 
 

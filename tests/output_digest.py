@@ -3,10 +3,17 @@
 Every command of the ``sweep-pure``, ``ghz-dephased`` and ``grid-and-draws``
 workloads (``bench/workloads.build``, full size) is run through ``cli.main``
 in-process, against the package in this checkout's ``src/``, and its
-``--out`` file hashed. Run it in two checkouts and ``diff`` the listings:
+``--out`` file hashed. Save one checkout's listing, then check another
+against it:
 
-    python tests/output_digest.py > new.txt
+    python tests/output_digest.py > old.txt
+    python tests/output_digest.py --against old.txt
+
+With ``--against LISTING`` it prints each ``workload seed command`` whose
+digest differs from the listing's (or that one of the two lacks) and exits 1,
+or exits 0 when every one matches.
 """
+import argparse
 import contextlib
 import hashlib
 import io
@@ -41,6 +48,23 @@ def digests():
                     yield name, seed, cmd.name, hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="sha256 of each benchmark output")
+    parser.add_argument("--against", metavar="LISTING",
+                        help="a saved listing to compare with instead of printing")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for row in digests():
+            print(*row)
+        return 0
+    with open(args.against, encoding="utf-8") as fh:
+        saved = dict(line.rsplit(" ", 1) for line in fh.read().splitlines() if line)
+    ours = {" ".join(map(str, row[:3])): row[3] for row in digests()}
+    differing = [key for key in {**saved, **ours} if saved.get(key) != ours.get(key)]
+    for key in differing:
+        print(key)
+    return 1 if differing else 0
+
+
 if __name__ == "__main__":
-    for row in digests():
-        print(*row)
+    sys.exit(main())

@@ -45,6 +45,20 @@ def test_comments_and_blank_lines_ignored():
     assert raw == {"seed": "3"}
 
 
+@pytest.mark.parametrize("command", [["protocol"], ["sample", "--trials", "50"]])
+def test_a_config_file_with_a_byte_order_mark_is_read(tmp_path, command):
+    text = ("protocol = ghz\nghz.n_photons = 4\ngate.mode = realistic\n"
+            "noise.t_over_t2 = 0.3\nseed = 5\n")
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    outs = []
+    for cfg in (plain, marked):
+        outs.append(tmp_path / (cfg.stem + ".out"))
+        assert run_cli([*command, "--config", str(cfg), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_defaults_are_ideal_uniform():
     run = resolve_config({})
     assert run.protocol == "scheme-b"

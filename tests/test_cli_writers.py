@@ -266,11 +266,49 @@ def test_a_matrix_formats_each_distinct_magnitude_once(monkeypatch, name):
     assert {x.hex() for x in calls} == magnitudes
 
 
-def test_an_amplitude_vector_formats_every_float(monkeypatch):
-    vector = np.array([SQH, SQH, -SQH, 0.0j])
+def test_a_document_formats_each_distinct_magnitude_once(monkeypatch):
+    # a vector, a matrix and 0-d amplitudes that share magnitudes with each
+    # other and with signs flipped, between scalars, keys and empty containers
+    vector = np.array([SQH, SQH, -SQH, 0.0j, 0.25 - 0.5j])
+    matrix = np.array([[0.5, -0.25 + SQH * 1j], [-0.25 - SQH * 1j, 0.5]])
+    doc = {"amplitudes": {"alpha1": np.array(SQH + 0j), "beta1": np.array(-0.5j)},
+           "seed": 3, "empty": [], "none": {},
+           "branches": [{"label": "H", "amplitudes": vector, "probability": 0.25},
+                        {"label": "V", "density_matrix": matrix, "fidelity": None}]}
     calls = _counting_repr(monkeypatch)
-    assert cli._dump(vector) == json.dumps([_c2pair(z) for z in vector], indent=2)
-    assert len(calls) == 8
+    expected = json.dumps({
+        **doc, "amplitudes": {k: _c2pair(a) for k, a in doc["amplitudes"].items()},
+        "branches": [{**doc["branches"][0], "amplitudes": [_c2pair(z) for z in vector]},
+                     {**doc["branches"][1], "density_matrix": _json_pairs(matrix)}]},
+        indent=2)
+    assert cli._dump(doc) == expected
+    floats = np.concatenate([np.stack([a.real, a.imag], -1).ravel()
+                             for a in (*doc["amplitudes"].values(), vector, matrix)])
+    magnitudes = {abs(x).hex() for x in floats.tolist()}
+    assert len(calls) == len(magnitudes) == 4  # 1/sqrt2, 0, 0.5 and 0.25, either sign
+    assert {x.hex() for x in calls} == magnitudes
+
+
+def _old_template(shape, depth):
+    # the construction _template replaced: the recursive writer's text for a
+    # zero array (json's, indented by depth), split at each float
+    text = json.dumps(np.zeros(shape + (2,)).tolist(), indent=2)
+    return text.replace("\n", "\n" + "  " * depth).split("0.0")
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (5,), (1, 1), (2, 3), (64, 64),
+                                   (0, 3), (3, 0), (2, 1, 2)])
+@pytest.mark.parametrize("depth", range(5))
+def test_template_equals_the_recursive_construction(shape, depth):
+    assert cli._template.__wrapped__(shape, depth) == _old_template(shape, depth)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 0)])
+def test_an_empty_array_is_written_as_json_writes_it(shape):
+    doc = {"a": np.zeros(shape, dtype=complex), "b": [np.array(1j)]}
+    assert cli._dump(doc, 1) == json.dumps(
+        {"a": np.zeros(shape + (2,)).tolist(), "b": [[0.0, 1.0]]}, indent=2).replace(
+        "\n", "\n  ")
 
 
 @pytest.mark.parametrize("config", [
