@@ -25,7 +25,11 @@ The ``reflectance`` CSV's numbers are written by ``floatrows.csv_rows``: a
 cell ``%.17g`` writes in fixed notation is rounded to 17 significant digits
 with exact integer arithmetic on whole arrays, and every other cell goes
 through ``%``; which way a cell goes follows from its value alone. The bytes
-are those of one ``%`` per float, and there is nothing to configure.
+are those of one ``%`` per float, and there is nothing to configure. The
+``sample`` CSV's rows are written by ``floatrows.indexed_rows``, as one byte
+table per chunk: each row's index digits, its leading zeros left as pad bytes,
+then its ``",label\n"`` bytes, gathered by draw from a table of the labels.
+The bytes are those of ``str(i) + ",label\n"`` per row.
 
 The ``reflectance`` and ``sample`` CSVs of at least ``_SPLIT_ROWS`` rows are
 formatted across the CPUs this process may use: the rows are cut into one
@@ -515,14 +519,14 @@ def cmd_sample(args) -> int:
         # photon loss in realistic mode: no detector fires
         labels.append("no_detection")
         probabilities.append(missing)
-    endings = np.array([f",{label}\n" for label in labels], dtype=object)
+    endings = np.array([f",{label}\n".encode() for label in labels])
     try:
-        draws = endings[sample_indices(probabilities, np.random.default_rng(seed), trials)]
+        draws = sample_indices(probabilities, np.random.default_rng(seed), trials)
     except MemoryError:
         raise ConfigError(f"{key} must be small enough to allocate its draws, got {trials}")
+    from .floatrows import indexed_rows  # needed only here, so startup does not load it
     _emit(_csv_chunks("trial_index,branch_label", trials,
-                      lambda a, b: "".join(map(str.__add__, map(str, range(a, b)),
-                                               draws[a:b].tolist()))),
+                      lambda a, b: indexed_rows(a, endings[draws[a:b]])),
           args.out)
     return 0
 

@@ -1,4 +1,5 @@
-"""CSV rows of a float table with the bytes ``"%.17g" % x`` writes per cell.
+"""CSV rows built as byte tables: a float table with the bytes ``"%.17g" % x``
+writes per cell, and the ``sample`` CSV's index and label rows.
 
 ``%`` formats one float per call. Here each cell ``%.17g`` writes in fixed
 notation, ``1e-4 <= |x| < 1e15``, is rounded to 17 significant digits on
@@ -13,6 +14,10 @@ notation, not finite) is written by ``%`` itself.
 Each cell's text goes into a slot of ``_WIDTH`` bytes, laid out by tables
 indexed by k, and the unused bytes of a slot hold ``_PAD``, which the join
 of the rows drops.
+
+``indexed_rows`` writes ``str(i) + ending`` per row the same way: each index
+in a slot of digits from the same 4-digit table, its leading zeros ``_PAD``,
+then the row's ending, and the rows joined by the same drop of ``_PAD``.
 """
 from __future__ import annotations
 
@@ -29,11 +34,20 @@ _PAD = 0  # a byte no text holds, dropped when the rows are joined
 
 
 @functools.cache
+def _quads():
+    """The 4 ASCII digits of each n < 10**4 as one uint32, built on first use."""
+    digits = np.empty((10,) * 4 + (4,), np.uint8)
+    for j in range(4):  # digit j of n is its index along axis j
+        digits[..., j] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - j))
+    return digits.view(np.uint32).ravel()
+
+
+@functools.cache
 def _tables():
     """The lookup tables, built on first use:
 
-    - the 4 ASCII digits of each n < 10**4 as one uint32, and how many of them
-      are trailing zeros (4 for n = 0);
+    - ``_quads()``, and how many of each quad's digits are trailing zeros (4
+      for n = 0);
     - the low and high 32 bits of 5**q, q = 0..21 (21 for a k one too low);
     - for each k = -4..14 (row k + 4), the bytes of a slot, as 3 uint64 words:
       where the digits stay, where they come from one byte to the right, and
@@ -41,8 +55,6 @@ def _tables():
       again with the '-' (row k + 23);
     - for each length 0.._WIDTH, the bytes of a slot that are kept."""
     n = np.arange(10 ** 4)
-    digits = n[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
-    quads = digits.astype(np.uint8).view(np.uint32).ravel()
     trailing = sum(n % 10 ** i == 0 for i in range(1, 5))
     powers = np.cumprod(np.full(22, 5, dtype=np.uint64)) // _U(5)
     k = np.arange(-4, 15)[:, None]
@@ -55,7 +67,7 @@ def _tables():
     def words(slot_bytes):
         return np.ascontiguousarray(slot_bytes, dtype=np.uint8).view(np.uint64)
 
-    return (quads, trailing, powers & _LOW32, powers >> _U(32),
+    return (_quads(), trailing, powers & _LOW32, powers >> _U(32),
             words(255 * (at > point)), words(255 * ((at >= first) & (at < point) & (k >= 0))),
             words(np.concatenate([constant, signed])),
             words(255 * (at < np.arange(_WIDTH + 1)[:, None])))
@@ -165,4 +177,32 @@ def csv_rows(table: np.ndarray) -> str:
     slots[:, -1, _WIDTH] = ord("\n")
     text = slots.tobytes()
     del slots
-    return text.translate(None, bytes([_PAD])).decode("ascii")
+    return _unpadded(text)
+
+
+def indexed_rows(start: int, endings: np.ndarray) -> str:
+    """The rows ``str(i) + e`` for the items ``e`` of ``endings`` and ``i =
+    start, start + 1, ...`` in turn. ``endings`` is a numpy bytes (``S``)
+    array, whose shorter items numpy fills with zero bytes, ``_PAD``.
+
+    Each index goes into a slot as wide as the last, the widest, filled from
+    ``_quads()`` four digits at a time; the rows of the range are ascending,
+    so those with fewer digits are a leading run, whose unused bytes become
+    ``_PAD`` column by column."""
+    n = len(endings)
+    width = len(str(start + n - 1))
+    n_quads = -(-width // 4)
+    index, groups = np.arange(start, start + n), np.empty((n, n_quads), np.int64)
+    for j in reversed(range(n_quads)):
+        index, groups[:, j] = np.divmod(index, 10 ** 4)
+    slots = np.empty((n, width + endings.itemsize), np.uint8)
+    slots[:, :width] = _quads()[groups].view(np.uint8)[:, 4 * n_quads - width:]
+    slots[:, width:] = endings.view(np.uint8).reshape(n, -1)
+    for k in range(len(str(start)), width):  # rows below 10**k have a zero in column width-1-k
+        slots[:10 ** k - start, width - 1 - k] = _PAD
+    return _unpadded(slots.tobytes())
+
+
+def _unpadded(data: bytes) -> str:
+    """``data`` as text, with every ``_PAD`` byte dropped."""
+    return data.translate(None, bytes([_PAD])).decode("utf-8")

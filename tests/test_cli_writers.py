@@ -2,22 +2,30 @@
 
 The reference below is the old path, kept here only: every complex number
 became a ``[re, im]`` list one at a time (``_c2pair``), a walk over the whole
-document turned NaN into None (``_sanitize``), and the sweep CSV joined one
-``f"{x:.17g}"`` string per cell (``_fmt``). The CLI must write the same bytes.
+document turned NaN into None (``_sanitize``), the sweep CSV joined one
+``f"{x:.17g}"`` string per cell (``_fmt``), and the sample CSV joined one
+``str(i)`` and one label string per row (``_old_sample_rows``). The CLI must
+write the same bytes.
 """
 import json
 import math
 import os
+import tempfile
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinphoton import cli, metrics, protocols
+from spinphoton import cli, floatrows, metrics, protocols
 from spinphoton import qstate as qs
 from spinphoton.metrics import SweepSpec, run_sweep
 from spinphoton.protocols import BranchColumn, ProtocolBranch, ProtocolResult, run_protocol
 from matrix_oracle import mirrored
+from test_batch_properties import DERANDOMIZED
 
 
 # --- the old pipeline, as the reference ------------------------------------------
@@ -579,3 +587,77 @@ def test_closing_the_chunks_early_kills_and_reaps_the_children(monkeypatch):
     chunks.close()
     assert time.perf_counter() - t0 < 30
     _assert_no_child_left()
+
+
+# --- the sample CSV ------------------------------------------------------------------
+
+def _old_sample_rows(labels, probabilities, seed, trials):
+    """The sample CSV as it was built before: one ``str(i)`` and one string
+    join per row, the row's ending picked from an object array."""
+    labels, probabilities = list(labels), list(probabilities)
+    missing = 1.0 - sum(probabilities)
+    if missing > 1e-9:
+        labels.append("no_detection")
+        probabilities.append(missing)
+    endings = np.array([f",{label}\n" for label in labels], dtype=object)
+    draws = endings[qs.sample_indices(probabilities, np.random.default_rng(seed), trials)]
+    return "trial_index,branch_label\n" + "".join(
+        map(str.__add__, map(str, range(trials)), draws.tolist()))
+
+
+def _sample_csv(monkeypatch, path, labels, probabilities, seed, trials) -> str:
+    """The ``sample`` CSV ``cli.main`` writes to ``path`` for a run whose
+    branches have these labels and probabilities."""
+    result = types.SimpleNamespace(branches=[
+        types.SimpleNamespace(label=label, probability=p)
+        for label, p in zip(labels, probabilities)])
+    monkeypatch.setattr(cli, "run_protocol", lambda *args, **kwargs: result)
+    cfg = _write(path.with_suffix(".cfg"), "protocol = scheme-b\n")
+    assert cli.main(["sample", "--config", cfg, "--trials", str(trials), "--seed", str(seed),
+                     "--out", str(path)]) == 0
+    return path.read_text(encoding="utf-8")
+
+
+# the index width changes inside a 4-row chunk (9 -> 10, 99 -> 100, 999 ->
+# 1000) and, split on 2 or 3 CPUs, between shares; the labels differ in width,
+# and the missing probability adds no_detection
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 9, 10, 11, 99, 100, 101, 1000, 1001])
+def test_sample_csv_equals_the_old_rows(tmp_path, monkeypatch, trials, cpus):
+    labels, probabilities = ["+45/up", "-45/down", "x", "+45/down"], [0.3, 0.25, 0.2, 0.0]
+    forked = _split(monkeypatch, cpus)
+    got = _sample_csv(monkeypatch, tmp_path / "s.csv", labels, probabilities, 7, trials)
+    assert _lines(got) == _lines(_old_sample_rows(labels, probabilities, 7, trials))
+    assert ("no_detection" in got) == (trials > 1)  # first drawn at trial 1 at seed 7
+    assert len(forked) == cpus - 1 and 0 not in forked
+    _assert_no_child_left()
+
+
+@settings(DERANDOMIZED, max_examples=60)
+@given(probabilities=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=130),
+       zero=st.integers(0, 129), lost=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 32),
+       trials=st.integers(1, 3000), chunk=st.integers(1, 5000))
+def test_sample_csv_equals_the_old_rows_on_random_outcomes(probabilities, zero, lost, seed,
+                                                           trials, chunk):
+    # up to ghz-sized label sets, one outcome at probability 0, and labels
+    # whose widths differ by index
+    weights = np.array(probabilities) + 1e-3
+    if len(weights) > 1:
+        weights[zero % len(weights)] = 0.0
+    probabilities = (weights / weights.sum() * (1.0 - lost)).tolist()
+    labels = [f"{'+-'[i % 2]}{'d' * (i % 5)}/{i}" for i in range(len(probabilities))]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+        got = _sample_csv(monkeypatch, Path(tmp) / "s.csv", labels, probabilities, seed, trials)
+    assert _lines(got) == _lines(_old_sample_rows(labels, probabilities, seed, trials))
+
+
+# indices of up to 19 digits, filled from one to five 4-digit groups, the
+# width changing within the range at 10**4, 10**8, 10**12, 10**16 and 10**18
+@pytest.mark.parametrize("start", [0, 10 ** 4 - 3, 10 ** 8 - 3, 10 ** 12 - 3, 10 ** 16 - 3,
+                                   10 ** 18 - 3])
+def test_indexed_rows_writes_each_index_as_str(start):
+    endings = np.array([b",a\n", b",no_detection\n", b",+45/up\n"])
+    picks = np.random.default_rng(start % 1000).integers(0, 3, 7)
+    want = "".join(str(start + i) + endings[k].decode() for i, k in enumerate(picks))
+    assert floatrows.indexed_rows(start, endings[picks]) == want
