@@ -28,7 +28,6 @@ from .gates import (
 )
 from .metrics import SweepSpec, concurrence, entanglement_entropy, run_sweep
 from .protocols import (
-    ProtocolBatch,
     ProtocolBranch,
     ProtocolConfig,
     ProtocolResult,

@@ -512,8 +512,8 @@ def cmd_sample(args) -> int:
     trials = run.trials if args.trials is None else _at_least(key, args.trials, 1)
     seed = run.seed if args.seed is None else _at_least("--seed", args.seed, 0)
     result = run_protocol(run.protocol, run.config, n_photons=run.n_photons)
-    labels = [b.label for b in result.branches]
-    probabilities = [b.probability for b in result.branches]
+    labels = [c.label for c in result.columns]
+    probabilities = [c.probability[0] for c in result.columns]
     missing = 1.0 - sum(probabilities)
     if missing > 1e-9:
         # photon loss in realistic mode: no detector fires

@@ -125,13 +125,13 @@ def _passes(spec: SweepSpec) -> list[np.ndarray]:
 
 def sweep_columns(spec: SweepSpec):
     """Each protocol pass of the sweep, in grid order: (its grid values as a
-    list, its ProtocolBatch's BranchColumns)."""
+    list, its ProtocolResult's BranchColumns)."""
     from . import protocols  # local import; protocols also uses this module
 
     for values in _passes(spec):
-        batch = protocols.run_protocol(spec.protocol, _batched_config(spec, values),
-                                       n_photons=spec.n_photons)
-        yield values.tolist(), batch.columns
+        result = protocols.run_protocol(spec.protocol, _batched_config(spec, values),
+                                        n_photons=spec.n_photons)
+        yield values.tolist(), result.columns
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:

@@ -1,4 +1,4 @@
-"""The four entanglement and state-transfer protocols.
+"""The five entanglement and state-transfer protocols.
 
 Every protocol is deterministic: it enumerates all post-selection branches
 with exact probabilities and canonical output states, never sampling.
@@ -28,14 +28,13 @@ batch then runs in one pass; each per-run decision (a branch below the
 probability floor, a zero branch, a NaN score, a trajectory left out of a
 mixture) is a per-element mask, so each batch element equals the unbatched
 run at its parameters bit for bit. An unbatched config is the batch of shape
-``()``. A batched run keeps per-label columns and builds per-element results
-and branch states only when asked.
+``()``: every run returns one ProtocolResult of per-label columns, whose
+branch states and per-element branches are built only when read.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
 
@@ -138,56 +137,51 @@ class ProtocolBranch:
         return self.probability
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
-    protocol: str
-    branches: tuple[ProtocolBranch, ...]
+class BranchColumn:
+    """One branch label across a run's batch: its label and target, flat lists
+    (C order) of probability, fidelity and concurrence (None unless the branch
+    state is a qubit pair), and its batched ``state``, built on first read."""
 
-    def survival_probability(self) -> float:
-        return float(sum(b.probability for b in self.branches))
-
-    def branch(self, label: str) -> ProtocolBranch:
-        for b in self.branches:
-            if b.label == label:
-                return b
-        raise KeyError(f"no branch labeled {label!r}")
-
-
-# One branch label across a batch: its target, its batched state, and flat lists
-# (C order) of probability, fidelity and concurrence (None unless two qubits).
-BranchColumn = namedtuple("BranchColumn", "label target state probability fidelity concurrence")
-
-
-class _BuiltOnRead(BranchColumn):
-    """A BranchColumn whose state slot holds the function that builds ``state``."""
+    def __init__(self, label, target, probability, fidelity, concurrence, build):
+        self.label, self.target = label, target
+        self.probability, self.fidelity, self.concurrence = probability, fidelity, concurrence
+        self._build = build
 
     @cached_property
-    def state(self):
-        return self[2]()
+    def state(self) -> PureState | DensityState:
+        return self._build()
 
 
 @dataclass(frozen=True)
-class ProtocolBatch:
-    """The runs of a batched config, as one BranchColumn per branch label; the
-    ``results``, one per element in C order, are built on first use."""
+class ProtocolResult:
+    """A run as one BranchColumn per branch label; a single run has batch shape ()."""
 
     protocol: str
     batch_shape: tuple[int, ...]
     columns: tuple[BranchColumn, ...]
 
     @cached_property
-    def results(self) -> tuple[ProtocolResult, ...]:
-        states = [unstack(c.state, self.batch_shape) for c in self.columns]
-        return tuple(ProtocolResult(self.protocol, tuple(
-            ProtocolBranch(c.label, c.probability[i], s[i], c.target, c.fidelity[i],
-                           None if c.concurrence is None else c.concurrence[i])
-            for c, s in zip(self.columns, states))) for i in range(math.prod(self.batch_shape)))
-
-    @property
     def branches(self) -> tuple[ProtocolBranch, ...]:
-        """Every branch of every element, element by element: the flat form of
-        ``ProtocolResult.branches``."""
-        return tuple(b for r in self.results for b in r.branches)
+        """Every branch of every batch element, element by element in C order,
+        so element i's are ``branches[i * len(columns):(i + 1) * len(columns)]``."""
+        states = [unstack(c.state, self.batch_shape) for c in self.columns]
+        return tuple(ProtocolBranch(c.label, c.probability[i], s[i], c.target, c.fidelity[i],
+                                    None if c.concurrence is None else c.concurrence[i])
+                     for i in range(math.prod(self.batch_shape))
+                     for c, s in zip(self.columns, states))
+
+    def survival_probability(self) -> float:
+        if self.batch_shape:
+            raise ValueError("survival_probability takes the result of one run")
+        return float(sum(c.probability[0] for c in self.columns))
+
+    def branch(self, label: str) -> ProtocolBranch:
+        if self.batch_shape:
+            raise ValueError("branch takes the result of one run")
+        for b in self.branches:
+            if b.label == label:
+                return b
+        raise KeyError(f"no branch labeled {label!r}")
 
 
 def _target_state(register, amplitudes) -> PureState | None:
@@ -298,26 +292,21 @@ def _flat(x) -> list:
     return np.reshape(x, -1).tolist()
 
 
-def _batch(name: str, batch, columns):
-    """A ProtocolBatch of the columns when ``batch`` is not (), else the
-    ProtocolResult of the one run."""
-    out = ProtocolBatch(name, batch, tuple(columns))
-    return out if batch else out.results[0]
-
-
 def _result(name: str, leaves, target_of):
     """Score each (label, probability, state) leaf against ``target_of(label)``
-    into a BranchColumn (see ``_batch``). Elements of probability zero score
-    NaN; concurrence is None unless the state has two qubits."""
+    into a BranchColumn of the run's result, whose batch shape is the
+    probabilities'. Elements of probability zero score NaN; concurrence is
+    None unless the state has two qubits."""
     batch = np.shape(leaves[0][1])
     columns = []
     for label, prob, state in leaves:
         target, two = target_of(label), state.n_qubits == 2
         fid = _scored(prob, fidelity, target, state) if target is not None \
             else _flat(np.full(batch, math.nan))
-        columns.append(BranchColumn(label, target, state, _flat(prob), fid,
-                                    _scored(prob, concurrence, state) if two else None))
-    return _batch(name, batch, columns)
+        columns.append(BranchColumn(label, target, _flat(prob), fid,
+                                    _scored(prob, concurrence, state) if two else None,
+                                    lambda state=state: state))
+    return ProtocolResult(name, batch, tuple(columns))
 
 
 def _scored(prob, score, *args) -> list:
@@ -397,10 +386,10 @@ def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
     the result of one run; a batched config goes through
     ``scheme_a_photon_pairs``.
     """
-    if isinstance(entangled, ProtocolBatch):
+    if entangled.batch_shape:
         raise ValueError("scheme_a_emit takes the result of one run; "
                          "for a batched config use scheme_a_photon_pairs")
-    return _emit_pairs([(b.label, b.state) for b in entangled.branches], config)
+    return _emit_pairs([(c.label, c.state) for c in entangled.columns], config)
 
 
 def scheme_a_photon_pairs(config: ProtocolConfig,
@@ -451,8 +440,8 @@ def _chain_factors(config: ProtocolConfig, n: int):
     the ideal (c, u) = (i, 1) chain's A - B (A + B). A basis state with m photons
     in |L> has in A + s B its input amplitude times u^(n-m) c^m + s c^(n-m) u^m,
     so each norm and overlap is a sum over m weighted by e_m, the inputs'
-    probability of m photons in |L>. Returns a target-less _BuiltOnRead column
-    per leaf."""
+    probability of m photons in |L>. Returns a target-less BranchColumn per
+    leaf, its state built on first read."""
     batch = config.batch_shape
     shape = batch or (1,)  # array loops round as a batch's do; 0-d math does not
     c, u = (np.broadcast_to(np.asarray(k, dtype=np.complex128), shape)
@@ -494,7 +483,7 @@ def _chain_factors(config: ProtocolConfig, n: int):
             return _leaf(label, w.reshape(lead), PureState(
                 photons, post.reshape(lead + (-1,)), p.reshape(lead)), photons)[2]
 
-        columns.append(_BuiltOnRead(label, None, build, _flat(prob), _flat(fid), None))
+        columns.append(BranchColumn(label, None, _flat(prob), _flat(fid), None, build))
     return columns
 
 
@@ -504,11 +493,13 @@ def _chain(name: str, config: ProtocolConfig, n: int):
     a, b = _chain_kets(_chain_inputs(config, n), 1j, 1.0)
     photons = tuple(photon(i) for i in range(1, n + 1))
     targets = {"+45": _target_state(photons, a - b), "-45": _target_state(photons, a + b)}
-    columns = [c._replace(target=targets[c.label[:3]]) for c in _chain_factors(config, n)]
-    if n == 2:  # scheme-b builds its pairs to score their concurrence
-        columns = [BranchColumn(*c[:2], c.state, *c[3:5], _scored(
-            np.reshape(c.probability, config.batch_shape), concurrence, c.state)) for c in columns]
-    return _batch(name, config.batch_shape, columns)
+    columns = _chain_factors(config, n)
+    for c in columns:
+        c.target = targets[c.label[:3]]
+        if n == 2:  # scheme-b builds its pairs to score their concurrence
+            c.concurrence = _scored(np.reshape(c.probability, config.batch_shape),
+                                    concurrence, c.state)
+    return ProtocolResult(name, config.batch_shape, tuple(columns))
 
 
 def scheme_b_entangle_photons(config: ProtocolConfig):
@@ -597,8 +588,7 @@ PROTOCOL_NAMES = ("scheme-a", "scheme-b", "transfer-ps", "transfer-sp", "ghz")
 
 
 def run_protocol(name: str, config: ProtocolConfig, n_photons: int = 3):
-    """Run one protocol: a ProtocolResult, or for a batched config a
-    ProtocolBatch of per-label columns."""
+    """Run one protocol: its ProtocolResult, of the config's batch shape."""
     if name == "scheme-a":
         return scheme_a_photon_pairs(config)
     if name == "scheme-b":
@@ -622,7 +612,7 @@ def merged_detection_branch(result: ProtocolResult, detection: str) -> ProtocolB
     outcome is not used. ``result`` is the result of one run. A dead outcome
     keeps the zero state of its first branch, with probability 0.
     """
-    if isinstance(result, ProtocolBatch):
+    if result.batch_shape:
         raise ValueError("merged_detection_branch takes the result of one run")
     picked = [b for b in result.branches
               if b.label == detection or b.label.startswith(detection + "/")]

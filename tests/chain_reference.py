@@ -53,7 +53,7 @@ def reference_targets(config, n) -> dict:
 
 
 def reference_chain(config, n):
-    """The reference run: a ProtocolResult, or a ProtocolBatch for a batched
-    config, scored against ``reference_targets``."""
+    """The reference run: a ProtocolResult of the config's batch shape, scored
+    against ``reference_targets``."""
     targets = reference_targets(config, n)
     return _result("ghz", reference_leaves(config, n), lambda label: targets.get(label[:3]))

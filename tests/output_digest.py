@@ -1,10 +1,13 @@
-"""Print one sha256 per output of the benchmark's workloads, for byte checks.
+"""Print one sha256 per output of the benchmark's workloads and of the demos,
+for byte checks.
 
 Every command of the ``sweep-pure``, ``ghz-dephased`` and ``grid-and-draws``
 workloads (``bench/workloads.build``, full size) is run through ``cli.main``
 in-process, against the package in this checkout's ``src/``, and its
-``--out`` file hashed. Save one checkout's listing, then check another
-against it:
+``--out`` file hashed. Then each script in ``demos/`` runs as its own process,
+as ``tests/test_demos.py`` runs it (a temporary working directory, ``src/`` on
+``PYTHONPATH``), and its stdout is hashed under the key ``demo stdout NAME``.
+Save one checkout's listing, then check another against it:
 
     python tests/output_digest.py > old.txt
     python tests/output_digest.py --against old.txt
@@ -17,6 +20,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -32,7 +37,8 @@ SEEDS = (0, 3, 11)
 
 
 def digests():
-    """(workload, seed, command name, sha256 of its output), in run order."""
+    """(workload, seed, command name, sha256 of its output), in run order, then
+("demo", "stdout", demo name, sha256 of its stdout) for each demo."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
         for name in WHY:
@@ -46,6 +52,16 @@ def digests():
                         raise SystemExit(f"{name} seed {seed} {cmd.name}: exit {code}\n"
                                          + err.getvalue())
                     yield name, seed, cmd.name, hashlib.sha256(out.read_bytes()).hexdigest()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            proc = subprocess.run([sys.executable, str(demo)], cwd=tmp, env=env,
+                                  capture_output=True, timeout=600)
+            if proc.returncode != 0:
+                raise SystemExit(f"demo {demo.stem}: exit {proc.returncode}\n"
+                                 + proc.stderr.decode(errors="replace"))
+            yield "demo", "stdout", demo.stem, hashlib.sha256(proc.stdout).hexdigest()
 
 
 def main(argv=None) -> int:

@@ -182,7 +182,7 @@ def test_criterion_4_oracle_equivalence():
     report(4, "dense-matrix oracle equivalence", ok, detail)
 
 
-def test_criterion_5_monotone_realism_with_artifact():
+def test_criterion_5_monotone_realism_with_artifact(tmp_path):
     grid = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
     rows = []
     for g in grid:
@@ -192,12 +192,15 @@ def test_criterion_5_monotone_realism_with_artifact():
         merged = merged_detection_branch(res, "+45")
         rows.append((g, merged.probability, merged.fidelity_vs_target))
 
-    ARTIFACTS.mkdir(exist_ok=True)
-    path = ARTIFACTS / "scheme_b_fidelity_vs_g.csv"
+    # written beside the test and checked byte for byte against the committed file
+    path = tmp_path / "scheme_b_fidelity_vs_g.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("g_rel,plus45_probability,plus45_fidelity\n")
         for g, p, f in rows:
             fh.write(f"{g:.17g},{p:.17g},{f:.17g}\n")
+    committed = ARTIFACTS / path.name
+    assert path.read_bytes() == committed.read_bytes(), \
+        f"{path} differs from the committed {committed}"
 
     fids = [f for _, _, f in rows]
     nondecreasing = all(b >= a for a, b in zip(fids, fids[1:]))

@@ -21,7 +21,6 @@ from spinphoton.gates import IdealGate, RealisticGate
 from spinphoton.metrics import SWEEP_PARAMETERS, SweepSpec, run_sweep
 from spinphoton.protocols import (
     PROTOCOL_NAMES,
-    ProtocolBatch,
     ProtocolConfig,
     merged_detection_branch,
     run_protocol,
@@ -167,15 +166,37 @@ def test_dephasing_sweep_runs_zero_point_apart():
 def test_batched_config_returns_one_result_per_element():
     cavity = CavityParams(g=np.array([2.0, 5.0, 9.0]), kappa=1.0, gamma=0.1, kappa_s=0.1)
     batch = run_protocol("transfer-sp", ProtocolConfig(gate=RealisticGate(cavity, 0.5)))
-    assert isinstance(batch, ProtocolBatch)
-    assert len(batch.results) == 3
-    assert batch.branches == tuple(b for r in batch.results for b in r.branches)
-    for g, result in zip((2.0, 5.0, 9.0), batch.results):
+    assert batch.batch_shape == (3,)
+    k = len(batch.columns)
+    for i, g in enumerate((2.0, 5.0, 9.0)):
         single = run_protocol("transfer-sp", ProtocolConfig(
             gate=RealisticGate(replace(cavity, g=g), 0.5)))
-        for a, b in zip(result.branches, single.branches):
+        assert single.batch_shape == ()
+        for a, b in zip(batch.branches[i * k:(i + 1) * k], single.branches, strict=True):
+            assert a.label == b.label
             assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
             assert a.state.norm_tracking == b.state.norm_tracking
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_batched_branches_run_element_by_element_then_label_by_label(protocol):
+    # bench/tracing.py counts len(result.branches) of batched runs, and
+    # bench/checks.py reads the branches of single runs, in this order
+    cavity = CavityParams(g=np.array([2.0, 5.0, 9.0]), kappa=1.0, gamma=0.1, kappa_s=0.1)
+    t = np.array([[0.1], [0.4]])
+    result = run_protocol(protocol, ProtocolConfig(gate=RealisticGate(cavity, 0.5),
+                                                   t_over_t2=t), n_photons=4)
+    assert result.batch_shape == (2, 3)
+    labels = [c.label for c in result.columns]
+    assert len(result.branches) == 6 * len(labels)
+    assert [b.label for b in result.branches] == labels * 6
+    for i, (j, g) in enumerate(np.ndindex(2, 3)):
+        single = run_protocol(protocol, ProtocolConfig(
+            gate=RealisticGate(replace(cavity, g=cavity.g[g]), 0.5), t_over_t2=t[j, 0]),
+            n_photons=4)
+        got = result.branches[i * len(labels):(i + 1) * len(labels)]
+        assert [(b.label, b.probability) for b in got] == \
+            [(b.label, b.probability) for b in single.branches]
 
 
 def test_mixed_zero_and_positive_dephasing_batch_rejected():
@@ -223,8 +244,8 @@ def dephased_configs(draw, batched: bool):
 @given(data=st.data())
 def test_every_density_matrix_is_exactly_hermitian(protocol, n_photons, batched, data):
     result = run_protocol(protocol, data.draw(dephased_configs(batched)), n_photons=n_photons)
-    assert isinstance(result, ProtocolBatch) == batched
-    states = [c.state for c in (result.columns if batched else result.branches)]
+    assert bool(result.batch_shape) == batched
+    states = [c.state for c in result.columns]
     assert all(isinstance(s, DensityState) for s in states) == (protocol != "transfer-ps")
     for state in states:
         if isinstance(state, DensityState):

@@ -20,7 +20,7 @@ from spinphoton import qstate as qs
 from spinphoton.cavity import CavityParams
 from spinphoton.gates import IdealGate, RealisticGate
 from spinphoton.metrics import concurrence
-from spinphoton.protocols import ProtocolBatch, ProtocolConfig, chain_multiphoton
+from spinphoton.protocols import ProtocolConfig, chain_multiphoton
 from chain_reference import reference_chain, reference_targets
 from reference_states import rand_amp_pair
 from test_oracle_equivalence import _kraus_chain, gate_coeffs
@@ -102,9 +102,8 @@ def test_batched_chain_matches_the_reference_element_by_element(n, dephased):
     t = np.array([0.05, 0.3, 2.0]) if dephased else 0.0
     cfg = random_config(rng, RealisticGate(cavity, 0.5), t)
     got, ref = chain_multiphoton(cfg, n), reference_chain(cfg, n)
-    assert isinstance(got, ProtocolBatch) and got.batch_shape == (3,)
-    for a, b in zip(got.results, ref.results, strict=True):
-        assert_agrees_with_reference(a, b)
+    assert got.batch_shape == ref.batch_shape == (3,)
+    assert_agrees_with_reference(got, ref)  # element by element, as branches run
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -114,10 +113,9 @@ def test_a_dephasing_too_small_for_q_still_gives_mixtures(n):
     cfg = random_config(np.random.default_rng(7), GATES["lossy"], 1e-300)
     assert_agrees_with_reference(chain_multiphoton(cfg, n), reference_chain(cfg, n))
     batch = replace(cfg, t_over_t2=np.array([1e-300, 1.0]))
-    got, ref = chain_multiphoton(batch, n).results, reference_chain(batch, n).results
-    for a, b in zip(got, ref, strict=True):
-        assert_agrees_with_reference(a, b)
-    assert all(isinstance(br.state, qs.DensityState) for br in got[0].branches)
+    got = chain_multiphoton(batch, n)
+    assert_agrees_with_reference(got, reference_chain(batch, n))
+    assert all(isinstance(br.state, qs.DensityState) for br in got.branches)
 
 
 @pytest.mark.parametrize("t_over_t2", [0.0, 0.3])
@@ -189,8 +187,31 @@ def test_a_batched_chain_builds_its_states_only_when_read(monkeypatch):
     assert calls == []
     assert all(isinstance(b.state, qs.DensityState) for b in batch.branches)
     assert calls == [(2, 3)] * 4  # one build of each leaf's two trajectories
-    chain_multiphoton(ProtocolConfig(), 5)  # a single run builds its states
+    single = chain_multiphoton(ProtocolConfig(), 5)  # a single run, too, builds on read
+    assert calls == [(2, 3)] * 4
+    assert all(isinstance(b.state, qs.PureState) for b in single.branches)
     assert calls == [(2, 3)] * 4 + [(1,)] * 4
+
+
+@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("t_over_t2", [0.0, 0.3])
+def test_a_chain_column_builds_its_state_once_and_only_on_first_read(monkeypatch, n,
+                                                                     t_over_t2):
+    calls = []
+    leaf = protocols._leaf
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return leaf(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "_leaf", counting)
+    result = chain_multiphoton(ProtocolConfig(gate=GATES["lossy"], t_over_t2=t_over_t2), n)
+    built = [c.label for c in result.columns] if n == 2 else []  # scheme-b's concurrence
+    assert calls == built
+    first = [c.state for c in result.columns]
+    assert all(c.state is s for c, s in zip(result.columns, first))  # built once
+    assert result.branches is result.branches
+    assert sorted(calls) == sorted(c.label for c in result.columns)
 
 
 # --- the paper's claim: deterministic, and any number of photons ----------------

@@ -12,7 +12,6 @@ import math
 import os
 import tempfile
 import time
-import types
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +116,19 @@ def _random_branch(rng, n_qubits, density, special=SPECIAL):
                           concurrence=conc)
 
 
+def _column(label, probability, fidelity, concurrence=None, state=None, target=None):
+    """A BranchColumn of these score lists whose state is ``state``."""
+    return BranchColumn(label, target, probability, fidelity, concurrence, lambda: state)
+
+
+def _single_run(branches, protocol="ghz"):
+    """The ProtocolResult of one run (batch shape ()) whose branches are these."""
+    return ProtocolResult(protocol, (), tuple(
+        _column(b.label, [b.probability], [b.fidelity_vs_target],
+                None if b.concurrence is None else [b.concurrence], b.state, b.target)
+        for b in branches))
+
+
 def _random_config(rng):
     text = f"protocol = ghz\nghz.n_photons = {int(rng.integers(2, 7))}\n"
     if rng.random() < 0.5:
@@ -144,7 +156,7 @@ def test_protocol_json_equals_the_old_pipeline_on_random_branches(tmp_path, monk
     cfg = _write(tmp_path / "c.cfg", _random_config(rng))
     branches = tuple(_random_branch(rng, int(rng.integers(1, 5)), rng.random() < 0.5)
                      for _ in range(int(rng.integers(1, 6))))
-    result = ProtocolResult("ghz", branches)
+    result = _single_run(branches)
     monkeypatch.setattr(cli, "run_protocol", lambda *args, **kwargs: result)
     out = tmp_path / "p.json"
     assert cli.main(["protocol", "--config", cfg, "--out", str(out)]) == 0
@@ -165,7 +177,7 @@ def test_protocol_json_equals_the_old_pipeline_at_ghz_size_and_with_no_branches(
     out = tmp_path / "p.json"
     for branches in [tuple(_random_branch(rng, 6, density, special)
                            for density in (False, True, True)), ()]:
-        result = ProtocolResult("ghz", branches)
+        result = _single_run(branches)
         monkeypatch.setattr(cli, "run_protocol", lambda *args, **kwargs: result)
         assert cli.main(["protocol", "--config", cfg, "--out", str(out)]) == 0
         expected = reference_protocol_json(run, result)
@@ -192,7 +204,7 @@ def test_protocol_json_equals_the_old_pipeline_on_hermitian_branches(tmp_path, m
         branches.append(ProtocolBranch(br.label, br.probability,
                                        qs.DensityState(br.state.register, mat), None,
                                        br.fidelity_vs_target, br.concurrence))
-    result = ProtocolResult("ghz", tuple(branches))
+    result = _single_run(branches)
     monkeypatch.setattr(cli, "run_protocol", lambda *args, **kwargs: result)
     out = tmp_path / "p.json"
     assert cli.main(["protocol", "--config", cfg, "--out", str(out)]) == 0
@@ -352,11 +364,11 @@ def test_sweep_csv_equals_the_old_pipeline_on_random_rows(tmp_path, monkeypatch,
         prob, fid = _special_floats(rng, (2, n)).tolist()
         fid = [math.nan if i % 5 == 0 else f for i, f in enumerate(fid)]
         conc = None if rng.random() < 0.4 else [_score(rng) for _ in range(n)]
-        columns.append(BranchColumn(label, None, None, prob, fid, conc))
+        columns.append(_column(label, prob, fid, conc))
     cuts = [0, *sorted(rng.integers(0, n + 1, int(rng.integers(0, 3)))), n]
-    passes = [(values[a:b], [c._replace(
-        probability=c.probability[a:b], fidelity=c.fidelity[a:b],
-        concurrence=None if c.concurrence is None else c.concurrence[a:b]) for c in columns])
+    passes = [(values[a:b], [_column(
+        c.label, c.probability[a:b], c.fidelity[a:b],
+        None if c.concurrence is None else c.concurrence[a:b]) for c in columns])
         for a, b in zip(cuts, cuts[1:]) if b > a]  # the grid in one to three passes
     rows = [{"swept_name": "t_over_t2", "swept_value": v, "branch_label": c.label,
              "probability": c.probability[i], "fidelity": c.fidelity[i],
@@ -436,13 +448,43 @@ def test_sweep_builds_no_per_point_branch_or_state(tmp_path, monkeypatch, config
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
+def test_sample_builds_no_branch_or_state(tmp_path, monkeypatch):
+    # a single run's labels and probabilities come from its columns: a dephased
+    # ghz chain builds none of its 2^n branch states
+    cfg = _write(tmp_path / "c.cfg", "protocol = ghz\nghz.n_photons = 6\n"
+                                     "gate.mode = realistic\nnoise.t_over_t2 = 0.3\n")
+    run = cli.load_config(cfg)
+    result = run_protocol(run.protocol, run.config, n_photons=run.n_photons)
+    expected = _old_sample_rows([b.label for b in result.branches],
+                                [b.probability for b in result.branches], 5, 1000)
+    builds = []
+    leaf = protocols._leaf
+
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return leaf(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample built a per-branch object")
+
+    monkeypatch.setattr(protocols, "_leaf", counting)
+    monkeypatch.setattr(protocols, "ProtocolBranch", refuse)
+    monkeypatch.setattr(protocols, "unstack", refuse)
+    monkeypatch.setattr(qs, "unstack", refuse)
+    out = tmp_path / "s.csv"
+    assert cli.main(["sample", "--config", cfg, "--trials", "1000", "--seed", "5",
+                     "--out", str(out)]) == 0
+    assert builds == []
+    assert _lines(out.read_text(encoding="utf-8")) == _lines(expected)
+
+
 def test_protocol_json_refuses_a_non_finite_number_outside_the_scores(tmp_path,
                                                                       monkeypatch):
     register = (qs.photon(1),)
     branch = ProtocolBranch("H", math.inf, qs.PureState(register, [1.0, 0.0]), None,
                             math.nan, None)
     monkeypatch.setattr(cli, "run_protocol",
-                        lambda *args, **kwargs: ProtocolResult("scheme-b", (branch,)))
+                        lambda *args, **kwargs: _single_run([branch], "scheme-b"))
     out = tmp_path / "p.json"
     assert cli.main(["protocol", "--out", str(out)]) == 1
 
@@ -456,7 +498,7 @@ def test_protocol_json_refuses_a_non_finite_array_entry(tmp_path, capsys, monkey
                                                         state):
     branch = ProtocolBranch("H", 0.5, state, None, 1.0, None)
     monkeypatch.setattr(cli, "run_protocol",
-                        lambda *args, **kwargs: ProtocolResult("scheme-b", (branch,)))
+                        lambda *args, **kwargs: _single_run([branch], "scheme-b"))
     out = tmp_path / "p.json"
     assert cli.main(["protocol", "--out", str(out)]) == 1
     assert "internal error" in capsys.readouterr().err
@@ -608,9 +650,8 @@ def _old_sample_rows(labels, probabilities, seed, trials):
 def _sample_csv(monkeypatch, path, labels, probabilities, seed, trials) -> str:
     """The ``sample`` CSV ``cli.main`` writes to ``path`` for a run whose
     branches have these labels and probabilities."""
-    result = types.SimpleNamespace(branches=[
-        types.SimpleNamespace(label=label, probability=p)
-        for label, p in zip(labels, probabilities)])
+    result = ProtocolResult("scheme-b", (), tuple(
+        _column(label, [p], [math.nan]) for label, p in zip(labels, probabilities)))
     monkeypatch.setattr(cli, "run_protocol", lambda *args, **kwargs: result)
     cfg = _write(path.with_suffix(".cfg"), "protocol = scheme-b\n")
     assert cli.main(["sample", "--config", cfg, "--trials", str(trials), "--seed", str(seed),

@@ -171,7 +171,8 @@ def test_scheme_a_emit_rejects_a_batched_result():
         CavityParams(g=np.array([2.0, 4.0, 8.0]), kappa=1.0, gamma=0.1), 0.5))
     with pytest.raises(ValueError, match="scheme_a_photon_pairs"):
         scheme_a_emit(scheme_a_entangle_spins(cfg), cfg)
-    assert [len(r.branches) for r in scheme_a_photon_pairs(cfg).results] == [2, 2, 2]
+    pairs = scheme_a_photon_pairs(cfg)
+    assert pairs.batch_shape == (3,) and len(pairs.columns) == 2 and len(pairs.branches) == 6
 
 
 # --- scheme B ------------------------------------------------------------------
@@ -275,8 +276,37 @@ def test_merged_detection_branch_rejects_a_batched_result():
     batch = scheme_b_entangle_photons(ProtocolConfig(gate=RealisticGate(cavity, 0.5)))
     with pytest.raises(ValueError, match="result of one run"):
         merged_detection_branch(batch, "+45")
-    for result in batch.results:
-        assert merged_detection_branch(result, "+45").probability <= 1.0
+    for g in cavity.g:  # one single run per element instead
+        single = scheme_b_entangle_photons(ProtocolConfig(gate=RealisticGate(
+            replace(cavity, g=g), 0.5)))
+        assert merged_detection_branch(single, "+45").probability <= 1.0
+
+
+def test_branch_and_survival_probability_refuse_a_batched_result():
+    cavity = CavityParams(g=np.array([2.0, 5.0]), kappa=1.0, gamma=0.1)
+    batch = scheme_b_entangle_photons(ProtocolConfig(gate=RealisticGate(cavity, 0.5)))
+    with pytest.raises(ValueError, match="result of one run"):
+        batch.branch("+45/up")
+    with pytest.raises(ValueError, match="result of one run"):
+        batch.survival_probability()
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+@pytest.mark.parametrize("batched", [False, True])
+def test_no_result_hands_out_a_callable(name, batched):
+    # a column's state is built by a private function that nothing public
+    # returns: no attribute, item of an attribute, iteration or unpacking
+    g = np.array([2.0, 5.0]) if batched else 5.0
+    cfg = ProtocolConfig(gate=RealisticGate(CavityParams(g=g, kappa=1.0, gamma=0.1), 0.5),
+                         t_over_t2=0.2)
+    result = run_protocol(name, cfg, n_photons=4)
+    for obj in (result, *result.columns, *result.branches):
+        with pytest.raises(TypeError):
+            _, *_ = obj
+        public = [getattr(obj, a) for a in dir(obj)
+                  if not a.startswith("_") and not callable(getattr(type(obj), a, None))]
+        items = [x for v in public if isinstance(v, (tuple, list)) for x in v]
+        assert not any(map(callable, public + items)), type(obj).__name__
 
 
 # --- scheme C ------------------------------------------------------------------
