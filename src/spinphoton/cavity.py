@@ -41,6 +41,7 @@ class ParameterError(ValueError):
 
 
 _RULES = {"finite": np.isfinite, "positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
+_PHASE_TOL = 1e-9  # find_operating_point's stop: |phase - target| <= _PHASE_TOL
 
 
 def check_field(name: str, value, rule: str) -> None:
@@ -131,13 +132,13 @@ def conditional_phase(params: CavityParams, omega):
                             reflect(params, omega, coupled=False))
 
 
-def find_operating_point(params: CavityParams, target_phase: float,
-                         tol: float = 1e-9) -> float:
+def find_operating_point(params: CavityParams, target_phase: float) -> float:
     """Detuning omega - omega_c at which the conditional phase hits the target.
 
     Bisection over detunings in (0, 5 kappa]; the conditional phase spans
-    (0, pi) there in the strong-coupling regime. Raises ParameterError for a
-    batch of cavities, weak coupling or a target the bracket does not hold.
+    (0, pi) there in the strong-coupling regime; it stops within _PHASE_TOL of
+    the target. Raises ParameterError for a batch of cavities, weak coupling or
+    a target the bracket does not hold.
     """
     for name, value in vars(params).items():
         if np.ndim(value):
@@ -162,7 +163,7 @@ def find_operating_point(params: CavityParams, target_phase: float,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm) <= tol:
+        if abs(fm) <= _PHASE_TOL:
             return mid
         if flo * fm < 0.0:
             hi = mid

@@ -16,8 +16,10 @@ which is diagonal in the spin basis whether lossy or not, so the intervals up
 to the next non-diagonal spin operation merge into one channel, and a dephased
 run is exactly the weighted mixture of pure trajectories (1-q, psi) and
 (q, Z psi). A branch's probability is the weighted sum over trajectories, and
-its state is a DensityState exactly when t_over_t2 > 0. scheme-a and the
-transfers run on ``qstate`` registers, the trajectories on a leading axis.
+its state is a DensityState exactly when t_over_t2 > 0. scheme-a (spin pairs,
+then emission) and the transfers run on ``qstate`` registers, the trajectories
+on a leading axis; ``_leaf`` closes each branch, and alone drops a state below
+the probability floor.
 scheme-b and ghz build no register: their photons meet only the one spin, so
 each branch is a sum of two photon product states, scored in O(n) from
 per-photon factors (``_chain_factors``), its 2^n state built when read.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
 import numpy as np
@@ -160,15 +162,17 @@ class ProtocolResult:
     batch_shape: tuple[int, ...]
     columns: tuple[BranchColumn, ...]
 
+    def _column_branches(self, c: BranchColumn) -> list[ProtocolBranch]:
+        """Column ``c``'s ProtocolBranch in each batch element, in C order."""
+        return [ProtocolBranch(c.label, c.probability[i], s, c.target, c.fidelity[i],
+                               None if c.concurrence is None else c.concurrence[i])
+                for i, s in enumerate(unstack(c.state, self.batch_shape))]
+
     @cached_property
     def branches(self) -> tuple[ProtocolBranch, ...]:
         """Every branch of every batch element, element by element in C order,
         so element i's are ``branches[i * len(columns):(i + 1) * len(columns)]``."""
-        states = [unstack(c.state, self.batch_shape) for c in self.columns]
-        return tuple(ProtocolBranch(c.label, c.probability[i], s[i], c.target, c.fidelity[i],
-                                    None if c.concurrence is None else c.concurrence[i])
-                     for i in range(math.prod(self.batch_shape))
-                     for c, s in zip(self.columns, states))
+        return tuple(b for bs in zip(*map(self._column_branches, self.columns)) for b in bs)
 
     def survival_probability(self) -> float:
         if self.batch_shape:
@@ -178,9 +182,9 @@ class ProtocolResult:
     def branch(self, label: str) -> ProtocolBranch:
         if self.batch_shape:
             raise ValueError("branch takes the result of one run")
-        for b in self.branches:
-            if b.label == label:
-                return b
+        for c in self.columns:
+            if c.label == label:
+                return self._column_branches(c)[0]
         raise KeyError(f"no branch labeled {label!r}")
 
 
@@ -224,14 +228,6 @@ def _trajectories(psi: PureState, batch, spins=(), t_over_t2=0.0):
     return w, psi
 
 
-def _keep(state: PureState, mask) -> PureState:
-    """``state`` with the batch elements outside ``mask`` set to zero."""
-    if mask.all():
-        return state
-    return PureState(state.register, np.where(mask[..., None], state.amplitudes, 0.0),
-                     np.where(mask, state.norm_tracking, 0.0))
-
-
 def _floored(w, p):
     """sum_k w_k p_k over stacked trajectories, in order from zero as a mixture's
     terms, set to 0 at or below the floor; and where it is above the floor."""
@@ -251,6 +247,7 @@ def _leaf(label, w, post, kept, correct=None):
     (made exactly Hermitian by ``make_hermitian``), else the one trajectory's
     state. Elements at or below the floor get probability 0 and a zero state,
     and trajectories below the floor add to the probability but not to the state.
+    This is the one probability floor on a state; ``_chain_factors`` scores alike.
     """
     batch, mixed = w.shape[1:], len(w) > 1
     empty = np.zeros(batch + (2 ** len(kept),) * (1 + mixed), dtype=np.complex128)
@@ -259,7 +256,9 @@ def _leaf(label, w, post, kept, correct=None):
         return label, prob, (DensityState(tuple(kept), make_hermitian(empty), prob) if mixed
                              else PureState(tuple(kept), empty, prob))
     own = post.norm_tracking > PROBABILITY_FLOOR
-    post = _keep(post, own)
+    if not own.all():
+        post = PureState(post.register, np.where(own[..., None], post.amplitudes, 0.0),
+                         np.where(own, post.norm_tracking, 0.0))
     if correct is not None:
         post = correct(post)
     if not mixed:
@@ -278,14 +277,12 @@ def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: Qubit
 
     Returns both +-45 detection branches; with the ideal gate the +45 branch
     projects the spin onto |up> and the -45 branch onto |down>. The measured
-    ancilla leaves the register, and a branch below the probability floor
-    gets a zero post state.
+    ancilla leaves the register. The outcomes are ``measure``'s, renormalized
+    at any probability: the floor is applied by the ``_leaf`` closing a run.
     """
     full = tensor(state, ket_state(ancilla_photon, "H"))
     full = apply_gate(full, make_gate(ancilla_photon, spin_q, gate))
-    return [replace(o, post_state=_keep(o.post_state,
-                                        o.post_state.norm_tracking > PROBABILITY_FLOOR))
-            for o in measure(full, ancilla_photon, "45")]
+    return measure(full, ancilla_photon, "45")
 
 
 def _flat(x) -> list:
@@ -317,9 +314,15 @@ def _scored(prob, score, *args) -> list:
 
 # --- scheme A: photon pairs via remote entangled spins ----------------------
 
-def _spin_pair_leaves(config: ProtocolConfig, second_cavity: CavityParams | None):
-    """Scheme A's heralded spin pairs: the (label, probability, state) leaves
-    and their targets."""
+def scheme_a_entangle_spins(config: ProtocolConfig,
+                            second_cavity: CavityParams | None = None):
+    """Entangle two remote spins with one linearly polarized probe photon.
+
+    The |H> probe reflects off cavity 1 then cavity 2 and is detected in the
+    H/V basis. The V click heralds alpha1 alpha2 |up,up> - beta1 beta2
+    |down,down>; the H click heralds alpha1 beta2 |up,down> + alpha2 beta1
+    |down,up| (up to a global phase).
+    """
     s1, s2, probe = spin(1), spin(2), photon(0)
     mode2 = config.gate
     if second_cavity is not None:
@@ -341,25 +344,22 @@ def _spin_pair_leaves(config: ProtocolConfig, second_cavity: CavityParams | None
         "H": _target_state((s1, s2), [0, a1 * b2, a2 * b1, 0]),
     }
     w, state = _trajectories(state, config.batch_shape)
-    leaves = [_leaf(o.label, w, o.post_state, (s1, s2)) for o in measure(state, probe, "HV")]
-    return leaves, targets
+    return _result("scheme-a-spins", [_leaf(o.label, w, o.post_state, (s1, s2))
+                                      for o in measure(state, probe, "HV")], targets.get)
 
 
-def scheme_a_entangle_spins(config: ProtocolConfig,
-                            second_cavity: CavityParams | None = None):
-    """Entangle two remote spins with one linearly polarized probe photon.
+def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
+    """Convert each heralded spin pair into a polarization-entangled photon pair.
 
-    The |H> probe reflects off cavity 1 then cavity 2 and is detected in the
-    H/V basis. The V click heralds alpha1 alpha2 |up,up> - beta1 beta2
-    |down,down>; the H click heralds alpha1 beta2 |up,down> + alpha2 beta1
-    |down,up| (up to a global phase).
+    Optional dephasing (one emission interval per spin) is applied first, then
+    the emission relabeling up -> L, down -> R on both spins. ``entangled`` is
+    a ``scheme_a_entangle_spins`` result of batch shape ``()`` or the config's;
+    a single run under a batched config emits its one pair at every element.
+    Any other batch shape raises ValueError.
     """
-    leaves, targets = _spin_pair_leaves(config, second_cavity)
-    return _result("scheme-a-spins", leaves, targets.get)
-
-
-def _emit_pairs(spin_pairs, config: ProtocolConfig):
-    """The scheme-a result from (label, spin-pair state) pairs."""
+    if entangled.batch_shape not in ((), config.batch_shape):
+        raise ValueError(f"scheme_a_emit takes a result of batch shape () or "
+                         f"{config.batch_shape}, not {entangled.batch_shape}")
     s1, s2 = spin(1), spin(2)
     p1, p2 = photon(1), photon(2)
     a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
@@ -371,32 +371,17 @@ def _emit_pairs(spin_pairs, config: ProtocolConfig):
     def emit(st):
         return trion_emission_map(trion_emission_map(st, s1, p1), s2, p2)
 
-    def leaf(label, state):
-        w, psi = _trajectories(state, config.batch_shape, (s1, s2), config.t_over_t2)
-        return _leaf(label, w, psi, (p1, p2), emit)
+    def leaf(column):
+        w, psi = _trajectories(column.state, config.batch_shape, (s1, s2), config.t_over_t2)
+        return _leaf(column.label, w, psi, (p1, p2), emit)
 
-    return _result("scheme-a", [leaf(label, state) for label, state in spin_pairs], targets.get)
-
-
-def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
-    """Convert each heralded spin pair into a polarization-entangled photon pair.
-
-    Optional dephasing (one emission interval per spin) is applied first, then
-    the emission relabeling up -> L, down -> R on both spins. ``entangled`` is
-    the result of one run; a batched config goes through
-    ``scheme_a_photon_pairs``.
-    """
-    if entangled.batch_shape:
-        raise ValueError("scheme_a_emit takes the result of one run; "
-                         "for a batched config use scheme_a_photon_pairs")
-    return _emit_pairs([(c.label, c.state) for c in entangled.columns], config)
+    return _result("scheme-a", [leaf(c) for c in entangled.columns], targets.get)
 
 
 def scheme_a_photon_pairs(config: ProtocolConfig,
                           second_cavity: CavityParams | None = None):
-    """Full scheme A: spin-spin entanglement followed by emission."""
-    leaves, _ = _spin_pair_leaves(config, second_cavity)
-    return _emit_pairs([(label, st) for label, _, st in leaves], config)
+    """Full scheme A: ``scheme_a_emit`` of ``scheme_a_entangle_spins``."""
+    return scheme_a_emit(scheme_a_entangle_spins(config, second_cavity), config)
 
 
 # --- scheme B and its multi-photon chain -------------------------------------
@@ -614,19 +599,19 @@ def merged_detection_branch(result: ProtocolResult, detection: str) -> ProtocolB
     """
     if result.batch_shape:
         raise ValueError("merged_detection_branch takes the result of one run")
-    picked = [b for b in result.branches
-              if b.label == detection or b.label.startswith(detection + "/")]
+    picked = [c for c in result.columns
+              if c.label == detection or c.label.startswith(detection + "/")]
     if not picked:
         raise KeyError(f"no branch labeled {detection!r}")
-    live = [b for b in picked if b.probability > 0.0]
-    p_tot = sum((b.probability for b in live), 0.0)
+    live = [c for c in picked if c.probability[0] > 0.0]
+    p_tot = sum((c.probability[0] for c in live), 0.0)
     state = (live or picked)[0].state
     if len(live) > 1:
         dim = 2 ** state.n_qubits
         mat = np.zeros((dim, dim), dtype=np.complex128)
-        for b in live:
-            rho = to_density(b.state) if isinstance(b.state, PureState) else b.state
-            mat += (b.probability / p_tot) * (rho.matrix / max(rho.trace(), 1e-300))
+        for c in live:
+            rho = to_density(c.state) if isinstance(c.state, PureState) else c.state
+            mat += (c.probability[0] / p_tot) * (rho.matrix / max(rho.trace(), 1e-300))
         state = DensityState(state.register, make_hermitian(mat), min(p_tot, 1.0))
-    target = next((b.target for b in picked if b.target is not None), None)
+    target = next((c.target for c in picked if c.target is not None), None)
     return _result(result.protocol, [(detection, p_tot, state)], lambda _: target).branches[0]

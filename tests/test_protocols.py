@@ -39,6 +39,7 @@ from reference_states import (
     spin_pair_anticorrelated,
     spin_pair_correlated,
 )
+from test_batch_properties import same
 
 SQH = 1.0 / math.sqrt(2.0)
 UNIFORM = ProtocolConfig()
@@ -166,13 +167,45 @@ def test_scheme_a_second_cavity_mismatch_supported():
         res_same.branch("V").probability, abs=1e-6)
 
 
-def test_scheme_a_emit_rejects_a_batched_result():
-    cfg = ProtocolConfig(gate=RealisticGate(
-        CavityParams(g=np.array([2.0, 4.0, 8.0]), kappa=1.0, gamma=0.1), 0.5))
-    with pytest.raises(ValueError, match="scheme_a_photon_pairs"):
-        scheme_a_emit(scheme_a_entangle_spins(cfg), cfg)
-    pairs = scheme_a_photon_pairs(cfg)
-    assert pairs.batch_shape == (3,) and len(pairs.columns) == 2 and len(pairs.branches) == 6
+def assert_same_branch(a: ProtocolBranch, b: ProtocolBranch) -> None:
+    """``a`` and ``b`` agree field by field, bit for bit."""
+    assert a.label == b.label
+    for name in ("probability", "fidelity_vs_target", "concurrence"):
+        assert same(getattr(a, name), getattr(b, name)), name
+    assert (a.target is None) == (b.target is None)
+    if a.target is not None:
+        assert np.array_equal(a.target.amplitudes, b.target.amplitudes)
+    assert type(a.state) is type(b.state) and a.state.register == b.state.register
+    data = "amplitudes" if isinstance(a.state, qs.PureState) else "matrix"
+    assert np.array_equal(getattr(a.state, data), getattr(b.state, data))
+    assert a.state.norm_tracking == b.state.norm_tracking
+
+
+@pytest.mark.parametrize("t_over_t2", [0.0, 0.3])
+def test_scheme_a_emit_runs_a_batched_result_as_its_single_runs(t_over_t2):
+    g = np.array([2.0, 4.0, 8.0])
+    cfg = replace(realistic_config(g=g, kappa_s=0.2), t_over_t2=t_over_t2)
+    pairs = scheme_a_emit(scheme_a_entangle_spins(cfg), cfg)
+    assert pairs.batch_shape == (3,) and len(pairs.branches) == 6
+    for i, gi in enumerate(g):
+        single = scheme_a_photon_pairs(replace(realistic_config(g=gi, kappa_s=0.2),
+                                               t_over_t2=t_over_t2))
+        for a, b in zip(pairs.branches[2 * i:2 * i + 2], single.branches, strict=True):
+            assert_same_branch(a, b)
+    # one spin-pair run emits at every element of a batched config
+    base = realistic_config(g=4.0, kappa_s=0.2)
+    spins, t = scheme_a_entangle_spins(base), np.array([0.1, 0.2, 0.3])
+    spread = scheme_a_emit(spins, replace(base, t_over_t2=t))
+    assert spread.batch_shape == (3,)
+    for i, ti in enumerate(t):
+        single = scheme_a_emit(spins, replace(base, t_over_t2=ti))
+        for a, b in zip(spread.branches[2 * i:2 * i + 2], single.branches, strict=True):
+            assert_same_branch(a, b)
+    # a result of any other batch shape is refused
+    with pytest.raises(ValueError, match="batch shape"):
+        scheme_a_emit(scheme_a_entangle_spins(realistic_config(g=g[:2])), cfg)
+    with pytest.raises(ValueError, match="batch shape"):
+        scheme_a_emit(scheme_a_entangle_spins(cfg), base)
 
 
 # --- scheme B ------------------------------------------------------------------
@@ -289,6 +322,35 @@ def test_branch_and_survival_probability_refuse_a_batched_result():
         batch.branch("+45/up")
     with pytest.raises(ValueError, match="result of one run"):
         batch.survival_probability()
+
+
+def counting_leaves(monkeypatch) -> list:
+    """The labels of the leaves closed from now on, counted at ``protocols._leaf``."""
+    calls, leaf = [], protocols._leaf
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return leaf(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "_leaf", counting)
+    return calls
+
+
+def test_branch_builds_only_its_own_state(monkeypatch):
+    calls = counting_leaves(monkeypatch)
+    result = chain_multiphoton(replace(realistic_config(kappa_s=0.2), t_over_t2=0.3), 6)
+    plus = result.branch("+45/up")
+    assert calls == ["+45/up"]
+    assert isinstance(plus.state, qs.DensityState)
+    assert_same_branch(plus, result.branches[0])
+
+
+def test_merged_detection_branch_builds_only_the_picked_states(monkeypatch):
+    calls = counting_leaves(monkeypatch)
+    result = chain_multiphoton(realistic_config(kappa_s=0.2), 3)
+    merged = merged_detection_branch(result, "+45")
+    assert sorted(calls) == ["+45/down", "+45/up"]  # both live: the merge mixes both
+    assert isinstance(merged.state, qs.DensityState)
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
@@ -408,6 +470,22 @@ def test_gfr_readout_is_non_demolition_on_larger_registers():
     st = qs.tensor(qs.ket_state(qs.photon(1), "H"), qs.ket_state(qs.spin(1), "up"))
     outs = gfr_spin_readout(st, qs.spin(1), qs.photon(9))
     assert outs[0].post_state.register == st.register
+
+
+def test_gfr_readout_keeps_a_branch_below_the_floor_renormalized():
+    # the floor is applied by the leaf that closes a run, not by the readout
+    s, ancilla = qs.spin(1), qs.photon(9)
+    st = qs.qubit_state(s, 1.0, 1e-13)
+    minus = gfr_spin_readout(st, s, ancilla)[1]
+    assert minus.label == "-45"
+    assert minus.probability == pytest.approx(1e-26, rel=1e-9)
+    assert minus.probability < protocols.PROBABILITY_FLOOR
+    full = gates.apply_gate(qs.tensor(st, qs.ket_state(ancilla, "H")),
+                            gates.make_gate(ancilla, s, IdealGate()))
+    ref = qs.measure(full, ancilla, "45")[1].post_state
+    assert np.array_equal(minus.post_state.amplitudes, ref.amplitudes)
+    assert minus.post_state.norm_tracking == ref.norm_tracking > 0.0
+    assert np.linalg.norm(minus.post_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- multi-photon chain --------------------------------------------------------------
