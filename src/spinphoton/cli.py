@@ -491,15 +491,20 @@ def cmd_sweep(args) -> int:
 def _sweep_chunks(name: str, passes):
     """The sweep CSV from each pass's (grid values, branch columns): one ``%``
     template per grid point, with ``name`` and the labels baked in, filled once
-    per chunk of at most ``_CHUNK_ROWS`` rows."""
+    per chunk of at most ``_CHUNK_ROWS`` rows. A cell written more than once
+    (the swept value on each branch row, a probability as ``probability`` and
+    ``success_probability``) is formatted once per pass, into a ``%s`` slot."""
     yield ("swept_name,swept_value,branch_label,probability,fidelity,"
            "concurrence,success_probability\n")
-    name = name.replace("%", "%%")
+    name, text = name.replace("%", "%%"), "%.17g".__mod__
     for values, columns in passes:
-        point = "".join(f"{name},%.17g,{c.label.replace('%', '%%')},%.17g,%.17g,"
-                        f"{'' if c.concurrence is None else '%.17g'},%.17g\n" for c in columns)
-        cells = [x for c in columns for x in (values, c.probability, c.fidelity,
-                                               c.concurrence, c.probability) if x is not None]
+        point = "".join(f"{name},%s,{c.label.replace('%', '%%')},%s,%.17g,"
+                        f"{'' if c.concurrence is None else '%.17g'},%s\n" for c in columns)
+        swept, cells = list(map(text, values)), []
+        for c in columns:
+            probability = list(map(text, c.probability))
+            cells += [x for x in (swept, probability, c.fidelity, c.concurrence, probability)
+                      if x is not None]
         step = max(1, _CHUNK_ROWS // len(columns))
         for a in range(0, len(values), step):
             yield point * len(values[a:a + step]) % tuple(

@@ -22,7 +22,8 @@ on a leading axis; ``_leaf`` closes each branch, and alone drops a state below
 the probability floor.
 scheme-b and ghz build no register: their photons meet only the one spin, so
 each branch is a sum of two photon product states, scored in O(n) from
-per-photon factors (``_chain_factors``), its 2^n state built when read.
+per-photon factors (``_chain_factors``); its 2^n state and 2^n target are
+built when read.
 
 A config may be batched: ``t_over_t2``, or the cavity fields and probe
 frequency of a realistic gate, given as arrays of one batch shape. The whole
@@ -31,14 +32,16 @@ probability floor, a zero branch, a NaN score, a trajectory left out of a
 mixture) is a per-element mask, so each batch element equals the unbatched
 run at its parameters bit for bit. An unbatched config is the batch of shape
 ``()``: every run returns one ProtocolResult of per-label columns, whose
-branch states and per-element branches are built only when read.
+branch states, targets, fidelities and concurrences, and per-element branches,
+are built only when read (the chain scores its fidelities with its
+probabilities).
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 
@@ -140,18 +143,46 @@ class ProtocolBranch:
 
 
 class BranchColumn:
-    """One branch label across a run's batch: its label and target, flat lists
-    (C order) of probability, fidelity and concurrence (None unless the branch
-    state is a qubit pair), and its batched ``state``, built on first read."""
+    """One branch label across a run's batch: its label and a flat list (C
+    order) of probability; and, each built on its first read, its batched
+    ``state``, its ``target`` and flat lists of fidelity and concurrence.
 
-    def __init__(self, label, target, probability, fidelity, concurrence, build):
-        self.label, self.target = label, target
-        self.probability, self.fidelity, self.concurrence = probability, fidelity, concurrence
-        self._build = build
+    ``probability`` comes as an array over the batch. ``build`` and
+    ``target`` make the state and the target. A fidelity the run scored
+    already comes as a flat list ``fidelity``; else it is the state's against
+    the target, or NaN without a target. Concurrence is None unless the state
+    is a qubit ``pair``. Scores are NaN where the probability is 0."""
+
+    def __init__(self, label, probability, build, target, pair, fidelity=None):
+        self.label, self.probability = label, _flat(probability)
+        self._alive, self._pair = np.asarray(probability) > 0.0, pair
+        self._build, self._target, self._fidelity = build, target, fidelity
 
     @cached_property
     def state(self) -> PureState | DensityState:
         return self._build()
+
+    @cached_property
+    def target(self) -> PureState | None:
+        return self._target()
+
+    @cached_property
+    def fidelity(self) -> list:
+        if self._fidelity is not None:
+            return self._fidelity
+        if self.target is None:
+            return [math.nan] * len(self.probability)
+        return self._scored(fidelity, self.target, self.state)
+
+    @cached_property
+    def concurrence(self) -> list | None:
+        return self._scored(concurrence, self.state) if self._pair else None
+
+    def _scored(self, score, *args) -> list:
+        """``score(*args)`` as a flat list, NaN where the probability is 0 (not
+        called if it is 0 everywhere)."""
+        return _flat(np.where(self._alive, score(*args) if self._alive.any() else math.nan,
+                              math.nan))
 
 
 @dataclass(frozen=True)
@@ -290,26 +321,12 @@ def _flat(x) -> list:
 
 
 def _result(name: str, leaves, target_of):
-    """Score each (label, probability, state) leaf against ``target_of(label)``
-    into a BranchColumn of the run's result, whose batch shape is the
-    probabilities'. Elements of probability zero score NaN; concurrence is
-    None unless the state has two qubits."""
-    batch = np.shape(leaves[0][1])
-    columns = []
-    for label, prob, state in leaves:
-        target, two = target_of(label), state.n_qubits == 2
-        fid = _scored(prob, fidelity, target, state) if target is not None \
-            else _flat(np.full(batch, math.nan))
-        columns.append(BranchColumn(label, target, _flat(prob), fid,
-                                    _scored(prob, concurrence, state) if two else None,
-                                    lambda state=state: state))
-    return ProtocolResult(name, batch, tuple(columns))
-
-
-def _scored(prob, score, *args) -> list:
-    """``score(*args)`` as a flat list, NaN where ``prob`` is 0 (not called if all are)."""
-    alive = np.asarray(prob) > 0.0
-    return _flat(np.where(alive, score(*args) if alive.any() else math.nan, math.nan))
+    """The run's result of (label, probability, state) leaves, each a
+    BranchColumn scored against ``target_of(label)`` when read; its batch
+    shape is the probabilities'."""
+    return ProtocolResult(name, np.shape(leaves[0][1]), tuple(
+        BranchColumn(label, prob, lambda state=state: state, partial(target_of, label),
+                     state.n_qubits == 2) for label, prob, state in leaves))
 
 
 # --- scheme A: photon pairs via remote entangled spins ----------------------
@@ -425,66 +442,72 @@ def _chain_factors(config: ProtocolConfig, n: int):
     the ideal (c, u) = (i, 1) chain's A - B (A + B). A basis state with m photons
     in |L> has in A + s B its input amplitude times u^(n-m) c^m + s c^(n-m) u^m,
     so each norm and overlap is a sum over m weighted by e_m, the inputs'
-    probability of m photons in |L>. Returns a target-less BranchColumn per
-    leaf, its state built on first read."""
+    probability of m photons in |L>. Each distinct sum is taken once: the two
+    norms of A + s B, the two target norms and the four overlaps; the four
+    leaves are then scored on one (trajectory, leaf, *batch) stack. Returns a
+    BranchColumn per leaf, its state and target built on first read."""
     batch = config.batch_shape
     shape = batch or (1,)  # array loops round as a batch's do; 0-d math does not
     c, u = (np.broadcast_to(np.asarray(k, dtype=np.complex128), shape)
             for k in config.gate.coefficients)
     pairs = _chain_inputs(config, n)
     e = reduce(np.convolve, ([abs(a) ** 2, abs(b) ** 2] for a, b in pairs))
-    e = (e / e.sum()).reshape((n + 1,) + (1,) * len(shape))
+    e = e / e.sum()
 
-    def per_m(c, u):  # {s: u^(n-m) c^m + s c^(n-m) u^m}, m = 0..n on a leading axis
+    def per_m(c, u):  # u^(n-m) c^m + s c^(n-m) u^m: m = 0..n, then s = -1, 1
         pu, pc = (np.cumprod([np.ones(np.shape(c))] + [z] * n, axis=0) for z in (u, c))
-        return {s: pu[::-1] * pc + s * pc[::-1] * pu for s in (-1, 1)}
+        return np.stack([pu[::-1] * pc + s * pc[::-1] * pu for s in (-1, 1)], axis=1)
 
     def over_m(terms):  # in order, so each element sums alike in any batch
-        return reduce(np.add, terms * e)
+        return reduce(np.add, terms * e.reshape((-1,) + (1,) * (terms.ndim - 1)))
 
-    h, ideal = per_m(c, u), per_m(1j, 1.0)
+    h, ideal = per_m(c, u), per_m(1j, 1.0).reshape((n + 1, 2) + (1,) * len(shape))
+    norm, tt = over_m(np.abs(h) ** 2), over_m(np.abs(ideal) ** 2)  # by s, by target
+    overlap = over_m(np.conj(ideal)[:, :, None] * h[:, None])  # by (target, s)
     with np.errstate(over="ignore"):  # a total past the float range is inf, q = 1/2
         total = n * np.broadcast_to(config.t_over_t2, shape)
     q = (1.0 - np.exp(-total)) / 2  # split on total > 0, as _trajectories: q may round to 0
     w = np.stack([1.0 - q, q] if (total > 0.0).any() else [np.ones(shape)])
+
+    labels = [label for label, _, _ in _CHAIN_LEAVES]
+    x = np.stack([coefficient(c, u) for _, coefficient, _ in _CHAIN_LEAVES])
+    signs = [[s * k for _, _, s in _CHAIN_LEAVES] for k in (1, -1)[:len(w)]]
+    side = (np.array(signs) + 1) // 2  # index of s, (trajectory, leaf)
+    det = np.array([label[0] == "-" for label in labels], dtype=int)  # index of the target
+    p = np.minimum(np.abs(x) ** 2 * norm[side], 1.0)
+    prob, alive = _floored(w[:, None], p)
+    own = w[:, None] * (p > PROBABILITY_FLOOR)  # the trajectories the fidelity takes, as _leaf
+    hit = np.abs(x * overlap[det, side]) ** 2
+    seen = tt[det] >= 1e-30  # else the target vanishes, as in _target_state
+    fid = reduce(np.add, own * hit) / (np.where(seen, tt[det], 1.0)
+                                       * _nonzero(reduce(np.add, own * p)))
+    fid = np.where(alive & seen, np.clip(fid, 0.0, 1.0), math.nan)
+
     lead, photons = (len(w),) + batch, tuple(photon(i) for i in range(1, n + 1))
     kets = cache(lambda: _chain_kets(pairs, c, u))
-    columns = []
-    for label, coefficient, s0 in _CHAIN_LEAVES:
-        x, signs = coefficient(c, u), (s0, -s0)[:len(w)]
-        target = ideal[-1 if label[0] == "+" else 1].reshape(e.shape)
-        p = np.minimum(np.stack([np.abs(x) ** 2 * over_m(np.abs(h[s]) ** 2) for s in signs]), 1.0)
-        prob, alive = _floored(w, p)
-        own = w * (p > PROBABILITY_FLOOR)  # the trajectories the fidelity takes, as _leaf's state
-        tt, fid = float(over_m(np.abs(target) ** 2).sum()), np.full(shape, math.nan)
-        if tt >= 1e-30:  # else the target vanishes, as in _target_state
-            hit = np.stack([np.abs(x * over_m(np.conj(target) * h[s])) ** 2 for s in signs])
-            fid = reduce(np.add, own * hit) / (tt * _nonzero(reduce(np.add, own * p)))
-            fid = np.where(alive, np.clip(fid, 0.0, 1.0), math.nan)
 
-        def build(label=label, x=x[..., None], signs=signs, p=p):
-            a, b = kets()
-            post = np.stack([x * (a + s * b) for s in signs]) / np.sqrt(_nonzero(p))[..., None]
-            return _leaf(label, w.reshape(lead), PureState(
-                photons, post.reshape(lead + (-1,)), p.reshape(lead)), photons)[2]
+    @cache
+    def targets():
+        a, b = _chain_kets(pairs, 1j, 1.0)
+        return {"+": _target_state(photons, a - b), "-": _target_state(photons, a + b)}
 
-        columns.append(BranchColumn(label, None, _flat(prob), _flat(fid), None, build))
-    return columns
+    def build(leaf):
+        (a, b), pk = kets(), p[:, leaf]
+        post = np.stack([x[leaf, ..., None] * (a + s[leaf] * b) for s in signs])
+        return _leaf(labels[leaf], w.reshape(lead), PureState(
+            photons, (post / np.sqrt(_nonzero(pk))[..., None]).reshape(lead + (-1,)),
+            pk.reshape(lead)), photons)[2]
+
+    fids = fid.reshape(len(labels), -1).tolist()
+    return [BranchColumn(label, prob[leaf], partial(build, leaf),
+                         lambda d=label[0]: targets()[d], n == 2, fids[leaf])
+            for leaf, label in enumerate(labels)]
 
 
 def _chain(name: str, config: ProtocolConfig, n: int):
-    """The chain's columns, scored against the ideal chain's A - B (+45) and
-    A + B (-45)."""
-    a, b = _chain_kets(_chain_inputs(config, n), 1j, 1.0)
-    photons = tuple(photon(i) for i in range(1, n + 1))
-    targets = {"+45": _target_state(photons, a - b), "-45": _target_state(photons, a + b)}
-    columns = _chain_factors(config, n)
-    for c in columns:
-        c.target = targets[c.label[:3]]
-        if n == 2:  # scheme-b builds its pairs to score their concurrence
-            c.concurrence = _scored(np.reshape(c.probability, config.batch_shape),
-                                    concurrence, c.state)
-    return ProtocolResult(name, config.batch_shape, tuple(columns))
+    """The chain's result: ``_chain_factors``' columns, scored against the
+    ideal chain's A - B (+45) and A + B (-45), which are built on first read."""
+    return ProtocolResult(name, config.batch_shape, tuple(_chain_factors(config, n)))
 
 
 def scheme_b_entangle_photons(config: ProtocolConfig):

@@ -41,6 +41,7 @@ refuse one.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -339,10 +340,19 @@ def make_hermitian(mat: np.ndarray) -> np.ndarray:
     """``mat`` made exactly Hermitian over its trailing two axes, in place: the upper
     triangle becomes the ``np.conj`` of the lower one (which ``np.linalg.eigh``
     reads), and the diagonal's imaginary part +0.0."""
-    n = mat.shape[-1]
-    np.copyto(mat, np.conj(np.swapaxes(mat, -1, -2)), where=np.triu(np.ones((n, n), bool), 1))
-    np.copyto(mat.imag, 0.0, where=np.eye(n, dtype=bool))
+    upper, diagonal = _masks(mat.shape[-1])
+    np.copyto(mat, np.conj(np.swapaxes(mat, -1, -2)), where=upper)
+    np.copyto(mat.imag, 0.0, where=diagonal)
     return mat
+
+
+@functools.cache  # one entry per matrix size; a register has at most MAX_QUBITS qubits
+def _masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only boolean masks of an n x n matrix's strict upper triangle and diagonal."""
+    masks = np.triu(np.ones((n, n), bool), 1), np.eye(n, dtype=bool)
+    for m in masks:
+        m.flags.writeable = False
+    return masks
 
 
 def _split(state: PureState, q: QubitLabel) -> np.ndarray:

@@ -11,11 +11,12 @@ dephasing, batched and unbatched.
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from spinphoton import protocols
+from spinphoton import cli, metrics, protocols
 from spinphoton import qstate as qs
 from spinphoton.cavity import CavityParams
 from spinphoton.gates import IdealGate, RealisticGate
@@ -206,12 +207,146 @@ def test_a_chain_column_builds_its_state_once_and_only_on_first_read(monkeypatch
 
     monkeypatch.setattr(protocols, "_leaf", counting)
     result = chain_multiphoton(ProtocolConfig(gate=GATES["lossy"], t_over_t2=t_over_t2), n)
-    built = [c.label for c in result.columns] if n == 2 else []  # scheme-b's concurrence
-    assert calls == built
+    assert all(len(c.probability) == len(c.fidelity) == 1 for c in result.columns)
+    assert calls == []  # scored without a state, at n = 2 too
     first = [c.state for c in result.columns]
     assert all(c.state is s for c, s in zip(result.columns, first))  # built once
     assert result.branches is result.branches
     assert sorted(calls) == sorted(c.label for c in result.columns)
+
+
+# --- the stacked scoring against the per-leaf loop it replaced ------------------
+
+def _old_chain_factors(config, n):
+    """Each leaf's (probability, fidelity) flat lists, scored leaf by leaf with
+    every sum over m taken anew, as ``_chain_factors`` scored them before its
+    leaves were stacked."""
+    shape = config.batch_shape or (1,)
+    c, u = (np.broadcast_to(np.asarray(k, dtype=np.complex128), shape)
+            for k in config.gate.coefficients)
+    pairs = protocols._chain_inputs(config, n)
+    e = reduce(np.convolve, ([abs(a) ** 2, abs(b) ** 2] for a, b in pairs))
+    e = (e / e.sum()).reshape((n + 1,) + (1,) * len(shape))
+
+    def per_m(c, u):
+        pu, pc = (np.cumprod([np.ones(np.shape(c))] + [z] * n, axis=0) for z in (u, c))
+        return {s: pu[::-1] * pc + s * pc[::-1] * pu for s in (-1, 1)}
+
+    def over_m(terms):
+        return reduce(np.add, terms * e)
+
+    h, ideal = per_m(c, u), per_m(1j, 1.0)
+    with np.errstate(over="ignore"):
+        total = n * np.broadcast_to(config.t_over_t2, shape)
+    q = (1.0 - np.exp(-total)) / 2
+    w = np.stack([1.0 - q, q] if (total > 0.0).any() else [np.ones(shape)])
+    scores = {}
+    for label, coefficient, s0 in protocols._CHAIN_LEAVES:
+        x, signs = coefficient(c, u), (s0, -s0)[:len(w)]
+        target = ideal[-1 if label[0] == "+" else 1].reshape(e.shape)
+        p = np.minimum(np.stack([np.abs(x) ** 2 * over_m(np.abs(h[s]) ** 2) for s in signs]), 1.0)
+        prob, alive = protocols._floored(w, p)
+        own = w * (p > protocols.PROBABILITY_FLOOR)
+        tt, fid = float(over_m(np.abs(target) ** 2).sum()), np.full(shape, math.nan)
+        if tt >= 1e-30:
+            hit = np.stack([np.abs(x * over_m(np.conj(target) * h[s])) ** 2 for s in signs])
+            fid = reduce(np.add, own * hit) / (tt * qs._nonzero(reduce(np.add, own * p)))
+            fid = np.where(alive, np.clip(fid, 0.0, 1.0), math.nan)
+        scores[label] = (np.reshape(prob, -1).tolist(), np.reshape(fid, -1).tolist())
+    return scores
+
+
+def bits(values) -> list:
+    """The 64 bits of each float, so that NaN equals NaN and -0.0 differs from 0.0."""
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def batched(gate, t_over_t2):
+    """``gate`` over a batch of three (the cavity's g, or else t/T2), with t/T2
+    scaled by 1, 2 and 3."""
+    t = t_over_t2 * np.array([1.0, 2.0, 3.0])
+    if isinstance(gate, RealisticGate):
+        gate = RealisticGate(replace(gate.params, g=np.array([2.0, 5.0, 12.0])), gate.omega)
+    return gate, t
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 40])
+@pytest.mark.parametrize("gate", sorted(GATES))
+@pytest.mark.parametrize("t_over_t2", [0.0, 1e-300, 0.3])
+@pytest.mark.parametrize("batch", [False, True])
+def test_stacked_scoring_has_the_per_leaf_loops_bits(n, gate, t_over_t2, batch):
+    rng = np.random.default_rng(n + 7 * batch + int(10 * t_over_t2))
+    g, t = batched(GATES[gate], t_over_t2) if batch else (GATES[gate], t_over_t2)
+    for _ in range(3):
+        cfg = random_config(rng, g, t)
+        old, columns = _old_chain_factors(cfg, n), protocols._chain_factors(cfg, n)
+        assert [c.label for c in columns] == list(old)
+        for c in columns:
+            assert bits(c.probability) == bits(old[c.label][0]), c.label
+            assert bits(c.fidelity) == bits(old[c.label][1]), c.label
+        if gate == "ideal":  # the mismatched leaves are dead
+            assert all(np.isnan(c.fidelity).all() for c in columns if c.label
+                       in ("+45/down", "-45/up"))
+
+
+@pytest.mark.parametrize("t_over_t2", [0.0, 0.3])
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_stacked_scoring_keeps_a_vanishing_target_unscored(gate, t_over_t2):
+    # |V>|H> in: the ideal chain's A - B has no weight on the inputs, so the
+    # +45 target vanishes (tt = 0) and its leaves score NaN, as before
+    cfg = ProtocolConfig(gate=GATES[gate], alpha1=0, beta1=1, alpha2=1, beta2=0,
+                         t_over_t2=t_over_t2)
+    old = _old_chain_factors(cfg, 2)
+    for c in protocols._chain_factors(cfg, 2):
+        assert bits(c.probability) == bits(old[c.label][0]), c.label
+        assert bits(c.fidelity) == bits(old[c.label][1]), c.label
+        if c.label.startswith("+45"):
+            assert math.isnan(c.fidelity[0])
+    assert chain_multiphoton(cfg, 2).branch("+45/up").target is None
+
+
+# --- what a chain run builds before it is read ----------------------------------
+
+def counting_kets(monkeypatch) -> list:
+    """One entry per ``protocols._chain_kets`` call from now on."""
+    calls, kets = [], protocols._chain_kets
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return kets(*args)
+
+    monkeypatch.setattr(protocols, "_chain_kets", counting)
+    return calls
+
+
+def test_a_sweep_pass_and_a_sample_build_no_chain_ket(tmp_path, monkeypatch):
+    calls = counting_kets(monkeypatch)
+    cfg = ProtocolConfig(gate=GATES["lossy"], t_over_t2=0.3)
+    spec = metrics.SweepSpec("t_over_t2", (0.1, 0.2, 0.3), cfg, "ghz", 6)
+    for _, columns in metrics.sweep_columns(spec):  # every score the sweep CSV writes
+        assert all(len(c.probability) == len(c.fidelity) == 3 and c.concurrence is None
+                   for c in columns)
+    config = tmp_path / "ghz.cfg"
+    config.write_text("protocol = ghz\nghz.n_photons = 6\ngate.mode = realistic\n"
+                      "cavity.kappa_s_rel = 0.2\nnoise.t_over_t2 = 0.3\n", encoding="utf-8")
+    assert cli.main(["sample", "--config", str(config), "--trials", "1000",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    assert calls == []
+
+
+def test_a_chain_target_is_built_once_on_first_read(monkeypatch):
+    calls = counting_kets(monkeypatch)
+    cfg = random_config(np.random.default_rng(11), GATES["lossy"], 0.3)
+    result = chain_multiphoton(cfg, 6)
+    assert calls == []
+    targets = [c.target for c in result.columns]
+    assert calls == [6]  # the ideal chain's A and B, for all four leaves
+    assert targets[0] is targets[1] and targets[2] is targets[3]
+    assert result.branch("+45/up").target is targets[0]
+    for det, ref in reference_targets(cfg, 6).items():
+        got = result.branch(det + "/down").target
+        overlap = np.vdot(got.amplitudes, ref.amplitudes)
+        assert np.max(np.abs(got.amplitudes * overlap / abs(overlap) - ref.amplitudes)) < 1e-14
 
 
 # --- the paper's claim: deterministic, and any number of photons ----------------
@@ -232,14 +367,19 @@ def test_lossy_chain_survival_falls_with_every_photon():
     assert all(b < a for a, b in zip(survival, survival[1:]))
 
 
-def test_scoring_forty_photons_builds_nothing_of_size_two_to_the_n():
+def test_scoring_forty_photons_builds_nothing_of_size_two_to_the_n(monkeypatch):
+    def refused(*args):  # fails fast instead of allocating 2^40 amplitudes
+        raise AssertionError("a chain run built a 2^n ket before it was read")
+
+    monkeypatch.setattr(protocols, "_chain_kets", refused)
     cfg = ProtocolConfig(gate=GATES["lossy"], t_over_t2=0.3)
-    protocols._chain_factors(cfg, 40)  # first-call caches out of the measurement
+    protocols._chain("ghz", cfg, 40)  # first-call caches out of the measurement
     tracemalloc.start()
     try:
-        columns = protocols._chain_factors(cfg, 40)
+        result = protocols._chain("ghz", cfg, 40)
+        scores = [(c.probability, c.fidelity, c.concurrence) for c in result.columns]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    assert all(0.0 < c.probability[0] < 1.0 and 0.0 <= c.fidelity[0] <= 1.0 for c in columns)
+    assert all(0.0 < p[0] < 1.0 and 0.0 <= f[0] <= 1.0 and k is None for p, f, k in scores)

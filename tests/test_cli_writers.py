@@ -13,6 +13,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from spinphoton import cli, floatrows, metrics, protocols
 from spinphoton import qstate as qs
 from spinphoton.metrics import SweepSpec, run_sweep
-from spinphoton.protocols import BranchColumn, ProtocolBranch, ProtocolResult, run_protocol
+from spinphoton.protocols import ProtocolBranch, ProtocolResult, run_protocol
 from matrix_oracle import mirrored
 from test_batch_properties import DERANDOMIZED
 
@@ -117,8 +118,9 @@ def _random_branch(rng, n_qubits, density, special=SPECIAL):
 
 
 def _column(label, probability, fidelity, concurrence=None, state=None, target=None):
-    """A BranchColumn of these score lists whose state is ``state``."""
-    return BranchColumn(label, target, probability, fidelity, concurrence, lambda: state)
+    """A column of these score lists, read as the writers read a BranchColumn."""
+    return SimpleNamespace(label=label, probability=probability, fidelity=fidelity,
+                           concurrence=concurrence, state=state, target=target)
 
 
 def _single_run(branches, protocol="ghz"):
