@@ -1,7 +1,8 @@
 """Simulator of spin-photon entanglement protocols in a single-sided
 quantum-dot micropillar cavity.
 
-The package is organized in layers: ``qstate`` (labeled-register state
+The package is organized in layers: ``frozen`` (the base class of its
+immutable records, and ``replace``), ``qstate`` (labeled-register state
 engine), ``cavity`` (input-output reflection model), ``gates`` (conditional
 reflection and the unitaries around it), ``protocols`` (the entanglement and
 state-transfer procedures), ``metrics`` (entanglement measures and sweep
@@ -17,6 +18,7 @@ from .cavity import (
     reflect,
     reflection_coefficient,
 )
+from .frozen import replace
 from .gates import (
     ConditionalReflectionGate,
     IdealGate,

@@ -23,9 +23,10 @@ field and dipole decay rates respectively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .frozen import Frozen
 
 
 class ParameterError(ValueError):
@@ -54,25 +55,21 @@ def check_field(name: str, value, rule: str) -> None:
                              field=name)
 
 
-@dataclass(frozen=True)
-class CavityParams:
+class CavityParams(Frozen):
     """Physical parameters of one dot-cavity system (angular frequency units).
 
     A field may be an array: a batch of cavities, one per element, that
     broadcast against each other and against the probe frequency. Every
     field must be finite; a field out of range raises ParameterError.
+    ``omega_x`` defaults to ``omega_c``.
     """
 
-    g: float
-    kappa: float
-    gamma: float
-    omega_c: float = 0.0
-    omega_x: float | None = None
-    kappa_s: float = 0.0
-
-    def __post_init__(self):
-        if self.omega_x is None:
-            object.__setattr__(self, "omega_x", self.omega_c)
+    def __init__(self, g: float, kappa: float, gamma: float, omega_c: float = 0.0,
+                 omega_x: float | None = None, kappa_s: float = 0.0):
+        if omega_x is None:
+            omega_x = omega_c
+        self.__dict__.update(g=g, kappa=kappa, gamma=gamma, omega_c=omega_c, omega_x=omega_x,
+                             kappa_s=kappa_s)
         for name, value in vars(self).items():
             check_field(name, value, "finite")
         check_field("kappa", self.kappa, "positive")
@@ -83,11 +80,9 @@ class CavityParams:
         return self.g > self.kappa and self.g > self.gamma
 
 
-@dataclass(frozen=True)
-class ReflectionResponse:
-    r: complex
-    magnitude: float
-    phase: float
+class ReflectionResponse(Frozen):
+    def __init__(self, r: complex, magnitude: float, phase: float):
+        self.__dict__.update(r=r, magnitude=magnitude, phase=phase)
 
 
 def reflection_coefficient(params: CavityParams, omega, coupled: bool):

@@ -6,9 +6,12 @@ rates may be given in units of kappa with a ``_rel`` suffix. Data goes to
 --out (or stdout) as CSV or JSON; human messages go to stderr. Exit codes:
 0 success; 2 a usage or configuration error, with the flag or key at fault
 named; 1 the program was at fault (an internal error, with its traceback) or
-the output could not be written. The library checks each model rule once and
-raises ParameterError naming the field; ``_naming`` names the key or flag
-that field came from, by the field -> key table of the config or the sweep.
+the output could not be written. A file named by --out is written whole or
+not at all: a failed run leaves an earlier file there as it was. Stdout is
+streamed, so a failed run may have written part of its output there. The
+library checks each model rule once and raises ParameterError naming the
+field; ``_naming`` names the key or flag that field came from, by the field
+-> key table of the config or the sweep.
 
 ``reflectance`` evaluates its whole grid as one array, and ``sweep`` runs its
 grid as one batched protocol pass and writes the CSV from its score columns;
@@ -19,7 +22,10 @@ bytes ``json.dumps(indent=2)`` would, but gathers the document as one list of
 pieces, joined once: each complex array adds a template cached per shape and
 built level by level, and one table, which formats each distinct magnitude
 once, serves every array in the document. ``main`` builds its argument parser
-once per process.
+once per process. Start-up imports only what every command uses: ``json``
+(``protocol``'s encoder), ``floatrows`` (the ``reflectance`` and ``sample``
+CSVs), and ``signal`` and ``traceback`` (error paths) are imported where they
+are first needed.
 
 The ``reflectance`` CSV's numbers are written by ``floatrows.csv_rows``: a
 cell ``%.17g`` writes in fixed notation is rounded to 17 significant digits
@@ -46,17 +52,15 @@ import argparse
 import cmath
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
-import traceback
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .cavity import CavityParams, ParameterError, phase_difference, reflect
+from .frozen import Frozen
 from .gates import GateMode, IdealGate, RealisticGate
 from .metrics import SWEEP_PARAMETERS, SweepSpec, sweep_columns
 from .protocols import PROTOCOL_NAMES, ProtocolConfig, run_protocol
@@ -106,15 +110,11 @@ def _convert(key: str, value: str):
     return x
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    protocol: str
-    cavity: CavityParams
-    config: ProtocolConfig
-    seed: int
-    trials: int
-    n_photons: int
-    echo: dict
+class RunConfig(Frozen):
+    def __init__(self, protocol: str, cavity: CavityParams, config: ProtocolConfig,
+                 seed: int, trials: int, n_photons: int, echo: dict):
+        self.__dict__.update(protocol=protocol, cavity=cavity, config=config, seed=seed,
+                             trials=trials, n_photons=n_photons, echo=echo)
 
 
 @contextlib.contextmanager
@@ -261,12 +261,32 @@ _PIECE = 1 << 16
 
 
 def _emit(parts, out_path: str | None) -> None:
-    """Write the text pieces, in order, to ``out_path`` or stdout."""
+    """Write the text pieces, in order, to ``out_path`` or stdout.
+
+    Stdout is streamed. A new ``out_path`` or a regular file (through any
+    symlink) is written whole or not at all: the pieces go to a file created
+    beside it, which replaces it after the last piece, and which is removed
+    on any failure, so an earlier file at ``out_path`` stays as it was. Any
+    other existing path (a device, a FIFO) is written in place."""
     if out_path is None:
         sys.stdout.writelines(parts)
-    else:
+        return
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
+        return
+    target = os.path.realpath(out_path)
+    head, name = os.path.split(target)
+    partial = os.path.join(head, f".{name}.{os.getpid()}.partial")
+    fh = open(partial, "x", encoding="utf-8")  # outside the try: a taken name is not ours
+    try:
+        with fh:
+            fh.writelines(parts)
+        os.replace(partial, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def _csv_chunks(header: str, n_rows: int, format_rows):
@@ -334,6 +354,7 @@ def _fork_share(format_rows, start: int, stop: int):
                 fh.writelines(list(_share(format_rows, start, stop)))
             code = 0
         except BaseException:
+            import traceback  # needed only on this error path, so startup does not load it
             traceback.print_exc()
             sys.stderr.flush()
         finally:
@@ -342,7 +363,11 @@ def _fork_share(format_rows, start: int, stop: int):
     return pid, open(read_end, "r", encoding="utf-8")
 
 
-_encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps(x, allow_nan=False)
+@functools.cache
+def _encoder():
+    """``json.dumps(x, allow_nan=False)`` as a function of ``x``."""
+    import json  # needed only here, so startup does not load it
+    return json.JSONEncoder(allow_nan=False).encode
 
 
 def _dump(obj, depth: int = 0) -> str:
@@ -365,6 +390,7 @@ def _dump(obj, depth: int = 0) -> str:
 def _pieces(obj, depth: int, pieces: list, arrays: list) -> None:
     """Append ``_dump(obj, depth)``'s pieces to ``pieces``; an array's are its
     template's parts with an empty slot between each two, noted in ``arrays``."""
+    encode = _encoder()
     if isinstance(obj, np.ndarray):
         if not np.isfinite(obj).all():
             raise ValueError(f"non-finite value in a complex array of shape {obj.shape}")
@@ -374,7 +400,7 @@ def _pieces(obj, depth: int, pieces: list, arrays: list) -> None:
         pieces[start::2] = parts
     elif isinstance(obj, (dict, list)) and obj:
         keyed = isinstance(obj, dict)
-        items = ((_encode(k) + ": ", v) for k, v in obj.items()) if keyed else (
+        items = ((encode(k) + ": ", v) for k, v in obj.items()) if keyed else (
             ("", v) for v in obj)
         brackets = "{}" if keyed else "[]"
         indent = "\n" + "  " * (depth + 1)
@@ -385,7 +411,7 @@ def _pieces(obj, depth: int, pieces: list, arrays: list) -> None:
             sep = "," + indent
         pieces.append("\n" + "  " * depth + brackets[1])
     else:  # a scalar, or an empty dict or list
-        pieces.append(_encode(obj))
+        pieces.append(encode(obj))
 
 
 def _reprs(arrays: list) -> list[str]:
@@ -587,6 +613,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # every input fault is a ConfigError by now
+        import traceback  # needed only on this error path, so startup does not load it
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1

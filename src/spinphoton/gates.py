@@ -19,12 +19,12 @@ basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .cavity import CavityParams, ParameterError, reflection_coefficient
+from .frozen import Frozen
 from .qstate import (
     KET_H,
     KET_M45,
@@ -41,23 +41,21 @@ from .qstate import (
 SQ2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class IdealGate:
+class IdealGate(Frozen):
     """Gate mode: perfect pi/2 conditional phase, no loss."""
 
     coefficients = (complex(np.exp(1j * math.pi / 2)), 1.0 + 0.0j)
 
 
-@dataclass(frozen=True)
-class RealisticGate:
+class RealisticGate(Frozen):
     """Gate mode: reflection coefficients evaluated from cavity parameters.
 
     ``params`` fields and ``omega`` may be arrays: a batch of gates, one per
     element, evaluated in one array call.
     """
 
-    params: CavityParams
-    omega: float
+    def __init__(self, params: CavityParams, omega: float):
+        self.__dict__.update(params=params, omega=omega)
 
     @cached_property
     def coefficients(self) -> tuple:
@@ -76,14 +74,13 @@ class RealisticGate:
 GateMode = IdealGate | RealisticGate
 
 
-@dataclass(frozen=True)
-class ConditionalReflectionGate:
+class ConditionalReflectionGate(Frozen):
     """Conditional reflection acting on one (photon, spin) pair."""
 
-    photon: QubitLabel
-    spin: QubitLabel
-    coeff_coupled: complex
-    coeff_uncoupled: complex
+    def __init__(self, photon: QubitLabel, spin: QubitLabel, coeff_coupled: complex,
+                 coeff_uncoupled: complex):
+        self.__dict__.update(photon=photon, spin=spin, coeff_coupled=coeff_coupled,
+                             coeff_uncoupled=coeff_uncoupled)
 
 
 def make_gate(photon: QubitLabel, spin: QubitLabel, mode: GateMode) -> ConditionalReflectionGate:

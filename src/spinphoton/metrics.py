@@ -7,11 +7,10 @@ run at its grid point bit for bit, read from per-label columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .cavity import ParameterError, check_field
+from .frozen import Frozen, replace
 from .gates import RealisticGate
 from .qstate import PureState, normalize, partial_trace
 
@@ -57,27 +56,23 @@ def entanglement_entropy(state, partition) -> float:
 SWEEP_PARAMETERS = ("g_rel", "gamma_rel", "kappa_s_rel", "detuning_rel", "t_over_t2")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Frozen):
     """One swept parameter over a strictly increasing grid, all else fixed."""
 
-    parameter: str
-    grid: tuple[float, ...]
-    config: "protocols.ProtocolConfig"  # noqa: F821 (runtime import below)
-    protocol: str
-    n_photons: int = 3
-
-    def __post_init__(self):
-        if self.parameter not in SWEEP_PARAMETERS:
-            raise ParameterError(f"unknown sweep parameter {self.parameter!r} "
+    def __init__(self, parameter: str, grid: tuple[float, ...],
+                 config: "protocols.ProtocolConfig",  # noqa: F821 (runtime import below)
+                 protocol: str, n_photons: int = 3):
+        if parameter not in SWEEP_PARAMETERS:
+            raise ParameterError(f"unknown sweep parameter {parameter!r} "
                                  f"(valid: {', '.join(SWEEP_PARAMETERS)})", field="parameter")
-        grid = tuple(float(v) for v in self.grid)
+        grid = tuple(float(v) for v in grid)
         if not grid:
             raise ParameterError("grid must be nonempty", field="grid")
         check_field("grid", grid, "finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("grid must be strictly increasing", field="grid")
-        object.__setattr__(self, "grid", grid)
+        self.__dict__.update(parameter=parameter, grid=grid, config=config, protocol=protocol,
+                             n_photons=n_photons)
 
 
 # Upper bound on batch elements x values per element (see _passes) in one

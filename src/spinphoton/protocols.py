@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 
 from .cavity import CavityParams, ParameterError, check_field
+from .frozen import Frozen
 from .gates import (
     GateMode,
     IdealGate,
@@ -85,8 +85,7 @@ SQH = 1.0 / math.sqrt(2.0)
 PROBABILITY_FLOOR = 1e-24
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(Frozen):
     """Inputs shared by all protocols.
 
     ``alpha1/beta1`` describe photon 1 (or the unknown input qubit in the
@@ -98,14 +97,11 @@ class ProtocolConfig:
     raises ParameterError naming ``t_over_t2`` or the pair (``"alpha1/beta1"``).
     """
 
-    gate: GateMode = IdealGate()
-    alpha1: complex = SQH
-    beta1: complex = SQH
-    alpha2: complex = SQH
-    beta2: complex = SQH
-    t_over_t2: float | np.ndarray = 0.0
-
-    def __post_init__(self):
+    def __init__(self, gate: GateMode = IdealGate(), alpha1: complex = SQH,
+                 beta1: complex = SQH, alpha2: complex = SQH, beta2: complex = SQH,
+                 t_over_t2: float | np.ndarray = 0.0):
+        self.__dict__.update(gate=gate, alpha1=alpha1, beta1=beta1, alpha2=alpha2, beta2=beta2,
+                             t_over_t2=t_over_t2)
         for pair in ("alpha1/beta1", "alpha2/beta2"):
             a, b = (getattr(self, name) for name in pair.split("/"))
             if not (cmath.isfinite(a) and cmath.isfinite(b)):
@@ -125,16 +121,14 @@ class ProtocolConfig:
                                    *map(np.shape, self.gate.coefficients))
 
 
-@dataclass(frozen=True)
-class ProtocolBranch:
+class ProtocolBranch(Frozen):
     """One post-selection branch with its quality metrics."""
 
-    label: str
-    probability: float
-    state: PureState | DensityState
-    target: PureState | None
-    fidelity_vs_target: float
-    concurrence: float | None
+    def __init__(self, label: str, probability: float, state: PureState | DensityState,
+                 target: PureState | None, fidelity_vs_target: float,
+                 concurrence: float | None):
+        self.__dict__.update(label=label, probability=probability, state=state, target=target,
+                             fidelity_vs_target=fidelity_vs_target, concurrence=concurrence)
 
     @property
     def success_probability(self) -> float:
@@ -185,13 +179,12 @@ class BranchColumn:
                               math.nan))
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(Frozen):
     """A run as one BranchColumn per branch label; a single run has batch shape ()."""
 
-    protocol: str
-    batch_shape: tuple[int, ...]
-    columns: tuple[BranchColumn, ...]
+    def __init__(self, protocol: str, batch_shape: tuple[int, ...],
+                 columns: tuple[BranchColumn, ...]):
+        self.__dict__.update(protocol=protocol, batch_shape=batch_shape, columns=columns)
 
     def _column_branches(self, c: BranchColumn) -> list[ProtocolBranch]:
         """Column ``c``'s ProtocolBranch in each batch element, in C order."""

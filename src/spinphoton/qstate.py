@@ -7,7 +7,8 @@ Basis conventions, fixed once and relied on everywhere:
   |+45> = (|R>+i|L>)/sqrt2, |-45> = (|R>-i|L>)/sqrt2.
 * electron spin qubits: index 0 = |up>, index 1 = |down>.
 
-States are immutable values; every operation returns a new state. Registers
+States are immutable values (``frozen.Frozen`` records, as are labels and
+measurement outcomes); every operation returns a new state. Registers
 are capped at 8 qubits. Trace-decreasing maps (partial reflection, projection)
 keep the amplitudes unnormalized and accumulate the survival probability in
 ``norm_tracking``, so post-selection probabilities can always be read from one
@@ -44,10 +45,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .frozen import Frozen
 
 MAX_QUBITS = 8
 ATOL = 1e-12
@@ -60,12 +62,20 @@ class QubitKind(Enum):
     SPIN = "spin"
 
 
-@dataclass(frozen=True, order=True)
-class QubitLabel:
-    """One qubit in a register: a kind plus a small id unique within the register."""
+class QubitLabel(Frozen):
+    """One qubit in a register: a kind plus a small id unique within the register.
+    Labels are equal when both fields are, and hash as ``(kind, id)``."""
 
-    kind: QubitKind
-    id: int
+    def __init__(self, kind: QubitKind, id: int):
+        self.__dict__.update(kind=kind, id=id)
+
+    def __eq__(self, other):
+        if other.__class__ is not QubitLabel:
+            return NotImplemented
+        return (self.kind, self.id) == (other.kind, other.id)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.id))
 
     def __str__(self) -> str:
         return f"{self.kind.value}:{self.id}"
@@ -171,8 +181,7 @@ def _batched(data: np.ndarray, core: int, nt: np.ndarray):
     return data, nt
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(Frozen):
     """Ket over an ordered register. First label is the most significant bit.
 
     ``norm_tracking`` is the probability of having reached this state, i.e. the
@@ -181,11 +190,13 @@ class PureState:
     ``(*batch, 2**n)`` and ``norm_tracking`` of shape ``batch``.
     """
 
-    register: tuple[QubitLabel, ...]
-    amplitudes: np.ndarray
-    norm_tracking: float | np.ndarray = 1.0
+    def __init__(self, register: tuple[QubitLabel, ...], amplitudes: np.ndarray,
+                 norm_tracking: float | np.ndarray = 1.0):
+        self.__dict__.update(register=register, amplitudes=amplitudes,
+                             norm_tracking=norm_tracking)
+        self.__post_init__()
 
-    def __post_init__(self):
+    def __post_init__(self):  # apart from __init__: bench/tracing.py wraps it to count builds
         reg = _check_register(self.register)
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim == 0 or amps.shape[-1] != 2 ** len(reg):
@@ -197,9 +208,7 @@ class PureState:
         if not ((nt >= -1e-9) & (nt <= 1 + 1e-9)).all():
             raise ValueError("norm_tracking must lie in [0, 1]")
         amps, nt = _batched(amps, 1, nt)
-        object.__setattr__(self, "register", reg)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "norm_tracking", nt)
+        self.__dict__.update(register=reg, amplitudes=amps, norm_tracking=nt)
 
     @property
     def n_qubits(self) -> int:
@@ -225,25 +234,23 @@ class PureState:
         return list(map("".join, itertools.product(*chars)))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityState:
+class DensityState(Frozen):
     """Density operator over an ordered register, same basis ordering as
     PureState; a batch has a matrix of shape ``(*batch, 2**n, 2**n)``."""
 
-    register: tuple[QubitLabel, ...]
-    matrix: np.ndarray
-    norm_tracking: float | np.ndarray = 1.0
+    def __init__(self, register: tuple[QubitLabel, ...], matrix: np.ndarray,
+                 norm_tracking: float | np.ndarray = 1.0):
+        self.__dict__.update(register=register, matrix=matrix, norm_tracking=norm_tracking)
+        self.__post_init__()
 
-    def __post_init__(self):
+    def __post_init__(self):  # apart from __init__: bench/tracing.py wraps it to count builds
         reg = _check_register(self.register)
         dim = 2 ** len(reg)
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.shape[-2:] != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected {(dim, dim)}")
         mat, nt = _batched(mat, 2, np.asarray(self.norm_tracking, dtype=float))
-        object.__setattr__(self, "register", reg)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "norm_tracking", nt)
+        self.__dict__.update(register=reg, matrix=mat, norm_tracking=nt)
 
     @property
     def n_qubits(self) -> int:
@@ -263,13 +270,11 @@ class DensityState:
         return PureState.basis_strings(self)  # same register layout
 
 
-@dataclass(frozen=True)
-class ProjectiveOutcome:
+class ProjectiveOutcome(Frozen):
     """One measurement branch: outcome label, probability, renormalized post state."""
 
-    label: str
-    probability: float
-    post_state: PureState | None
+    def __init__(self, label: str, probability: float, post_state: PureState | None):
+        self.__dict__.update(label=label, probability=probability, post_state=post_state)
 
 
 def unstack(state, batch: tuple[int, ...]) -> list:

@@ -9,7 +9,7 @@ photon. Branch targets are the normalized branch states of the ideal,
 undephased run of the same circuit, so no closed form is shared with the
 package's chain.
 """
-from dataclasses import replace
+from spinphoton import replace
 
 import numpy as np
 

@@ -8,7 +8,7 @@ mode, the dephasing and the grid; the profile is derandomized so that the
 suite is deterministic.
 """
 import math
-from dataclasses import replace
+from spinphoton import replace
 
 import numpy as np
 import pytest

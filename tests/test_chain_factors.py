@@ -10,7 +10,7 @@ dephasing, batched and unbatched.
 """
 import math
 import tracemalloc
-from dataclasses import replace
+from spinphoton import replace
 from functools import reduce
 
 import numpy as np

@@ -615,6 +615,46 @@ def test_a_failed_split_run_exits_1_and_leaves_no_child(tmp_path, capsys, monkey
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("earlier", [None, "an earlier good file\n"])
+def test_a_fault_in_a_later_share_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, earlier):
+    _split(monkeypatch, 3)
+    parent, csv_rows = os.getpid(), floatrows.csv_rows
+
+    def rows(table):  # the parent's share is formatted, the children's fail
+        if os.getpid() != parent:
+            raise ValueError("a row could not be formatted")
+        return csv_rows(table)
+
+    monkeypatch.setattr(floatrows, "csv_rows", rows)
+    out = tmp_path / "o.csv"
+    if earlier is not None:
+        out.write_text(earlier, encoding="utf-8")
+    assert cli.main(["reflectance", "--grid=-3:3:200", "--out", str(out)]) == 1
+    assert "internal error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ([] if earlier is None else ["o.csv"])
+    if earlier is not None:
+        assert out.read_text(encoding="utf-8") == earlier
+    _assert_no_child_left()
+
+
+def test_a_good_run_replaces_out_and_writes_through_a_symlink(tmp_path):
+    out = tmp_path / "o.csv"
+    out.write_text("an earlier file, longer than the new one\n" * 100, encoding="utf-8")
+    (tmp_path / "link.csv").symlink_to(out)
+    assert cli.main(["reflectance", "--grid=0:0:1", "--out", str(tmp_path / "link.csv")]) == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert out.read_text(encoding="utf-8").startswith("detuning_rel,")
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "o.csv"]
+
+
+def test_out_in_a_missing_directory_exits_1_with_the_os_message(tmp_path, capsys):
+    out = tmp_path / "missing" / "o.csv"
+    assert cli.main(["reflectance", "--grid=0:0:1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_closing_the_chunks_early_kills_and_reaps_the_children(monkeypatch):
     _split(monkeypatch, 3)
     parent = os.getpid()

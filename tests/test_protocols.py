@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from spinphoton import replace
 
 import numpy as np
 import pytest
