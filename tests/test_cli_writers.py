@@ -647,6 +647,19 @@ def test_a_good_run_replaces_out_and_writes_through_a_symlink(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link.csv", "o.csv"]
 
 
+# 250 characters; 62 four-byte characters and ".csv" are 252 bytes. Either is a
+# name the filesystem takes (255 bytes), and too long to carry 15 bytes more.
+@pytest.mark.parametrize("name", ["a" * 246 + ".csv", "\U0001F600" * 62 + ".csv"],
+                         ids=["250-characters", "252-bytes"])
+def test_a_long_out_name_the_filesystem_takes_is_written(tmp_path, capsys, name):
+    args = ["sample", "--trials", "10"]
+    assert cli.main(args) == 0
+    expected = capsys.readouterr().out
+    assert cli.main([*args, "--out", str(tmp_path / name)]) == 0
+    assert os.listdir(tmp_path) == [name]
+    assert (tmp_path / name).read_text(encoding="utf-8") == expected
+
+
 def test_out_in_a_missing_directory_exits_1_with_the_os_message(tmp_path, capsys):
     out = tmp_path / "missing" / "o.csv"
     assert cli.main(["reflectance", "--grid=0:0:1", "--out", str(out)]) == 1
