@@ -34,7 +34,6 @@ from .protocols import (
     ProtocolConfig,
     ProtocolResult,
     chain_multiphoton,
-    gfr_spin_readout,
     merged_detection_branch,
     run_protocol,
     scheme_a_emit,

@@ -277,6 +277,8 @@ def _emit(parts, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.writelines(parts)
         return
+    with contextlib.suppress(FileNotFoundError):  # a name too long for its filesystem
+        os.stat(out_path)  # is refused here, before any piece is made
     if os.path.exists(out_path) and not os.path.isfile(out_path):
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.writelines(parts)

@@ -106,7 +106,7 @@ def _passes(spec: SweepSpec) -> list[np.ndarray]:
     branch states are pure. Each pass holds at most MAX_BATCH_AMPLITUDES
     values per element of what the pass builds: the chain (scheme-b, and ghz
     of n photons) its n + 1 per-m terms, plus at n = 2 the 4x4 density matrix
-    of the pair it scores; the other protocols a four-qubit register.
+    of the pair it scores; the other protocols 16 (a 4x4 pair density matrix).
     """
     grid = np.array(spec.grid)
     groups = [grid]

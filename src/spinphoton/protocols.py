@@ -16,14 +16,17 @@ which is diagonal in the spin basis whether lossy or not, so the intervals up
 to the next non-diagonal spin operation merge into one channel, and a dephased
 run is exactly the weighted mixture of pure trajectories (1-q, psi) and
 (q, Z psi). A branch's probability is the weighted sum over trajectories, and
-its state is a DensityState exactly when t_over_t2 > 0. scheme-a (spin pairs,
-then emission) and the transfers run on ``qstate`` registers, the trajectories
-on a leading axis; ``_leaf`` closes each branch, and alone drops a state below
-the probability floor.
-scheme-b and ghz build no register: their photons meet only the one spin, so
-each branch is a sum of two photon product states, scored in O(n) from
-per-photon factors (``_chain_factors``); its 2^n state and 2^n target are
-built when read.
+its state is a DensityState exactly when t_over_t2 > 0.
+No protocol steps a ``qstate`` register: the gate multiplies each photon's R
+and L parts by its coupled or uncoupled coefficient, picked by the spin, so a
+branch ket is a sum over spin configurations of per-photon factors, written
+out from the gate's (c, u) and the inputs (Z on a spin is a sign, a readout
+photon one more factor, the emission a relabeling, a pulse or correction on a
+kept qubit a 2x2 matrix). The trajectories' kets are stacked on a leading
+axis; ``_leaf`` closes each branch, and alone drops a state below the
+probability floor. For scheme-b and ghz, the one-spin chain, each branch is
+a sum of two photon product states, scored in O(n) (``_chain_factors``); its
+2^n state and 2^n target are built when read.
 
 A config may be batched: ``t_over_t2``, or the cavity fields and probe
 frequency of a realistic gate, given as arrays of one batch shape. The whole
@@ -46,34 +49,17 @@ import numpy as np
 
 from .cavity import CavityParams, ParameterError, check_field
 from .frozen import Frozen
-from .gates import (
-    GateMode,
-    IdealGate,
-    RealisticGate,
-    apply_correction,
-    apply_gate,
-    circular_to_z,
-    hadamard,
-    make_gate,
-    trion_emission_map,
-)
+from .gates import _CORRECTIONS, GateMode, IdealGate, RealisticGate, circular_to_z
 from .metrics import concurrence
 from .qstate import (
     DensityState,
-    ProjectiveOutcome,
     PureState,
-    QubitLabel,
-    apply_unitary,
     fidelity,
-    ket_state,
     _nonzero,
+    _norm2,
     make_hermitian,
-    measure,
     photon,
-    qubit_state,
     spin,
-    tensor,
-    tensor_all,
     to_density,
     unstack,
 )
@@ -220,36 +206,55 @@ def _target_state(register, amplitudes) -> PureState | None:
     return PureState(tuple(register), vec / nrm)
 
 
-_PAULI_Z = np.diag([1.0, -1.0]).astype(np.complex128)
+# --- per-photon factors and weighted trajectories ----------------------------
+
+def _coefficients(gate: GateMode, batch):
+    """The gate's (coupled, uncoupled) pair as complex arrays of the run's batch
+    shape, (1,) for a single run: array loops round as a batch's do; 0-d math
+    does not."""
+    return [np.broadcast_to(np.asarray(k, dtype=np.complex128), batch or (1,))
+            for k in gate.coefficients]
 
 
-# --- weighted pure trajectories ----------------------------------------------
+def _unit(a: complex, b: complex):
+    """An input pair scaled to unit norm."""
+    norm = math.hypot(abs(a), abs(b))
+    return a / norm, b / norm
 
-def _trajectories(psi: PureState, batch, spins=(), t_over_t2=0.0):
-    """Unravel the dephasing of each of ``spins`` over a total ``t_over_t2``
-    into weighted pure trajectories on a leading axis of one state: (w, psi),
-    w of shape (trajectories, *batch), psi's batch axes aligned to ``batch``
-    (length 1 where they do not vary). One trajectory of weight 1, then each
-    spin splits every (w, psi) into (w (1-q), psi) and (w q, Z psi), in order.
-    """
-    lead = (1,) * (1 + len(batch) - len(psi.batch_shape))
+
+def _weights(t_over_t2, batch, spins: int):
+    """The weights of the dephasing trajectories, of shape (trajectories, *batch):
+    one of weight 1, then each of ``spins`` stored spins splits every weight w
+    into w (1-q), its trajectory unchanged, and w q, its trajectory with Z on
+    that spin, in order; q = (1 - exp(-t/T2)) / 2. No split where no t/T2 is
+    positive, even where q rounds to 0."""
     w = np.ones((1,) + batch)
-    psi = PureState(psi.register, psi.amplitudes.reshape(lead + psi.amplitudes.shape),
-                    np.reshape(psi.norm_tracking, lead + psi.batch_shape))
     t = np.asarray(t_over_t2, dtype=float)
     if not (t > 0.0).any():
-        return w, psi
+        return w
     q = (1.0 - np.exp(-t)) / 2.0
+    for _ in range(spins):
+        w = np.stack([w * (1.0 - q), w * q], axis=1).reshape((-1,) + batch)
+    return w
 
-    def twins(x, z):  # each entry of x followed by its twin in z
-        return np.stack([x, z], axis=1).reshape((-1,) + x.shape[1:])
 
-    for s in spins:
-        z = apply_unitary(psi, s, _PAULI_Z)
-        w = twins(w * (1.0 - q), w * q)
-        psi = PureState(psi.register, twins(psi.amplitudes, z.amplitudes),
-                        twins(psi.norm_tracking, z.norm_tracking))
-    return w, psi
+def _turned(m, kets):
+    """The 2x2 matrix ``m`` applied to the last axis, elementwise, so that each
+    batch element rounds alike."""
+    return kets[..., :1] * m[:, 0] + kets[..., 1:] * m[:, 1]
+
+
+def _post(kept, kets, batch, *turns) -> PureState:
+    """The trajectories' post states over ``kept`` from their unnormalized kets,
+    of shape (trajectories, *batch or (1,), 2^k): each ket's squared norm is its
+    probability, and its state is the ket normalized, then turned by each 2x2
+    matrix of ``turns`` in order."""
+    p = _norm2(kets)
+    kets = kets / np.sqrt(_nonzero(p))[..., None]
+    for m in turns:
+        kets = _turned(m, kets)
+    lead = (len(kets),) + batch
+    return PureState(tuple(kept), kets.reshape(lead + (-1,)), p.reshape(lead))
 
 
 def _floored(w, p):
@@ -260,18 +265,18 @@ def _floored(w, p):
     return np.where(alive, prob, 0.0), alive
 
 
-def _leaf(label, w, post, kept, correct=None):
+def _leaf(label, w, post, kept):
     """Close one measurement leaf over the ``kept`` register.
 
-    ``w`` and ``post`` are the stacked trajectories' weights and post states
-    (see ``_trajectories``); ``post`` is over ``kept`` after the optional
-    ``correct``. Returns (label, probability, state): probability sum_k w_k p_k
-    of the run's batch shape ``w.shape[1:]``, p_k each trajectory's
-    norm_tracking, and for a mixture the state sum_k w_k p_k |psi_k><psi_k| / p
-    (made exactly Hermitian by ``make_hermitian``), else the one trajectory's
-    state. Elements at or below the floor get probability 0 and a zero state,
-    and trajectories below the floor add to the probability but not to the state.
-    This is the one probability floor on a state; ``_chain_factors`` scores alike.
+    ``w`` and ``post`` are the stacked trajectories' weights (see ``_weights``)
+    and post states over ``kept``. Returns (label, probability, state):
+    probability sum_k w_k p_k of the run's batch shape ``w.shape[1:]``, p_k each
+    trajectory's norm_tracking, and for a mixture the state
+    sum_k w_k p_k |psi_k><psi_k| / p (made exactly Hermitian by
+    ``make_hermitian``), else the one trajectory's state. Elements at or below
+    the floor get probability 0 and a zero state, and trajectories below the
+    floor add to the probability but not to the state. This is the one
+    probability floor on a state; ``_chain_factors`` scores alike.
     """
     batch, mixed = w.shape[1:], len(w) > 1
     empty = np.zeros(batch + (2 ** len(kept),) * (1 + mixed), dtype=np.complex128)
@@ -283,8 +288,6 @@ def _leaf(label, w, post, kept, correct=None):
     if not own.all():
         post = PureState(post.register, np.where(own[..., None], post.amplitudes, 0.0),
                          np.where(own, post.norm_tracking, 0.0))
-    if correct is not None:
-        post = correct(post)
     if not mixed:
         return label, prob, PureState(post.register, post.amplitudes[0],
                                       post.norm_tracking[0])
@@ -293,20 +296,6 @@ def _leaf(label, w, post, kept, correct=None):
     mat = reduce(np.add, (c[..., None, None] * (a[..., :, None] * a.conj()[..., None, :])
                           for c, a in zip(coef, post.amplitudes)), empty)
     return label, prob, DensityState(tuple(kept), make_hermitian(mat), prob)
-
-
-def gfr_spin_readout(state: PureState, spin_q: QubitLabel, ancilla_photon: QubitLabel,
-                     gate: GateMode = IdealGate()) -> list[ProjectiveOutcome]:
-    """Read a spin out with a fresh |H> ancilla photon; the spin survives.
-
-    Returns both +-45 detection branches; with the ideal gate the +45 branch
-    projects the spin onto |up> and the -45 branch onto |down>. The measured
-    ancilla leaves the register. The outcomes are ``measure``'s, renormalized
-    at any probability: the floor is applied by the ``_leaf`` closing a run.
-    """
-    full = tensor(state, ket_state(ancilla_photon, "H"))
-    full = apply_gate(full, make_gate(ancilla_photon, spin_q, gate))
-    return measure(full, ancilla_photon, "45")
 
 
 def _flat(x) -> list:
@@ -333,29 +322,32 @@ def scheme_a_entangle_spins(config: ProtocolConfig,
     |down,down>; the H click heralds alpha1 beta2 |up,down> + alpha2 beta1
     |down,up| (up to a global phase).
     """
-    s1, s2, probe = spin(1), spin(2), photon(0)
+    s1, s2, batch = spin(1), spin(2), config.batch_shape
     mode2 = config.gate
     if second_cavity is not None:
         if not isinstance(config.gate, RealisticGate):
             raise ParameterError("gate must be realistic for a second cavity", field="gate")
         mode2 = RealisticGate(second_cavity, config.gate.omega)
-
-    state = tensor_all([
-        qubit_state(s1, config.alpha1, config.beta1),
-        qubit_state(s2, config.alpha2, config.beta2),
-        ket_state(probe, "H"),
-    ])
-    state = apply_gate(state, make_gate(probe, s1, config.gate))
-    state = apply_gate(state, make_gate(probe, s2, mode2))
+    (c1, u1), (c2, u2) = _coefficients(config.gate, batch), _coefficients(mode2, batch)
+    (a1, b1), (a2, b2) = _unit(config.alpha1, config.beta1), _unit(config.alpha2, config.beta2)
+    # the |H> probe's R part picks up u at each up spin and c at each down one,
+    # its L part the reverse, so over (up up, up down, down up, down down) L's
+    # products are R's reversed; <H| and <V| add and subtract the parts, over 2
+    r = np.stack([u1 * u2, u1 * c2, c1 * u2, c1 * c2], -1)
+    amp = np.array([a1 * a2, a1 * b2, b1 * a2, b1 * b2])
+    w = np.ones((1,) + batch)
+    leaves = [_leaf(label, w, _post((s1, s2), (amp * op(r, r[..., ::-1]) / 2)[None], batch),
+                    (s1, s2)) for label, op in (("H", np.add), ("V", np.subtract))]
 
     a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
-    targets = {
-        "V": _target_state((s1, s2), [a1 * a2, 0, 0, -b1 * b2]),
-        "H": _target_state((s1, s2), [0, a1 * b2, a2 * b1, 0]),
-    }
-    w, state = _trajectories(state, config.batch_shape)
-    return _result("scheme-a-spins", [_leaf(o.label, w, o.post_state, (s1, s2))
-                                      for o in measure(state, probe, "HV")], targets.get)
+    targets = {"V": [a1 * a2, 0, 0, -b1 * b2], "H": [0, a1 * b2, a2 * b1, 0]}
+    return _result("scheme-a-spins", leaves,
+                   lambda label: _target_state((s1, s2), targets[label]))
+
+
+# Z on spin 1, then on spin 2, in each emission trajectory (see ``_weights``):
+# the sign flips of the pair's (up up, up down, down up, down down) amplitudes
+_FLIPS = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) < 0
 
 
 def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
@@ -370,20 +362,21 @@ def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
     if entangled.batch_shape not in ((), config.batch_shape):
         raise ValueError(f"scheme_a_emit takes a result of batch shape () or "
                          f"{config.batch_shape}, not {entangled.batch_shape}")
-    s1, s2 = spin(1), spin(2)
-    p1, p2 = photon(1), photon(2)
+    p1, p2, batch = photon(1), photon(2), config.batch_shape
     a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
     targets = {
         "V": _target_state((p1, p2), [-b1 * b2, 0, 0, a1 * a2]),
         "H": _target_state((p1, p2), [0, a2 * b1, a1 * b2, 0]),
     }
-
-    def emit(st):
-        return trion_emission_map(trion_emission_map(st, s1, p1), s2, p2)
+    w = _weights(config.t_over_t2, batch, 2)
+    flips = _FLIPS[:len(w)].reshape((len(w),) + (1,) * len(batch) + (4,))
 
     def leaf(column):
-        w, psi = _trajectories(column.state, config.batch_shape, (s1, s2), config.t_over_t2)
-        return _leaf(column.label, w, psi, (p1, p2), emit)
+        # the pair (RR, RL, LR, LL) is the spins' amplitudes in reverse
+        amps = np.broadcast_to(column.state.amplitudes, batch + (4,))
+        post = PureState((p1, p2), np.where(flips, -amps, amps)[..., ::-1],
+                         np.broadcast_to(column.state.norm_tracking, w.shape))
+        return _leaf(column.label, w, post, (p1, p2))
 
     return _result("scheme-a", [leaf(c) for c in entangled.columns], targets.get)
 
@@ -418,8 +411,8 @@ def _chain_kets(pairs, c, u):
     kets = []
     for one, other in ((u, c), (c, u)):
         fs = [np.stack([one * a, other * b], -1) / math.hypot(abs(a), abs(b)) for a, b in pairs]
-        if n > 2:  # elementwise, so each batch element rounds alike
-            fs = [f[..., :1] * m[:, 0] + f[..., 1:] * m[:, 1] for f, m in zip(fs, plates)]
+        if n > 2:
+            fs = [_turned(m, f) for f, m in zip(fs, plates)]
         kets.append(reduce(lambda x, y: (x[..., :, None] * y[..., None, :]).reshape(
             x.shape[:-1] + (-1,)), fs))
     return kets
@@ -440,9 +433,8 @@ def _chain_factors(config: ProtocolConfig, n: int):
     leaves are then scored on one (trajectory, leaf, *batch) stack. Returns a
     BranchColumn per leaf, its state and target built on first read."""
     batch = config.batch_shape
-    shape = batch or (1,)  # array loops round as a batch's do; 0-d math does not
-    c, u = (np.broadcast_to(np.asarray(k, dtype=np.complex128), shape)
-            for k in config.gate.coefficients)
+    shape = batch or (1,)
+    c, u = _coefficients(config.gate, batch)
     pairs = _chain_inputs(config, n)
     e = reduce(np.convolve, ([abs(a) ** 2, abs(b) ** 2] for a, b in pairs))
     e = e / e.sum()
@@ -458,9 +450,7 @@ def _chain_factors(config: ProtocolConfig, n: int):
     norm, tt = over_m(np.abs(h) ** 2), over_m(np.abs(ideal) ** 2)  # by s, by target
     overlap = over_m(np.conj(ideal)[:, :, None] * h[:, None])  # by (target, s)
     with np.errstate(over="ignore"):  # a total past the float range is inf, q = 1/2
-        total = n * np.broadcast_to(config.t_over_t2, shape)
-    q = (1.0 - np.exp(-total)) / 2  # split on total > 0, as _trajectories: q may round to 0
-    w = np.stack([1.0 - q, q] if (total > 0.0).any() else [np.ones(shape)])
+        w = _weights(n * np.broadcast_to(config.t_over_t2, shape), shape, 1)
 
     labels = [label for label, _, _ in _CHAIN_LEAVES]
     x = np.stack([coefficient(c, u) for _, coefficient, _ in _CHAIN_LEAVES])
@@ -541,17 +531,17 @@ def transfer_photon_to_spin(config: ProtocolConfig):
     superpositions onto the poles, and a branch-dependent phase correction
     leaves alpha1|up> + beta1|down> in both branches.
     """
-    ph, s = photon(1), spin(1)
-    state = tensor(qubit_state(ph, config.alpha1, config.beta1), ket_state(s, "+x"))
-    state = apply_gate(state, make_gate(ph, s, config.gate))
-
+    s, batch = spin(1), config.batch_shape
+    c, u = _coefficients(config.gate, batch)
+    a, b = _unit(config.alpha1, config.beta1)
+    # the photon's R part a leaves the |+x> spin in (u, c) a, its L part b in
+    # (c, u) b, each over sqrt2; <H| and <V| add and subtract them, over sqrt2
+    r, l = np.stack([a * u, a * c], -1), np.stack([b * c, b * u], -1)
+    w, turn = np.ones((1,) + batch), circular_to_z()
+    leaves = [_leaf(label, w, _post((s,), (op(r, l) / 2)[None], batch, turn,
+                                    _CORRECTIONS["C", label]), (s,))
+              for label, op in (("H", np.add), ("V", np.subtract))]
     target = _target_state((s,), [config.alpha1, config.beta1])
-    w, state = _trajectories(state, config.batch_shape)
-    leaves = []
-    for o in measure(state, ph, "HV"):
-        def correct(st, label=o.label):
-            return apply_correction(apply_unitary(st, s, circular_to_z()), s, label, "C")
-        leaves.append(_leaf(o.label, w, o.post_state, (s,), correct))
     return _result("transfer-ps", leaves, lambda _: target)
 
 
@@ -566,20 +556,24 @@ def transfer_spin_to_photon(config: ProtocolConfig):
     keyed on the announced readout turn both branches into alpha1|H> +
     beta1|V>. Branch labels are "readout/actual" spin outcomes.
     """
-    p1, s = photon(1), spin(1)
-    state = tensor(ket_state(p1, "H"), qubit_state(s, config.alpha1, config.beta1))
-    state = apply_gate(state, make_gate(p1, s, config.gate))
-    w, state = _trajectories(state, config.batch_shape, [s], config.t_over_t2)
-    state = apply_unitary(state, s, hadamard())
-
+    p1, batch = photon(1), config.batch_shape
+    c, u = _coefficients(config.gate, batch)
+    a, b = _unit(config.alpha1, config.beta1)
+    w = _weights(config.t_over_t2, batch, 1)
+    # the |H> photon's (R, L) becomes (u, c) a at an up spin, A, and (c, u) b
+    # at a down one, B, which Z negates. The spin is then read out as the
+    # chain's: each leaf is x (A - s B), x holding the four 1/sqrt2, as the
+    # Hadamard pulse turns up to up + down where the chain's turns it to up - down.
+    up, down = np.stack([a * u, a * c], -1), np.stack([b * c, b * u], -1)
+    down = np.stack([down, -down][:len(w)])
+    leaves = []
+    for label, coefficient, sign in _CHAIN_LEAVES:
+        announced = "up" if label[0] == "+" else "down"
+        kets = coefficient(c, u)[..., None] * (up - sign * down)
+        leaves.append(_leaf(announced + label[3:], w, _post(
+            (p1,), kets, batch, _CORRECTIONS["D", announced]), (p1,)))
     a, b = config.alpha1, config.beta1
     target = _target_state((p1,), [(a + b) * SQH, (a - b) * SQH])  # alpha|H> + beta|V>
-    leaves = []
-    for o in gfr_spin_readout(state, s, photon(3), config.gate):
-        announced = {"+45": "up", "-45": "down"}[o.label]
-        leaves += [_leaf(f"{announced}/{m.label}", w, m.post_state, (p1,),
-                         lambda st, a=announced: apply_correction(st, p1, a, "D"))
-                   for m in measure(o.post_state, s, "updown")]
     return _result("transfer-sp", leaves, lambda _: target)
 
 

@@ -8,6 +8,10 @@ the spin is measured, and for n >= 3 the feed-forward plates act on every
 photon. Branch targets are the normalized branch states of the ideal,
 undephased run of the same circuit, so no closed form is shared with the
 package's chain.
+
+``gfr_spin_readout`` and ``_trajectories`` are the engine steps the package's
+protocols took before they were scored from per-photon factors; they are kept
+here as the reference's own.
 """
 from spinphoton import replace
 
@@ -15,8 +19,48 @@ import numpy as np
 
 from spinphoton import qstate as qs
 from spinphoton.gates import IdealGate, apply_gate, circular_to_z, make_gate
-from spinphoton.protocols import _chain_inputs, _leaf, _result, _trajectories, gfr_spin_readout
-from matrix_oracle import RY90
+from spinphoton.protocols import _chain_inputs, _leaf, _result
+from matrix_oracle import RY90, Z
+
+
+def gfr_spin_readout(state, spin_q, ancilla_photon, gate=IdealGate()):
+    """Read a spin out with a fresh |H> ancilla photon; the spin survives.
+
+    Returns both +-45 detection branches; with the ideal gate the +45 branch
+    projects the spin onto |up> and the -45 branch onto |down>. The measured
+    ancilla leaves the register. The outcomes are ``measure``'s, renormalized
+    at any probability: the floor is applied by the ``_leaf`` closing a run.
+    """
+    full = qs.tensor(state, qs.ket_state(ancilla_photon, "H"))
+    full = apply_gate(full, make_gate(ancilla_photon, spin_q, gate))
+    return qs.measure(full, ancilla_photon, "45")
+
+
+def _trajectories(psi, batch, spins=(), t_over_t2=0.0):
+    """Unravel the dephasing of each of ``spins`` over a total ``t_over_t2``
+    into weighted pure trajectories on a leading axis of one state: (w, psi),
+    w of shape (trajectories, *batch), psi's batch axes aligned to ``batch``
+    (length 1 where they do not vary). One trajectory of weight 1, then each
+    spin splits every (w, psi) into (w (1-q), psi) and (w q, Z psi), in order.
+    """
+    lead = (1,) * (1 + len(batch) - len(psi.batch_shape))
+    w = np.ones((1,) + batch)
+    psi = qs.PureState(psi.register, psi.amplitudes.reshape(lead + psi.amplitudes.shape),
+                       np.reshape(psi.norm_tracking, lead + psi.batch_shape))
+    t = np.asarray(t_over_t2, dtype=float)
+    if not (t > 0.0).any():
+        return w, psi
+    q = (1.0 - np.exp(-t)) / 2.0
+
+    def twins(x, z):  # each entry of x followed by its twin in z
+        return np.stack([x, z], axis=1).reshape((-1,) + x.shape[1:])
+
+    for s in spins:
+        z = qs.apply_unitary(psi, s, Z)
+        w = twins(w * (1.0 - q), w * q)
+        psi = qs.PureState(psi.register, twins(psi.amplitudes, z.amplitudes),
+                           twins(psi.norm_tracking, z.norm_tracking))
+    return w, psi
 
 
 def reference_leaves(config, n):
@@ -40,7 +84,8 @@ def reference_leaves(config, n):
             st = qs.apply_unitary(st, p, circular_to_z())
         return qs.apply_unitary(st, photons[0], phase_fix)
 
-    return [_leaf(f"{o.label}/{m.label}", w, m.post_state, photons, plates if n > 2 else None)
+    return [_leaf(f"{o.label}/{m.label}", w, plates(m.post_state) if n > 2 else m.post_state,
+                  photons)
             for o in gfr_spin_readout(state, s, qs.photon(n + 1), config.gate)
             for m in qs.measure(o.post_state, s, "updown")]
 

@@ -177,9 +177,9 @@ def test_a_batched_chain_builds_its_states_only_when_read(monkeypatch):
     calls = []
     leaf = protocols._leaf
 
-    def counting(label, w, post, kept, correct=None):
+    def counting(label, w, post, kept):
         calls.append(post.batch_shape)
-        return leaf(label, w, post, kept, correct)
+        return leaf(label, w, post, kept)
 
     monkeypatch.setattr(protocols, "_leaf", counting)
     cavity = CavityParams(g=np.array([2.0, 5.0, 12.0]), kappa=1.0, gamma=0.1, kappa_s=0.2)

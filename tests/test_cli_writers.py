@@ -660,6 +660,23 @@ def test_a_long_out_name_the_filesystem_takes_is_written(tmp_path, capsys, name)
     assert (tmp_path / name).read_text(encoding="utf-8") == expected
 
 
+@pytest.mark.parametrize("args, formatter", [(["sample", "--trials", "10"], "indexed_rows"),
+                                             (["reflectance", "--grid=0:1:3"], "csv_rows")],
+                         ids=["sample", "reflectance"])
+def test_an_out_name_too_long_for_the_filesystem_is_refused_before_any_row(
+        tmp_path, capsys, monkeypatch, args, formatter):
+    def refuse(*args):
+        raise AssertionError("a CSV row was formatted")
+
+    monkeypatch.setattr(floatrows, formatter, refuse)
+    out = str(tmp_path / ("a" * 300))  # 255 bytes is the most a common filesystem takes
+    assert cli.main([*args, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File name too long" in err
+    assert repr(out) in err and "partial" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_out_in_a_missing_directory_exits_1_with_the_os_message(tmp_path, capsys):
     out = tmp_path / "missing" / "o.csv"
     assert cli.main(["reflectance", "--grid=0:0:1", "--out", str(out)]) == 1

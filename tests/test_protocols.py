@@ -20,7 +20,6 @@ from spinphoton.protocols import (
     ProtocolBranch,
     ProtocolConfig,
     chain_multiphoton,
-    gfr_spin_readout,
     merged_detection_branch,
     run_protocol,
     scheme_a_emit,
@@ -30,6 +29,7 @@ from spinphoton.protocols import (
     transfer_photon_to_spin,
     transfer_spin_to_photon,
 )
+from chain_reference import _trajectories, gfr_spin_readout
 from matrix_oracle import mirrored
 from reference_states import (
     photon_pair_anticorrelated,
@@ -559,7 +559,8 @@ def test_branch_probabilities_sum_to_survival_everywhere():
                 total, abs=1e-9)
 
 
-@pytest.mark.parametrize("name, n_photons", [("ghz", 6), ("scheme-b", 2)])
+@pytest.mark.parametrize("name, n_photons", [("ghz", 6), ("scheme-b", 2), ("scheme-a", 3),
+                                             ("transfer-ps", 3), ("transfer-sp", 3)])
 def test_realistic_run_evaluates_the_cavity_once(monkeypatch, name, n_photons):
     calls = []
 
@@ -572,29 +573,44 @@ def test_realistic_run_evaluates_the_cavity_once(monkeypatch, name, n_photons):
     assert sorted(calls) == [False, True]
 
 
-@pytest.mark.parametrize("name, n_photons, expected", [
-    ("transfer-sp", 3, {"gfr_spin_readout": 1, "measure": 3}),
-    ("scheme-a", 2, {"measure": 1, "trion_emission_map": 4}),
-])
-def test_dephased_run_steps_once_over_all_trajectories(monkeypatch, name, n_photons,
-                                                        expected):
-    # the dephased trajectories (two for transfer-sp, four for scheme-a) share one
-    # engine call per step instead of one call each
-    calls = dict.fromkeys(expected, 0)
+def test_scheme_a_evaluates_each_cavity_once(monkeypatch):
+    calls = []
 
-    def counting(fname):
-        inner = getattr(protocols, fname)
+    def counting(params, omega, coupled):
+        calls.append((params.g, coupled))
+        return reflection_coefficient(params, omega, coupled=coupled)
 
-        def wrapper(*args, **kwargs):
-            calls[fname] += 1
-            return inner(*args, **kwargs)
-        return wrapper
+    monkeypatch.setattr(gates, "reflection_coefficient", counting)
+    second = CavityParams(g=3.0, kappa=1.0, gamma=0.1, kappa_s=0.2)
+    scheme_a_photon_pairs(realistic_config(kappa_s=0.2), second_cavity=second)
+    assert sorted(calls) == [(3.0, False), (3.0, True), (10.0, False), (10.0, True)]
 
-    for fname in expected:
-        monkeypatch.setattr(protocols, fname, counting(fname))
-    cfg = replace(realistic_config(kappa_s=0.2), t_over_t2=0.3)
-    run_protocol(name, cfg, n_photons=n_photons)
-    assert calls == expected
+
+# The state engine's step functions: every protocol is scored from per-photon
+# factors, and runs none of them.
+STEPS = ("tensor", "tensor_all", "make_gate", "apply_gate", "apply_diagonal_pair",
+         "apply_unitary", "measure", "apply_correction", "trion_emission_map")
+
+
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("mode", ["ideal", "realistic", "dephased"])
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_no_protocol_run_calls_a_step_function(monkeypatch, name, mode, batched):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a protocol run called a step function")
+
+    for module in (qs, gates, protocols):
+        for step in STEPS:
+            if hasattr(module, step):
+                monkeypatch.setattr(module, step, refuse)
+    g = np.array([2.0, 5.0]) if batched else 5.0
+    cfg = ProtocolConfig() if mode == "ideal" else realistic_config(g=g, kappa_s=0.2)
+    t = 0.3 if mode == "dephased" else 0.0
+    cfg = replace(cfg, t_over_t2=np.full(2, t) if batched else t)
+    result = run_protocol(name, cfg, n_photons=3)
+    assert result.batch_shape == ((2,) if batched else ())
+    for br in result.branches:  # every state, target and score, each built when read
+        assert br.state is not None and 0.0 <= br.probability <= 1.0
 
 
 def list_form_split(trajectories, spin_q, t_over_t2):
@@ -613,7 +629,8 @@ def test_stacked_trajectories_equal_the_list_form_bit_for_bit(batch):
     amps = rng.normal(size=batch + (8,)) + 1j * rng.normal(size=batch + (8,))
     psi = qs.normalize(qs.PureState((s1, s2, p), amps))
     t = rng.uniform(0.1, 1.0, size=batch)
-    w, stacked = protocols._trajectories(psi, batch, (s1, s2), t)
+    w, stacked = _trajectories(psi, batch, (s1, s2), t)
+    assert np.array_equal(protocols._weights(t, batch, 2), w)
     ref = [(1.0, psi)]
     for s in (s1, s2):
         ref = list_form_split(ref, s, t)

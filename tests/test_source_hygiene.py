@@ -20,6 +20,15 @@ KEPT = {
     "drop_qubit": "bench/tracing.py LAYERS wraps it; deleted with the layer",
     "dephase_spin": "bench/tracing.py LAYERS wraps it; deleted with the layer",
     "sample_outcome": "bench/tracing.py LAYERS wraps it; deleted with the layer",
+    # the step engine no protocol runs: public API, and the tests' reference engine
+    "make_gate": "bench/tracing.py LAYERS wraps it; the tests' reference engine uses it",
+    "apply_gate": "bench/tracing.py LAYERS wraps it; the tests' reference engine uses it",
+    "trion_emission_map": "bench/tracing.py LAYERS wraps it",
+    "tensor_all": "bench/tracing.py LAYERS wraps it; the tests' reference engine uses it",
+    "ket_state": "public step API the tests' reference engine uses",
+    "qubit_state": "public step API the tests' reference engine uses",
+    "hadamard": "public step API the tests' reference engine uses",
+    "ProjectiveOutcome": "measure returns it",
 }
 
 
