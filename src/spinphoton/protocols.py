@@ -23,10 +23,12 @@ branch ket is a sum over spin configurations of per-photon factors, written
 out from the gate's (c, u) and the inputs (Z on a spin is a sign, a readout
 photon one more factor, the emission a relabeling, a pulse or correction on a
 kept qubit a 2x2 matrix). The trajectories' kets are stacked on a leading
-axis; ``_leaf`` closes each branch, and alone drops a state below the
-probability floor. For scheme-b and ghz, the one-spin chain, each branch is
-a sum of two photon product states, scored in O(n) (``_chain_factors``); its
-2^n state and 2^n target are built when read.
+axis. Every branch has one lifecycle: a run keeps its trajectories' unit kets
+and probabilities as arrays (``_post``; for scheme-b and ghz, the one-spin
+chain, two photon product states scored in O(n) by ``_chain``) and scores its
+probability (``_floored``); ``_leaf`` builds its state on first read, and
+alone drops a state below the probability floor. So a run builds no branch
+state but scheme-a's two spin pairs, which its emission reads.
 
 A config may be batched: ``t_over_t2``, or the cavity fields and probe
 frequency of a realistic gate, given as arrays of one batch shape. The whole
@@ -127,10 +129,11 @@ class BranchColumn:
     order) of probability; and, each built on its first read, its batched
     ``state``, its ``target`` and flat lists of fidelity and concurrence.
 
-    ``probability`` comes as an array over the batch. ``build`` and
-    ``target`` make the state and the target. A fidelity the run scored
-    already comes as a flat list ``fidelity``; else it is the state's against
-    the target, or NaN without a target. Concurrence is None unless the state
+    ``probability`` comes as an array over the batch, scored by the run.
+    ``build`` closes the state (``_leaf`` on the run's arrays) and ``target``
+    makes the target. A fidelity the run scored already (the chain's) comes as
+    a flat list ``fidelity``; else it is the state's against the target, or
+    NaN without a target. Concurrence is None unless the state
     is a qubit ``pair``. Scores are NaN where the probability is 0."""
 
     def __init__(self, label, probability, build, target, pair, fidelity=None):
@@ -244,17 +247,21 @@ def _turned(m, kets):
     return kets[..., :1] * m[:, 0] + kets[..., 1:] * m[:, 1]
 
 
-def _post(kept, kets, batch, *turns) -> PureState:
-    """The trajectories' post states over ``kept`` from their unnormalized kets,
-    of shape (trajectories, *batch or (1,), 2^k): each ket's squared norm is its
-    probability, and its state is the ket normalized, then turned by each 2x2
-    matrix of ``turns`` in order."""
+def _post(kets, batch, *turns):
+    """The trajectories' unit kets and probabilities p from their unnormalized
+    kets, of shape (trajectories, *batch or (1,), 2^k): each ket's squared norm
+    is its p, which must lie in [0, 1] up to 1e-9 (ValueError) and is clipped
+    to it, and its unit ket is the ket normalized, then turned by each 2x2
+    matrix of ``turns`` in order. Returns (unit kets, p), of shapes
+    (trajectories, *batch, 2^k) and (trajectories, *batch)."""
     p = _norm2(kets)
+    if not ((p >= -1e-9) & (p <= 1 + 1e-9)).all():
+        raise ValueError("a trajectory's probability must lie in [0, 1]")
     kets = kets / np.sqrt(_nonzero(p))[..., None]
     for m in turns:
         kets = _turned(m, kets)
     lead = (len(kets),) + batch
-    return PureState(tuple(kept), kets.reshape(lead + (-1,)), p.reshape(lead))
+    return kets.reshape(lead + (-1,)), np.clip(p, 0.0, 1.0).reshape(lead)
 
 
 def _floored(w, p):
@@ -265,50 +272,48 @@ def _floored(w, p):
     return np.where(alive, prob, 0.0), alive
 
 
-def _leaf(label, w, post, kept):
-    """Close one measurement leaf over the ``kept`` register.
+def _leaf(w, kets, p, kept):
+    """Close one measurement leaf over the ``kept`` register: its state.
 
-    ``w`` and ``post`` are the stacked trajectories' weights (see ``_weights``)
-    and post states over ``kept``. Returns (label, probability, state):
-    probability sum_k w_k p_k of the run's batch shape ``w.shape[1:]``, p_k each
-    trajectory's norm_tracking, and for a mixture the state
-    sum_k w_k p_k |psi_k><psi_k| / p (made exactly Hermitian by
-    ``make_hermitian``), else the one trajectory's state. Elements at or below
-    the floor get probability 0 and a zero state, and trajectories below the
-    floor add to the probability but not to the state. This is the one
-    probability floor on a state; ``_chain_factors`` scores alike.
+    ``w``, ``kets`` and ``p`` are the stacked trajectories' weights (see
+    ``_weights``), unit kets over ``kept`` and probabilities (see ``_post``).
+    The leaf's probability is ``_floored(w, p)``, of the run's batch shape
+    ``w.shape[1:]``; its state is, for a mixture, sum_k w_k p_k |psi_k><psi_k|
+    / p (made exactly Hermitian by ``make_hermitian``), else the one
+    trajectory's ket, with that probability as its norm_tracking. Elements at
+    or below the floor get a zero state, and trajectories below the floor add
+    to the probability but not to the state. This is the one probability floor
+    on a state; every protocol builds its states here, on a column's first read.
     """
     batch, mixed = w.shape[1:], len(w) > 1
     empty = np.zeros(batch + (2 ** len(kept),) * (1 + mixed), dtype=np.complex128)
-    prob, alive = _floored(w, post.norm_tracking)
+    prob, alive = _floored(w, p)
     if not alive.any():
-        return label, prob, (DensityState(tuple(kept), make_hermitian(empty), prob) if mixed
-                             else PureState(tuple(kept), empty, prob))
-    own = post.norm_tracking > PROBABILITY_FLOOR
+        return (DensityState(kept, make_hermitian(empty), prob) if mixed
+                else PureState(kept, empty, prob))
+    own = p > PROBABILITY_FLOOR
     if not own.all():
-        post = PureState(post.register, np.where(own[..., None], post.amplitudes, 0.0),
-                         np.where(own, post.norm_tracking, 0.0))
+        kets, p = np.where(own[..., None], kets, 0.0), np.where(own, p, 0.0)
     if not mixed:
-        return label, prob, PureState(post.register, post.amplitudes[0],
-                                      post.norm_tracking[0])
+        return PureState(kept, kets[0], p[0])
     scale = np.where(prob > 0.0, prob, 1.0)
-    coef = np.where(alive & own, w * post.norm_tracking / scale, 0.0)
+    coef = np.where(alive & own, w * p / scale, 0.0)
     mat = reduce(np.add, (c[..., None, None] * (a[..., :, None] * a.conj()[..., None, :])
-                          for c, a in zip(coef, post.amplitudes)), empty)
-    return label, prob, DensityState(tuple(kept), make_hermitian(mat), prob)
+                          for c, a in zip(coef, kets)), empty)
+    return DensityState(kept, make_hermitian(mat), prob)
 
 
 def _flat(x) -> list:
     return np.reshape(x, -1).tolist()
 
 
-def _result(name: str, leaves, target_of):
-    """The run's result of (label, probability, state) leaves, each a
-    BranchColumn scored against ``target_of(label)`` when read; its batch
-    shape is the probabilities'."""
-    return ProtocolResult(name, np.shape(leaves[0][1]), tuple(
-        BranchColumn(label, prob, lambda state=state: state, partial(target_of, label),
-                     state.n_qubits == 2) for label, prob, state in leaves))
+def _result(name: str, w, kept, leaves, target_of):
+    """The run's result of (label, unit kets, p) leaves over ``kept`` (see
+    ``_post``): a BranchColumn each, its probability ``_floored`` now, its state
+    closed by ``_leaf`` and scored against ``target_of(label)`` when read."""
+    return ProtocolResult(name, w.shape[1:], tuple(
+        BranchColumn(label, _floored(w, p)[0], partial(_leaf, w, kets, p, kept),
+                     partial(target_of, label), len(kept) == 2) for label, kets, p in leaves))
 
 
 # --- scheme A: photon pairs via remote entangled spins ----------------------
@@ -335,13 +340,12 @@ def scheme_a_entangle_spins(config: ProtocolConfig,
     # products are R's reversed; <H| and <V| add and subtract the parts, over 2
     r = np.stack([u1 * u2, u1 * c2, c1 * u2, c1 * c2], -1)
     amp = np.array([a1 * a2, a1 * b2, b1 * a2, b1 * b2])
-    w = np.ones((1,) + batch)
-    leaves = [_leaf(label, w, _post((s1, s2), (amp * op(r, r[..., ::-1]) / 2)[None], batch),
-                    (s1, s2)) for label, op in (("H", np.add), ("V", np.subtract))]
+    leaves = [(label, *_post((amp * op(r, r[..., ::-1]) / 2)[None], batch))
+              for label, op in (("H", np.add), ("V", np.subtract))]
 
     a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
     targets = {"V": [a1 * a2, 0, 0, -b1 * b2], "H": [0, a1 * b2, a2 * b1, 0]}
-    return _result("scheme-a-spins", leaves,
+    return _result("scheme-a-spins", np.ones((1,) + batch), (s1, s2), leaves,
                    lambda label: _target_state((s1, s2), targets[label]))
 
 
@@ -374,11 +378,10 @@ def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
     def leaf(column):
         # the pair (RR, RL, LR, LL) is the spins' amplitudes in reverse
         amps = np.broadcast_to(column.state.amplitudes, batch + (4,))
-        post = PureState((p1, p2), np.where(flips, -amps, amps)[..., ::-1],
-                         np.broadcast_to(column.state.norm_tracking, w.shape))
-        return _leaf(column.label, w, post, (p1, p2))
+        return (column.label, np.where(flips, -amps, amps)[..., ::-1],
+                np.broadcast_to(column.state.norm_tracking, w.shape))
 
-    return _result("scheme-a", [leaf(c) for c in entangled.columns], targets.get)
+    return _result("scheme-a", w, (p1, p2), [leaf(c) for c in entangled.columns], targets.get)
 
 
 def scheme_a_photon_pairs(config: ProtocolConfig,
@@ -395,7 +398,7 @@ def _chain_inputs(config: ProtocolConfig, n: int):
 
 
 # Each chain leaf "detection/spin" is x (A + s B) on the undephased trajectory
-# (see _chain_factors), x a function of the gate's (coupled, uncoupled) pair.
+# (see _chain), x a function of the gate's (coupled, uncoupled) pair.
 _CHAIN_LEAVES = (("+45/up", lambda c, u: (u - 1j * c) / 4, -1),
                  ("+45/down", lambda c, u: (c - 1j * u) / 4, 1),
                  ("-45/up", lambda c, u: (u + 1j * c) / 4, -1),
@@ -403,7 +406,7 @@ _CHAIN_LEAVES = (("+45/up", lambda c, u: (u - 1j * c) / 4, -1),
 
 
 def _chain_kets(pairs, c, u):
-    """A and B (see ``_chain_factors``) of the normalized inputs: Kronecker
+    """A and B (see ``_chain``) of the normalized inputs: Kronecker
     products of per-photon factors, photon 1 first, for n >= 3 each turned by
     its feed-forward plates (+-45 -> R/L, and a phase on photon 1)."""
     n, turn = len(pairs), circular_to_z()
@@ -418,8 +421,8 @@ def _chain_kets(pairs, c, u):
     return kets
 
 
-def _chain_factors(config: ProtocolConfig, n: int):
-    """Score the n-photon chain's leaves from per-photon factors, in O(n).
+def _chain(name: str, config: ProtocolConfig, n: int):
+    """Run the n-photon chain, scoring its leaves from per-photon factors in O(n).
 
     The gate is diagonal in the spin basis, so after the photons the chain is
     (|up> A + |down> B)/sqrt2, A = (x)_k (u a_k, c b_k), B = (x)_k (c a_k, u b_k).
@@ -430,8 +433,9 @@ def _chain_factors(config: ProtocolConfig, n: int):
     so each norm and overlap is a sum over m weighted by e_m, the inputs'
     probability of m photons in |L>. Each distinct sum is taken once: the two
     norms of A + s B, the two target norms and the four overlaps; the four
-    leaves are then scored on one (trajectory, leaf, *batch) stack. Returns a
-    BranchColumn per leaf, its state and target built on first read."""
+    leaves are then scored on one (trajectory, leaf, *batch) stack. Returns the
+    run's ProtocolResult ``name``: a BranchColumn per leaf, its state closed by
+    ``_leaf`` and its target built on first read."""
     batch = config.batch_shape
     shape = batch or (1,)
     c, u = _coefficients(config.gate, batch)
@@ -477,20 +481,13 @@ def _chain_factors(config: ProtocolConfig, n: int):
     def build(leaf):
         (a, b), pk = kets(), p[:, leaf]
         post = np.stack([x[leaf, ..., None] * (a + s[leaf] * b) for s in signs])
-        return _leaf(labels[leaf], w.reshape(lead), PureState(
-            photons, (post / np.sqrt(_nonzero(pk))[..., None]).reshape(lead + (-1,)),
-            pk.reshape(lead)), photons)[2]
+        return _leaf(w.reshape(lead), (post / np.sqrt(_nonzero(pk))[..., None]).reshape(
+            lead + (-1,)), pk.reshape(lead), photons)
 
     fids = fid.reshape(len(labels), -1).tolist()
-    return [BranchColumn(label, prob[leaf], partial(build, leaf),
-                         lambda d=label[0]: targets()[d], n == 2, fids[leaf])
-            for leaf, label in enumerate(labels)]
-
-
-def _chain(name: str, config: ProtocolConfig, n: int):
-    """The chain's result: ``_chain_factors``' columns, scored against the
-    ideal chain's A - B (+45) and A + B (-45), which are built on first read."""
-    return ProtocolResult(name, config.batch_shape, tuple(_chain_factors(config, n)))
+    return ProtocolResult(name, batch, tuple(
+        BranchColumn(label, prob[leaf], partial(build, leaf), lambda d=label[0]: targets()[d],
+                     n == 2, fids[leaf]) for leaf, label in enumerate(labels)))
 
 
 def scheme_b_entangle_photons(config: ProtocolConfig):
@@ -514,7 +511,7 @@ def chain_multiphoton(config: ProtocolConfig, n_photons: int):
     |H>. For n = 2 this is exactly scheme B. For n >= 3 the feed-forward wave
     plates bring the branch states to canonical form; with uniform inputs the
     +45 branch is then (|R...R> - |L...L>)/sqrt2. Scores and targets come
-    from one closed form in per-photon factors (``_chain_factors``).
+    from one closed form in per-photon factors (``_chain``).
     """
     if not 2 <= n_photons <= 6:
         raise ParameterError("register overflow: n_photons must be in [2, 6]", field="n_photons")
@@ -537,12 +534,11 @@ def transfer_photon_to_spin(config: ProtocolConfig):
     # the photon's R part a leaves the |+x> spin in (u, c) a, its L part b in
     # (c, u) b, each over sqrt2; <H| and <V| add and subtract them, over sqrt2
     r, l = np.stack([a * u, a * c], -1), np.stack([b * c, b * u], -1)
-    w, turn = np.ones((1,) + batch), circular_to_z()
-    leaves = [_leaf(label, w, _post((s,), (op(r, l) / 2)[None], batch, turn,
-                                    _CORRECTIONS["C", label]), (s,))
+    leaves = [(label, *_post((op(r, l) / 2)[None], batch, circular_to_z(),
+                             _CORRECTIONS["C", label]))
               for label, op in (("H", np.add), ("V", np.subtract))]
     target = _target_state((s,), [config.alpha1, config.beta1])
-    return _result("transfer-ps", leaves, lambda _: target)
+    return _result("transfer-ps", np.ones((1,) + batch), (s,), leaves, lambda _: target)
 
 
 # --- scheme D: spin state onto a photon --------------------------------------
@@ -570,11 +566,10 @@ def transfer_spin_to_photon(config: ProtocolConfig):
     for label, coefficient, sign in _CHAIN_LEAVES:
         announced = "up" if label[0] == "+" else "down"
         kets = coefficient(c, u)[..., None] * (up - sign * down)
-        leaves.append(_leaf(announced + label[3:], w, _post(
-            (p1,), kets, batch, _CORRECTIONS["D", announced]), (p1,)))
+        leaves.append((announced + label[3:], *_post(kets, batch, _CORRECTIONS["D", announced])))
     a, b = config.alpha1, config.beta1
     target = _target_state((p1,), [(a + b) * SQH, (a - b) * SQH])  # alpha|H> + beta|V>
-    return _result("transfer-sp", leaves, lambda _: target)
+    return _result("transfer-sp", w, (p1,), leaves, lambda _: target)
 
 
 # --- dispatch and branch merging ---------------------------------------------
@@ -624,4 +619,5 @@ def merged_detection_branch(result: ProtocolResult, detection: str) -> ProtocolB
             mat += (c.probability[0] / p_tot) * (rho.matrix / max(rho.trace(), 1e-300))
         state = DensityState(state.register, make_hermitian(mat), min(p_tot, 1.0))
     target = next((c.target for c in picked if c.target is not None), None)
-    return _result(result.protocol, [(detection, p_tot, state)], lambda _: target).branches[0]
+    column = BranchColumn(detection, p_tot, lambda: state, lambda: target, state.n_qubits == 2)
+    return ProtocolResult(result.protocol, (), (column,)).branches[0]

@@ -19,7 +19,7 @@ import numpy as np
 
 from spinphoton import qstate as qs
 from spinphoton.gates import IdealGate, apply_gate, circular_to_z, make_gate
-from spinphoton.protocols import _chain_inputs, _leaf, _result
+from spinphoton.protocols import _chain_inputs, _result
 from matrix_oracle import RY90, Z
 
 
@@ -29,7 +29,7 @@ def gfr_spin_readout(state, spin_q, ancilla_photon, gate=IdealGate()):
     Returns both +-45 detection branches; with the ideal gate the +45 branch
     projects the spin onto |up> and the -45 branch onto |down>. The measured
     ancilla leaves the register. The outcomes are ``measure``'s, renormalized
-    at any probability: the floor is applied by the ``_leaf`` closing a run.
+    at any probability: the floor is applied where a run's leaves are closed.
     """
     full = qs.tensor(state, qs.ket_state(ancilla_photon, "H"))
     full = apply_gate(full, make_gate(ancilla_photon, spin_q, gate))
@@ -63,8 +63,10 @@ def _trajectories(psi, batch, spins=(), t_over_t2=0.0):
     return w, psi
 
 
-def reference_leaves(config, n):
-    """The (label, probability, kept photons' state) leaves of the chain."""
+def reference_run(config, n, target_of):
+    """The chain's leaves over the kept photons, closed and scored against
+    ``target_of(label)`` as the package closes and scores a register run's
+    (``protocols._result``, ``qstate.fidelity``)."""
     photons = [qs.photon(i) for i in range(1, n + 1)]
     s = qs.spin(1)
     state = qs.tensor_all([qs.qubit_state(p, *ab)
@@ -84,21 +86,22 @@ def reference_leaves(config, n):
             st = qs.apply_unitary(st, p, circular_to_z())
         return qs.apply_unitary(st, photons[0], phase_fix)
 
-    return [_leaf(f"{o.label}/{m.label}", w, plates(m.post_state) if n > 2 else m.post_state,
-                  photons)
-            for o in gfr_spin_readout(state, s, qs.photon(n + 1), config.gate)
-            for m in qs.measure(o.post_state, s, "updown")]
+    leaves = [(f"{o.label}/{m.label}", st.amplitudes, st.norm_tracking)
+              for o in gfr_spin_readout(state, s, qs.photon(n + 1), config.gate)
+              for m in qs.measure(o.post_state, s, "updown")
+              for st in [plates(m.post_state) if n > 2 else m.post_state]]
+    return _result("ghz", w, photons, leaves, target_of)
 
 
 def reference_targets(config, n) -> dict:
     """The normalized live branch states of the ideal, undephased run, keyed
     by detection outcome."""
-    ideal = reference_leaves(replace(config, gate=IdealGate(), t_over_t2=0.0), n)
-    return {label[:3]: qs.normalize(st) for label, p, st in ideal if p > 0.0}
+    ideal = reference_run(replace(config, gate=IdealGate(), t_over_t2=0.0), n, lambda _: None)
+    return {c.label[:3]: qs.normalize(c.state) for c in ideal.columns if c.probability[0] > 0.0}
 
 
 def reference_chain(config, n):
     """The reference run: a ProtocolResult of the config's batch shape, scored
     against ``reference_targets``."""
     targets = reference_targets(config, n)
-    return _result("ghz", reference_leaves(config, n), lambda label: targets.get(label[:3]))
+    return reference_run(config, n, lambda label: targets.get(label[:3]))

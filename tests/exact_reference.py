@@ -1,5 +1,7 @@
-"""scheme-a, transfer-ps and transfer-sp run in exact rational arithmetic: the
-referee of their printed probabilities and fidelities.
+"""Every protocol run in exact rational arithmetic: the referee of the
+printed probabilities and fidelities. scheme-a, transfer-ps and transfer-sp
+run step by step (below); scheme-b and ghz as sums over the number of photons
+in |L> (``chain``).
 
 Each circuit (prepare, gate, readout, pulse, correction, emission) runs step
 by step on dense vectors of at most four qubits, whose entries are complex
@@ -31,17 +33,25 @@ from spinphoton.gates import _CORRECTIONS, circular_to_z
 
 
 class Q:
-    """An exact complex number: a pair of Fractions."""
+    """An exact complex number: a pair of exact rationals (ints or Fractions)."""
     __slots__ = ("re", "im")
 
     def __init__(self, re, im=0):
-        self.re, self.im = Fraction(re), Fraction(im)
+        self.re, self.im = re, im
 
     @classmethod
     def of(cls, z) -> "Q":
         """The float complex ``z`` exactly."""
         z = complex(z)
-        return cls(z.real, z.imag)
+        return cls(Fraction(z.real), Fraction(z.imag))
+
+    @classmethod
+    def scaled(cls, z, scale: int) -> "Q":
+        """The float complex ``z`` times 2^scale, in integers (exact for a
+        ``scale`` of at least ``_exponent(z)``): sums and products of these
+        need no Fraction arithmetic."""
+        z = complex(z)
+        return cls(*(int(Fraction(v) * 2 ** scale) for v in (z.real, z.imag)))
 
     def __add__(self, other):
         return Q(self.re + other.re, self.im + other.im)
@@ -202,6 +212,98 @@ def transfer_sp(config) -> dict:
 
 
 EXACT = {"scheme-a": scheme_a, "transfer-ps": transfer_ps, "transfer-sp": transfer_sp}
+
+
+def chain(config, n: int) -> dict:
+    """label -> (probability, fidelity) of the n-photon chain: scheme-b at
+    n = 2, ghz above, photons 3..n entering as the program's float |H>.
+
+    The gate is diagonal in the spin basis, so after the photons the spin
+    (|+x>) and the photons are |up> A + |down> B, A = (x)_k (u a_k, c b_k) and
+    B = (x)_k (c a_k, u b_k). The rest of the circuit acts on the pair
+    (alpha, beta) of A and B that each spin state carries: Z (on the
+    trajectory of weight q), the pulse [[1, -1], [1, 1]], the |H> ancilla's
+    reflection (u on R, c on L at |up>; the reverse at |down>), its +-45
+    projection and the spin readout. A basis state with m photons in |L> has
+    in alpha A + beta B its input amplitude times alpha u^(n-m) c^m + beta
+    c^(n-m) u^m, so a leaf's squared norm and its overlap with the target are
+    exact sums over m weighted by e_m, the inputs' probability of m photons
+    in |L>. The target of a detection is the live leaf of the ideal (c, u) =
+    (i, 1) run without dephasing. The feed-forward plates of n >= 3 act alike
+    on a leaf and its target, so they change no score and are left out. The
+    spin, pulse, ancilla and +-45 each carry a 1/sqrt2, 1/16 in probability.
+    The chain waits n intervals, so q is taken as the program computes it from
+    n t/T2, on an array of one element.
+
+    The float inputs enter as integers times 2^-S (``Q.scaled``), S the
+    largest exponent they need, so each sum is an integer; the scales are
+    divided out once, at the end.
+    """
+    inputs = [(config.alpha1, config.beta1), (config.alpha2, config.beta2)] + [
+        (math.sqrt(0.5), math.sqrt(0.5))] * (n - 2)
+    total = n * float(config.t_over_t2)
+    q = (1.0 - float(np.exp(-np.full(1, total))[0])) / 2.0 if total > 0.0 else 0.0
+    scale = max(map(_exponent, [q, *config.gate.coefficients, *sum(inputs, ())]))
+    pairs = [(Q.scaled(a, scale), Q.scaled(b, scale)) for a, b in inputs]
+    e = [1]  # by 2^(2 n S), as norm2s, the product of the pairs' squared norms
+    for a, b in pairs:
+        e = [(e[m] * a.abs2() if m < len(e) else 0) + (e[m - 1] * b.abs2() if m else 0)
+             for m in range(len(e) + 1)]
+    norm2s = math.prod(a.abs2() + b.abs2() for a, b in pairs)
+    q = Q.scaled(q, scale).re
+    w = [2 ** scale - q, q] if total > 0.0 else [2 ** scale]  # by 2^S
+
+    def leaves(c: Q, u: Q, flip: bool) -> dict:
+        """label -> (x, alpha, beta): the leaf x (alpha A + beta B)."""
+        up, down = (ONE, ZERO), (ZERO, Q(-1) if flip else ONE)
+        pulsed = {"up": (up[0] - down[0], up[1] - down[1]),
+                  "down": (up[0] + down[0], up[1] + down[1])}
+        out = {}
+        for det, ket in (("+45", [ONE, I]), ("-45", [ONE, ZERO - I])):
+            for spin, (r, l) in (("up", (u, c)), ("down", (c, u))):
+                out[f"{det}/{spin}"] = (ket[0].conj() * r + ket[1].conj() * l, *pulsed[spin])
+        return out
+
+    def per_m(c: Q, u: Q):
+        """(alpha, beta) -> [alpha u^(n-m) c^m + beta c^(n-m) u^m for m = 0..n]."""
+        pu, pc = [ONE], [ONE]
+        for _ in range(n):
+            pu, pc = pu + [pu[-1] * u], pc + [pc[-1] * c]
+        terms = [pu[n - m] * pc[m] for m in range(n + 1)]
+        return lambda alpha, beta: [alpha * terms[m] + beta * terms[n - m] for m in range(n + 1)]
+
+    def over_m(values) -> int:
+        return sum(em * v for em, v in zip(e, values))
+
+    ideal = leaves(I, ONE, False)
+    targets = {label[:3]: per_m(I, ONE)(alpha, beta)
+               for label, (x, alpha, beta) in ideal.items() if x.abs2() != 0}
+    c, u = (Q.scaled(z, scale) for z in config.gate.coefficients)  # by 2^S
+    h_m = per_m(c, u)
+    trajectories = [(wk, leaves(c, u, flip)) for wk, flip in zip(w, (False, True))]
+    out = {}
+    for label in ideal:
+        target = targets[label[:3]]
+        tt = over_m(t.abs2() for t in target)  # by norm2s
+        p = hit = 0  # p by 16 norm2s 2^((3 + 2 n) S); in hit / (tt p) the scales cancel
+        for wk, leaf_of in trajectories:
+            x, alpha, beta = leaf_of[label]
+            h = h_m(alpha, beta)  # by 2^(n S)
+            overlap = [t.conj() * z for t, z in zip(target, h)]
+            p += wk * x.abs2() * over_m(z.abs2() for z in h)
+            hit += wk * x.abs2() * (over_m(z.re for z in overlap) ** 2
+                                    + over_m(z.im for z in overlap) ** 2)
+        # a vanishing target (below norm 1e-15, as the program's) or leaf has no fidelity
+        live = Fraction(tt, norm2s) >= Fraction(1, 10 ** 30) and p != 0
+        out[label] = (Fraction(p, 16 * norm2s * 2 ** ((3 + 2 * n) * scale)),
+                      Fraction(hit, tt * p) if live else None)
+    return out
+
+
+def _exponent(z) -> int:
+    """The least k with 2^k times each part of the float complex ``z`` an integer."""
+    z = complex(z)
+    return max(Fraction(v).denominator.bit_length() - 1 for v in (z.real, z.imag))
 
 
 def ulps(x: float, exact: Fraction) -> Fraction:

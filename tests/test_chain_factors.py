@@ -1,7 +1,7 @@
 """The chain's product-form scores against the engine-driven reference and
 the dense-matrix oracle, and the paper's claim that the chain scales.
 
-``protocols._chain_factors`` scores scheme-b and ghz from per-photon factors
+``protocols._chain`` scores scheme-b and ghz from per-photon factors
 and builds the 2^n branch states only on request. Here every probability,
 fidelity, concurrence and state must agree to 1e-12 with the step-by-step
 engine run of ``chain_reference`` and with the dense Kraus oracle of
@@ -177,9 +177,9 @@ def test_a_batched_chain_builds_its_states_only_when_read(monkeypatch):
     calls = []
     leaf = protocols._leaf
 
-    def counting(label, w, post, kept):
-        calls.append(post.batch_shape)
-        return leaf(label, w, post, kept)
+    def counting(w, kets, p, kept):
+        calls.append(p.shape)
+        return leaf(w, kets, p, kept)
 
     monkeypatch.setattr(protocols, "_leaf", counting)
     cavity = CavityParams(g=np.array([2.0, 5.0, 12.0]), kappa=1.0, gamma=0.1, kappa_s=0.2)
@@ -202,8 +202,8 @@ def test_a_chain_column_builds_its_state_once_and_only_on_first_read(monkeypatch
     leaf = protocols._leaf
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
-        return leaf(*args, **kwargs)
+        calls.append(leaf(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(protocols, "_leaf", counting)
     result = chain_multiphoton(ProtocolConfig(gate=GATES["lossy"], t_over_t2=t_over_t2), n)
@@ -212,14 +212,14 @@ def test_a_chain_column_builds_its_state_once_and_only_on_first_read(monkeypatch
     first = [c.state for c in result.columns]
     assert all(c.state is s for c, s in zip(result.columns, first))  # built once
     assert result.branches is result.branches
-    assert sorted(calls) == sorted(c.label for c in result.columns)
+    assert len(calls) == len(first) and all(built is s for built, s in zip(calls, first))
 
 
 # --- the stacked scoring against the per-leaf loop it replaced ------------------
 
 def _old_chain_factors(config, n):
     """Each leaf's (probability, fidelity) flat lists, scored leaf by leaf with
-    every sum over m taken anew, as ``_chain_factors`` scored them before its
+    every sum over m taken anew, as ``_chain`` scored them before its
     leaves were stacked."""
     shape = config.batch_shape or (1,)
     c, u = (np.broadcast_to(np.asarray(k, dtype=np.complex128), shape)
@@ -279,7 +279,7 @@ def test_stacked_scoring_has_the_per_leaf_loops_bits(n, gate, t_over_t2, batch):
     g, t = batched(GATES[gate], t_over_t2) if batch else (GATES[gate], t_over_t2)
     for _ in range(3):
         cfg = random_config(rng, g, t)
-        old, columns = _old_chain_factors(cfg, n), protocols._chain_factors(cfg, n)
+        old, columns = _old_chain_factors(cfg, n), protocols._chain("ghz", cfg, n).columns
         assert [c.label for c in columns] == list(old)
         for c in columns:
             assert bits(c.probability) == bits(old[c.label][0]), c.label
@@ -297,7 +297,7 @@ def test_stacked_scoring_keeps_a_vanishing_target_unscored(gate, t_over_t2):
     cfg = ProtocolConfig(gate=GATES[gate], alpha1=0, beta1=1, alpha2=1, beta2=0,
                          t_over_t2=t_over_t2)
     old = _old_chain_factors(cfg, 2)
-    for c in protocols._chain_factors(cfg, 2):
+    for c in protocols._chain("scheme-b", cfg, 2).columns:
         assert bits(c.probability) == bits(old[c.label][0]), c.label
         assert bits(c.fidelity) == bits(old[c.label][1]), c.label
         if c.label.startswith("+45"):
@@ -355,14 +355,15 @@ def test_a_chain_target_is_built_once_on_first_read(monkeypatch):
 def test_ideal_chain_is_deterministic_at_any_length(n):
     cfg = random_config(np.random.default_rng(n))
     scores = {c.label: (c.probability[0], c.fidelity[0])
-              for c in protocols._chain_factors(cfg, n)}
+              for c in protocols._chain("ghz", cfg, n).columns}
     assert abs(sum(p for p, _ in scores.values()) - 1.0) <= 1e-12
     assert abs(scores["+45/up"][1] - 1.0) <= 1e-12
 
 
 def test_lossy_chain_survival_falls_with_every_photon():
-    survival = [sum(c.probability[0] for c in protocols._chain_factors(
-        ProtocolConfig(gate=GATES["lossy"], t_over_t2=0.3), n)) for n in range(2, 33)]
+    survival = [sum(c.probability[0] for c in protocols._chain(
+        "ghz", ProtocolConfig(gate=GATES["lossy"], t_over_t2=0.3), n).columns)
+                for n in range(2, 33)]
     assert all(0.0 <= s <= 1.0 for s in survival)
     assert all(b < a for a, b in zip(survival, survival[1:]))
 

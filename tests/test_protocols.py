@@ -5,7 +5,7 @@ from spinphoton import replace
 import numpy as np
 import pytest
 
-from spinphoton import gates, protocols
+from spinphoton import cli, gates, protocols
 from spinphoton import qstate as qs
 from spinphoton.cavity import (
     CavityParams,
@@ -325,22 +325,27 @@ def test_branch_and_survival_probability_refuse_a_batched_result():
 
 
 def counting_leaves(monkeypatch) -> list:
-    """The labels of the leaves closed from now on, counted at ``protocols._leaf``."""
+    """The states of the leaves closed from now on, counted at ``protocols._leaf``."""
     calls, leaf = [], protocols._leaf
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
-        return leaf(*args, **kwargs)
+        calls.append(leaf(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(protocols, "_leaf", counting)
     return calls
+
+
+def closed(result, calls) -> list:
+    """The labels of ``result``'s columns whose state is one of the leaves in ``calls``."""
+    return [c.label for c in result.columns if any(vars(c).get("state") is s for s in calls)]
 
 
 def test_branch_builds_only_its_own_state(monkeypatch):
     calls = counting_leaves(monkeypatch)
     result = chain_multiphoton(replace(realistic_config(kappa_s=0.2), t_over_t2=0.3), 6)
     plus = result.branch("+45/up")
-    assert calls == ["+45/up"]
+    assert len(calls) == 1 and closed(result, calls) == ["+45/up"]
     assert isinstance(plus.state, qs.DensityState)
     assert_same_branch(plus, result.branches[0])
 
@@ -349,8 +354,44 @@ def test_merged_detection_branch_builds_only_the_picked_states(monkeypatch):
     calls = counting_leaves(monkeypatch)
     result = chain_multiphoton(realistic_config(kappa_s=0.2), 3)
     merged = merged_detection_branch(result, "+45")
-    assert sorted(calls) == ["+45/down", "+45/up"]  # both live: the merge mixes both
+    # both live: the merge mixes both
+    assert len(calls) == 2 and closed(result, calls) == ["+45/up", "+45/down"]
     assert isinstance(merged.state, qs.DensityState)
+
+
+@pytest.mark.parametrize("read", ["state", "fidelity", "concurrence"])
+@pytest.mark.parametrize("run", [transfer_photon_to_spin, transfer_spin_to_photon,
+                                 scheme_a_entangle_spins])
+def test_a_register_run_closes_a_leaf_only_when_its_column_is_read(monkeypatch, run, read):
+    calls = counting_leaves(monkeypatch)
+    result = run(replace(realistic_config(kappa_s=0.2), t_over_t2=0.3))
+    assert calls == [] and all(c.probability[0] > 0.0 for c in result.columns)
+    column = result.columns[0]
+    value = getattr(column, read)  # a one-qubit column's concurrence is None, unbuilt
+    assert closed(result, calls) == ([] if value is None else [column.label])
+    assert len(calls) == (value is not None)
+    getattr(column, read)
+    assert len(calls) == (value is not None)  # kept, not closed again
+
+
+def test_a_scheme_a_run_closes_only_the_spin_pairs_it_emits_from(monkeypatch):
+    calls = counting_leaves(monkeypatch)
+    result = scheme_a_photon_pairs(replace(realistic_config(kappa_s=0.2), t_over_t2=0.3))
+    assert [s.register for s in calls] == [(qs.spin(1), qs.spin(2))] * 2
+    assert result.columns[1].fidelity[0] > 0.0
+    assert len(calls) == 3 and closed(result, calls) == [result.columns[1].label]
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_sample_closes_no_leaf_but_the_spin_pairs_of_scheme_a(tmp_path, monkeypatch, name):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"protocol = {name}\ngate.mode = realistic\ncavity.kappa_s_rel = 0.2\n"
+                   "noise.t_over_t2 = 0.3\n", encoding="utf-8")
+    calls = counting_leaves(monkeypatch)
+    assert cli.main(["sample", "--config", str(cfg), "--trials", "100",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+    pairs = [(qs.spin(1), qs.spin(2))] * 2 if name == "scheme-a" else []
+    assert [s.register for s in calls] == pairs
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
@@ -640,7 +681,9 @@ def test_stacked_trajectories_equal_the_list_form_bit_for_bit(batch):
         assert np.array_equal(stacked.amplitudes[k], st.amplitudes)
     # a leaf sums and mixes the trajectories in list order, starting from zero
     for j, o in enumerate(qs.measure(stacked, p, "HV")):
-        _, prob, rho = protocols._leaf(o.label, w, o.post_state, (s1, s2))
+        closing = o.post_state
+        prob = protocols._floored(w, closing.norm_tracking)[0]
+        rho = protocols._leaf(w, closing.amplitudes, closing.norm_tracking, (s1, s2))
         posts = [(wk, qs.measure(st, p, "HV")[j].post_state) for wk, st in ref]
         ref_prob = sum((wk * post.norm_tracking for wk, post in posts), np.zeros(batch))
         ref_mat = np.zeros(batch + (4, 4), dtype=np.complex128)

@@ -121,3 +121,13 @@ def test_importing_the_cli_after_numpy_and_argparse_loads_only_the_package():
     assert "spinphoton.cli" in gained
     assert [m for m in gained if m.split(".")[0] != "spinphoton"
             and m not in ("__future__", "cmath")] == []
+
+
+def test_protocols_build_states_only_where_a_leaf_or_a_target_is_closed():
+    # one lifecycle: a run keeps each branch as arrays and builds its state in
+    # _leaf on the column's first read; a target is built in _target_state and
+    # a merged mixture in merged_detection_branch
+    builders = {stmt.name for stmt in MODULES["protocols.py"].body for n in ast.walk(stmt)
+                if isinstance(n, ast.Call)
+                and referenced(n.func) & {"PureState", "DensityState"}}
+    assert builders <= {"_leaf", "_target_state", "merged_detection_branch"}
