@@ -13,9 +13,9 @@ library checks each model rule once and raises ParameterError naming the
 field; ``_naming`` names the key or flag that field came from, by the field
 -> key table of the config or the sweep.
 
-``reflectance`` evaluates its whole grid as one array, and ``sweep`` runs its
-grid as one batched protocol pass and writes the CSV from its score columns;
-each sweep row equals the ``protocol`` run at that grid point bit for bit.
+``reflectance`` evaluates its whole grid as one array; each other writer
+reads the run's columns, not its ``branches``. ``sweep`` runs its grid as one
+batched pass, each row the ``protocol`` run at that grid point bit for bit.
 ``sample`` draws all its trials at once; its ``--seed`` (default: the config's
 ``seed`` key) is the only seed any subcommand reads. ``protocol`` writes the
 bytes ``json.dumps(indent=2)`` would, but gathers the document as one list of
@@ -479,20 +479,20 @@ def cmd_reflectance(args) -> int:
     return 0
 
 
-def _branch_payload(br) -> dict:
-    state = br.state
+def _branch_payload(c) -> dict:
+    state = c.state
     pure = isinstance(state, PureState)
-    fidelity, conc = br.fidelity_vs_target, br.concurrence
+    fidelity, conc = c.fidelity[0], None if c.concurrence is None else c.concurrence[0]
     return {
-        "label": br.label,
-        "probability": br.probability,
+        "label": c.label,
+        "probability": c.probability[0],
         "register": [str(q) for q in state.register],
         "basis": state.basis_strings(),
         "amplitudes" if pure else "density_matrix": state.amplitudes if pure else state.matrix,
         # the only fields that can hold NaN (a dead branch, a vanishing target)
         "fidelity": fidelity if fidelity == fidelity else None,
         "concurrence": conc if conc == conc else None,
-        "success_probability": br.success_probability,
+        "success_probability": c.probability[0],
     }
 
 
@@ -502,7 +502,7 @@ def cmd_protocol(args) -> int:
     doc = {
         "protocol": run.protocol,
         "config": run.echo,
-        "branches": [_branch_payload(b) for b in result.branches],
+        "branches": [_branch_payload(c) for c in result.columns],
     }
     _emit([_dump(doc), "\n"], args.out)
     return 0

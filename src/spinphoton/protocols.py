@@ -28,7 +28,7 @@ and probabilities as arrays (``_post``; for scheme-b and ghz, the one-spin
 chain, two photon product states scored in O(n) by ``_chain``) and scores its
 probability (``_floored``); ``_leaf`` builds its state on first read, and
 alone drops a state below the probability floor. So a run builds no branch
-state but scheme-a's two spin pairs, which its emission reads.
+state but scheme-a's two spin pairs, which its emission reads, and no target.
 
 A config may be batched: ``t_over_t2``, or the cavity fields and probe
 frequency of a realistic gate, given as arrays of one batch shape. The whole
@@ -110,18 +110,14 @@ class ProtocolConfig(Frozen):
 
 
 class ProtocolBranch(Frozen):
-    """One post-selection branch with its quality metrics."""
+    """One post-selection branch of one batch element with its quality metrics:
+    a view of the run's columns for demos and tests, which no CLI writer reads."""
 
     def __init__(self, label: str, probability: float, state: PureState | DensityState,
                  target: PureState | None, fidelity_vs_target: float,
                  concurrence: float | None):
         self.__dict__.update(label=label, probability=probability, state=state, target=target,
                              fidelity_vs_target=fidelity_vs_target, concurrence=concurrence)
-
-    @property
-    def success_probability(self) -> float:
-        """Probability that the run ends in this branch (same as ``probability``)."""
-        return self.probability
 
 
 class BranchColumn:
@@ -132,9 +128,10 @@ class BranchColumn:
     ``probability`` comes as an array over the batch, scored by the run.
     ``build`` closes the state (``_leaf`` on the run's arrays) and ``target``
     makes the target. A fidelity the run scored already (the chain's) comes as
-    a flat list ``fidelity``; else it is the state's against the target, or
-    NaN without a target. Concurrence is None unless the state
-    is a qubit ``pair``. Scores are NaN where the probability is 0."""
+    a flat list ``fidelity``; else it is the state's against the target, or NaN
+    without a target. Concurrence is None unless the state is a qubit ``pair``.
+    Scores are NaN where the probability is 0. The CLI writes every run from
+    its columns; a single run's lists hold one entry."""
 
     def __init__(self, label, probability, build, target, pair, fidelity=None):
         self.label, self.probability = label, _flat(probability)
@@ -368,10 +365,7 @@ def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
                          f"{config.batch_shape}, not {entangled.batch_shape}")
     p1, p2, batch = photon(1), photon(2), config.batch_shape
     a1, b1, a2, b2 = config.alpha1, config.beta1, config.alpha2, config.beta2
-    targets = {
-        "V": _target_state((p1, p2), [-b1 * b2, 0, 0, a1 * a2]),
-        "H": _target_state((p1, p2), [0, a2 * b1, a1 * b2, 0]),
-    }
+    targets = {"V": [-b1 * b2, 0, 0, a1 * a2], "H": [0, a2 * b1, a1 * b2, 0]}
     w = _weights(config.t_over_t2, batch, 2)
     flips = _FLIPS[:len(w)].reshape((len(w),) + (1,) * len(batch) + (4,))
 
@@ -381,7 +375,8 @@ def scheme_a_emit(entangled: ProtocolResult, config: ProtocolConfig):
         return (column.label, np.where(flips, -amps, amps)[..., ::-1],
                 np.broadcast_to(column.state.norm_tracking, w.shape))
 
-    return _result("scheme-a", w, (p1, p2), [leaf(c) for c in entangled.columns], targets.get)
+    return _result("scheme-a", w, (p1, p2), [leaf(c) for c in entangled.columns],
+                   lambda label: _target_state((p1, p2), targets[label]))
 
 
 def scheme_a_photon_pairs(config: ProtocolConfig,
@@ -537,8 +532,8 @@ def transfer_photon_to_spin(config: ProtocolConfig):
     leaves = [(label, *_post((op(r, l) / 2)[None], batch, circular_to_z(),
                              _CORRECTIONS["C", label]))
               for label, op in (("H", np.add), ("V", np.subtract))]
-    target = _target_state((s,), [config.alpha1, config.beta1])
-    return _result("transfer-ps", np.ones((1,) + batch), (s,), leaves, lambda _: target)
+    target = cache(partial(_target_state, (s,), [config.alpha1, config.beta1]))
+    return _result("transfer-ps", np.ones((1,) + batch), (s,), leaves, lambda _: target())
 
 
 # --- scheme D: spin state onto a photon --------------------------------------
@@ -568,8 +563,8 @@ def transfer_spin_to_photon(config: ProtocolConfig):
         kets = coefficient(c, u)[..., None] * (up - sign * down)
         leaves.append((announced + label[3:], *_post(kets, batch, _CORRECTIONS["D", announced])))
     a, b = config.alpha1, config.beta1
-    target = _target_state((p1,), [(a + b) * SQH, (a - b) * SQH])  # alpha|H> + beta|V>
-    return _result("transfer-sp", w, (p1,), leaves, lambda _: target)
+    target = cache(partial(_target_state, (p1,), [(a + b) * SQH, (a - b) * SQH]))  # a|H> + b|V>
+    return _result("transfer-sp", w, (p1,), leaves, lambda _: target())
 
 
 # --- dispatch and branch merging ---------------------------------------------

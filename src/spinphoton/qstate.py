@@ -440,11 +440,13 @@ def measure(state: PureState, target: QubitLabel, basis: str) -> list[Projective
 
 
 def sample_indices(probabilities, rng_seed, trials: int) -> np.ndarray:
-    """Indices into ``probabilities`` (a sequence of outcome probabilities)
-    of ``trials`` seeded draws, from one ``rng.random(trials)`` call.
+    """Indices into ``probabilities`` (nonnegative outcome probabilities) of
+    ``trials`` seeded draws, from one ``rng.random(trials)`` call.
 
     A draw r picks the first outcome whose running probability sum exceeds
-    r; a draw at or above the last sum (rounding) picks the last outcome.
+    r; a draw at or above the last sum (rounding) picks the last outcome. As
+    the sums never decrease, that is the count of sums but the last at or
+    below r: one comparison pass per sum, outcomes x trials in all.
     ``rng_seed`` may be an int seed or a numpy Generator (reused across calls
     to continue its sequence).
     """
@@ -455,8 +457,10 @@ def sample_indices(probabilities, rng_seed, trials: int) -> np.ndarray:
         raise ValueError("outcome probabilities must sum to 1")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
         else np.random.default_rng(rng_seed)
-    picks = np.searchsorted(np.cumsum(probs), rng.random(trials), side="right")
-    return np.minimum(picks, probs.size - 1)
+    draws, picks = rng.random(trials), np.zeros(trials, dtype=np.intp)
+    for bound in np.cumsum(probs)[:-1]:
+        picks += bound <= draws
+    return picks
 
 
 def sample_outcome(outcomes, rng_seed) -> ProjectiveOutcome:

@@ -108,7 +108,7 @@ def assert_rows_match_single_runs(spec: SweepSpec) -> None:
         for row, br in zip(point, result.branches):
             assert row["branch_label"] == br.label
             assert same(row["probability"], br.probability)
-            assert same(row["success_probability"], br.success_probability)
+            assert same(row["success_probability"], br.probability)
             assert same(row["fidelity"], br.fidelity_vs_target)
             assert same(row["concurrence"], br.concurrence)
             assert_scores_in_range(row, has_target=br.target is not None)

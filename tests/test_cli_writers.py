@@ -65,7 +65,7 @@ def reference_protocol_json(run, result):
             payload["density_matrix"] = [[_c2pair(z) for z in row] for row in state.matrix]
         payload["fidelity"] = br.fidelity_vs_target
         payload["concurrence"] = br.concurrence
-        payload["success_probability"] = br.success_probability
+        payload["success_probability"] = br.probability
         branches.append(payload)
     doc = {"protocol": run.protocol, "config": echo, "branches": branches}
     return json.dumps(_sanitize(doc), indent=2) + "\n"
@@ -478,6 +478,65 @@ def test_sample_builds_no_branch_or_state(tmp_path, monkeypatch):
                      "--out", str(out)]) == 0
     assert builds == []
     assert _lines(out.read_text(encoding="utf-8")) == _lines(expected)
+
+
+def _refuse(monkeypatch, *names):
+    """Make each ``module.attribute`` of ``names`` raise when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a writer built a per-branch object or a target")
+
+    modules = {"protocols": protocols, "qs": qs}
+    for name in names:
+        module, attribute = name.split(".")
+        monkeypatch.setattr(modules[module], attribute, refuse)
+
+
+@pytest.mark.parametrize("config", [
+    "protocol = scheme-b\ngate.mode = realistic\ncavity.kappa_s_rel = 0.2\n",
+    "protocol = ghz\nghz.n_photons = 3\n",
+    "protocol = ghz\nghz.n_photons = 6\ngate.mode = realistic\nnoise.t_over_t2 = 0.3\n",
+], ids=["scheme-b", "ghz-3", "ghz-6-dephased"])
+def test_protocol_json_builds_no_branch_unstacked_state_or_chain_target(tmp_path, monkeypatch,
+                                                                        config):
+    # the document is written from the run's columns, as sweep and sample
+    # write theirs, and the chain scores its fidelity without its targets
+    cfg = _write(tmp_path / "c.cfg", config)
+    run = cli.load_config(cfg)
+    expected = reference_protocol_json(run, run_protocol(run.protocol, run.config,
+                                                         n_photons=run.n_photons))
+    _refuse(monkeypatch, "protocols.ProtocolBranch", "protocols.unstack", "qs.unstack",
+            "protocols._target_state")
+    out = tmp_path / "p.json"
+    assert cli.main(["protocol", "--config", cfg, "--out", str(out)]) == 0
+    assert _lines(out.read_text(encoding="utf-8")) == _lines(expected)
+
+
+@pytest.mark.parametrize("config, targets", [
+    ("protocol = transfer-ps\ngate.mode = realistic\ncavity.kappa_s_rel = 0.2\n", 1),
+    ("protocol = transfer-sp\ngate.mode = realistic\nnoise.t_over_t2 = 0.3\n"
+     "alpha1 = 0.6\nbeta1 = 0.8j\n", 1),
+    ("protocol = scheme-a\ngate.mode = realistic\nnoise.t_over_t2 = 0.3\n", 2),
+], ids=["transfer-ps", "transfer-sp", "scheme-a"])
+def test_a_register_protocol_builds_its_targets_only_when_a_fidelity_is_read(
+        tmp_path, monkeypatch, config, targets):
+    # a sample reads no score, so it builds no target; the JSON reads every
+    # fidelity and builds each distinct target once
+    cfg = _write(tmp_path / "c.cfg", config)
+    run = cli.load_config(cfg)
+    result = run_protocol(run.protocol, run.config, n_photons=run.n_photons)
+    expected = _old_sample_rows([c.label for c in result.columns],
+                                [c.probability[0] for c in result.columns], 9, 500)
+    with monkeypatch.context() as patch:
+        _refuse(patch, "protocols._target_state")
+        out = tmp_path / "s.csv"
+        assert cli.main(["sample", "--config", cfg, "--trials", "500", "--seed", "9",
+                         "--out", str(out)]) == 0
+        assert _lines(out.read_text(encoding="utf-8")) == _lines(expected)
+    built, target_state = [], protocols._target_state
+    monkeypatch.setattr(protocols, "_target_state",
+                        lambda *args: built.append(args) or target_state(*args))
+    assert cli.main(["protocol", "--config", cfg, "--out", str(tmp_path / "p.json")]) == 0
+    assert len(built) == targets
 
 
 def test_protocol_json_refuses_a_non_finite_number_outside_the_scores(tmp_path,

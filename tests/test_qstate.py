@@ -529,6 +529,31 @@ def test_dead_batch_elements_pass_through_as_zero_branches():
         assert not np.any(o.post_state.amplitudes)
 
 
+def test_sample_indices_equal_searchsorted_clipped_to_the_last_outcome():
+    # the binary search the comparison passes replace, kept as the reference
+    def searched(probs, seed, trials):
+        draws = np.random.default_rng(seed).random(trials)
+        picks = np.searchsorted(np.cumsum(probs), draws, side="right")
+        return np.minimum(picks, len(probs) - 1)
+
+    rng = np.random.default_rng(11)
+    for k in range(300):
+        probs = rng.dirichlet(np.ones(int(rng.integers(1, 8))))
+        probs[rng.random(probs.size) < 0.3] = 0.0
+        if k % 2:
+            probs[-1] = 1.0 - probs[:-1].sum()  # may leave the sum a rounding short of 1
+        else:
+            probs = probs / probs.sum() if probs.sum() else np.eye(probs.size)[0]
+        seed, trials = int(rng.integers(1 << 30)), int(rng.choice([0, 1, 1000]))
+        got, want = qs.sample_indices(list(probs), seed, trials), searched(probs, seed, trials)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    # a draw equal to a running sum picks the next outcome
+    seed = 3
+    r = float(np.random.default_rng(seed).random())
+    assert qs.sample_indices([r, 1.0 - r], seed, 1).tolist() == [1] == searched(
+        [r, 1.0 - r], seed, 1).tolist()
+
+
 def test_sample_indices_follow_the_sequential_rule():
     # the per-draw loop the vectorized rule replaces, kept as the reference
     def loop(probs, draws):

@@ -131,3 +131,14 @@ def test_protocols_build_states_only_where_a_leaf_or_a_target_is_closed():
                 if isinstance(n, ast.Call)
                 and referenced(n.func) & {"PureState", "DensityState"}}
     assert builders <= {"_leaf", "_target_state", "merged_detection_branch"}
+
+
+def test_the_cli_writes_every_run_from_its_columns():
+    # one read path from a run to output bytes: no writer reads the
+    # per-element branches view or builds a ProtocolBranch
+    tree = MODULES["cli.py"]
+    assert [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "branches"] == []
+    assert "ProtocolBranch" not in referenced(tree) | {
+        a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+        for a in n.names}
