@@ -29,6 +29,9 @@ chain, two photon product states scored in O(n) by ``_chain``) and scores its
 probability (``_floored``); ``_leaf`` builds its state on first read, and
 alone drops a state below the probability floor. So a run builds no branch
 state but scheme-a's two spin pairs, which its emission reads, and no target.
+A dephased chain mixes one matrix per spin outcome: a -45 leaf's trajectories
+are its +45 partner's times one factor, which cancels from the mixture, so
+``_leaf`` hands it the partner's matrix bit for bit.
 
 A config may be batched: ``t_over_t2``, or the cavity fields and probe
 frequency of a realistic gate, given as arrays of one batch shape. The whole
@@ -269,7 +272,7 @@ def _floored(w, p):
     return np.where(alive, prob, 0.0), alive
 
 
-def _leaf(w, kets, p, kept):
+def _leaf(w, kets, p, kept, like=None):
     """Close one measurement leaf over the ``kept`` register: its state.
 
     ``w``, ``kets`` and ``p`` are the stacked trajectories' weights (see
@@ -281,6 +284,13 @@ def _leaf(w, kets, p, kept):
     or below the floor get a zero state, and trajectories below the floor add
     to the probability but not to the state. This is the one probability floor
     on a state; every protocol builds its states here, on a column's first read.
+
+    ``like`` is, for a leaf whose trajectories differ from another leaf's only
+    by one factor x of the leaf (its mixture is then the same, x cancelling),
+    that leaf's (state, kept-trajectory mask ``p > PROBABILITY_FLOOR``, alive
+    mask): an element where both leaves are alive and keep the same
+    trajectories takes its matrix bit for bit, and only the others are mixed
+    here. A pure leaf ignores it, as its ket keeps x's phase.
     """
     batch, mixed = w.shape[1:], len(w) > 1
     empty = np.zeros(batch + (2 ** len(kept),) * (1 + mixed), dtype=np.complex128)
@@ -293,11 +303,19 @@ def _leaf(w, kets, p, kept):
         kets, p = np.where(own[..., None], kets, 0.0), np.where(own, p, 0.0)
     if not mixed:
         return PureState(kept, kets[0], p[0])
+    if like is not None:
+        lead, lead_own, lead_alive = like
+        shared = alive & lead_alive & (own == lead_own).all(axis=0)
+        if shared.all():
+            return DensityState(kept, lead.matrix, prob)
     scale = np.where(prob > 0.0, prob, 1.0)
     coef = np.where(alive & own, w * p / scale, 0.0)
     mat = reduce(np.add, (c[..., None, None] * (a[..., :, None] * a.conj()[..., None, :])
                           for c, a in zip(coef, kets)), empty)
-    return DensityState(kept, make_hermitian(mat), prob)
+    mat = make_hermitian(mat)
+    if like is not None:
+        mat = np.where(shared[..., None, None], lead.matrix, mat)
+    return DensityState(kept, mat, prob)
 
 
 def _flat(x) -> list:
@@ -430,7 +448,9 @@ def _chain(name: str, config: ProtocolConfig, n: int):
     norms of A + s B, the two target norms and the four overlaps; the four
     leaves are then scored on one (trajectory, leaf, *batch) stack. Returns the
     run's ProtocolResult ``name``: a BranchColumn per leaf, its state closed by
-    ``_leaf`` and its target built on first read."""
+    ``_leaf`` and its target built on first read. As x cancels from a mixture,
+    a dephased leaf is closed ``like`` the first leaf of its s, its +45
+    partner, whose state is built once, whichever column is read first."""
     batch = config.batch_shape
     shape = batch or (1,)
     c, u = _coefficients(config.gate, batch)
@@ -473,11 +493,21 @@ def _chain(name: str, config: ProtocolConfig, n: int):
         a, b = _chain_kets(pairs, 1j, 1.0)
         return {"+": _target_state(photons, a - b), "-": _target_state(photons, a + b)}
 
-    def build(leaf):
+    def close(leaf, like=None):
         (a, b), pk = kets(), p[:, leaf]
         post = np.stack([x[leaf, ..., None] * (a + s[leaf] * b) for s in signs])
         return _leaf(w.reshape(lead), (post / np.sqrt(_nonzero(pk))[..., None]).reshape(
-            lead + (-1,)), pk.reshape(lead), photons)
+            lead + (-1,)), pk.reshape(lead), photons, like)
+
+    first = cache(close)  # the first leaf of each s, closed once whichever column reads it
+
+    def build(leaf):
+        partner = signs[0].index(signs[0][leaf])  # the first leaf of its spin outcome
+        if partner == leaf:
+            return first(leaf)
+        return close(leaf, None if len(w) == 1 else (
+            first(partner), (p[:, partner] > PROBABILITY_FLOOR).reshape(lead),
+            alive[partner].reshape(batch)))
 
     fids = fid.reshape(len(labels), -1).tolist()
     return ProtocolResult(name, batch, tuple(

@@ -440,8 +440,9 @@ def measure(state: PureState, target: QubitLabel, basis: str) -> list[Projective
 
 
 def sample_indices(probabilities, rng_seed, trials: int) -> np.ndarray:
-    """Indices into ``probabilities`` (nonnegative outcome probabilities) of
-    ``trials`` seeded draws, from one ``rng.random(trials)`` call.
+    """Indices into ``probabilities`` (outcome probabilities, finite and
+    nonnegative, summing to 1 up to 1e-9, else ValueError naming the broken
+    rule) of ``trials`` seeded draws, from one ``rng.random(trials)`` call.
 
     A draw r picks the first outcome whose running probability sum exceeds
     r; a draw at or above the last sum (rounding) picks the last outcome. As
@@ -453,6 +454,10 @@ def sample_indices(probabilities, rng_seed, trials: int) -> np.ndarray:
     probs = np.asarray(probabilities, dtype=float)
     if probs.size == 0:
         raise ValueError("no outcomes to sample from")
+    if not np.isfinite(probs).all():
+        raise ValueError("outcome probabilities must be finite")
+    if (probs < 0.0).any():
+        raise ValueError("outcome probabilities must be nonnegative")
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("outcome probabilities must sum to 1")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) \

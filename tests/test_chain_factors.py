@@ -177,9 +177,9 @@ def test_a_batched_chain_builds_its_states_only_when_read(monkeypatch):
     calls = []
     leaf = protocols._leaf
 
-    def counting(w, kets, p, kept):
+    def counting(w, kets, p, kept, like=None):
         calls.append(p.shape)
-        return leaf(w, kets, p, kept)
+        return leaf(w, kets, p, kept, like)
 
     monkeypatch.setattr(protocols, "_leaf", counting)
     cavity = CavityParams(g=np.array([2.0, 5.0, 12.0]), kappa=1.0, gamma=0.1, kappa_s=0.2)
@@ -213,6 +213,87 @@ def test_a_chain_column_builds_its_state_once_and_only_on_first_read(monkeypatch
     assert all(c.state is s for c, s in zip(result.columns, first))  # built once
     assert result.branches is result.branches
     assert len(calls) == len(first) and all(built is s for built, s in zip(calls, first))
+
+
+# --- a dephased -45 leaf shares its +45 partner's mixture ---------------------
+
+def chain_run(n: int, config: ProtocolConfig):
+    """Scheme-b at n = 2, else the ghz chain of n photons."""
+    return protocols.run_protocol("scheme-b" if n == 2 else "ghz", config, n_photons=n)
+
+
+def columns(result) -> dict:
+    return {c.label: c for c in result.columns}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_dephased_minus_45_leaf_holds_its_plus_45_partners_matrix(n):
+    # x cancels from a mixture, so each spin outcome's two leaves hold one
+    # matrix, bit for bit, in a single run and in each element of a batch
+    t = np.array([0.05, 0.3, 1.7])
+    cfg = random_config(np.random.default_rng(40 + n), GATES["lossy"], t)
+    batch = columns(chain_run(n, cfg))
+    for k, tk in enumerate(t):
+        one = columns(chain_run(n, replace(cfg, t_over_t2=float(tk))))
+        for spin in ("up", "down"):
+            plus, minus = one["+45/" + spin], one["-45/" + spin]
+            assert plus.probability != minus.probability
+            assert minus.state.matrix.tobytes() == plus.state.matrix.tobytes()
+            assert [float(minus.state.norm_tracking)] == minus.probability
+        for label, column in one.items():
+            assert batch[label].state.matrix[k].tobytes() == column.state.matrix.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_a_shared_matrix_does_not_depend_on_which_leaf_is_read_first(n):
+    cfg = random_config(np.random.default_rng(7), GATES["lossy"], 0.4)
+    seen = []
+    for order in (["+45/up", "-45/up"], ["-45/up", "+45/up"]):
+        cols = columns(chain_run(n, cfg))
+        seen.append({label: cols[label].state.matrix.tobytes() for label in order})
+    assert seen[0] == seen[1]
+    assert seen[0]["-45/up"] == seen[0]["+45/up"]
+
+
+def test_a_leaf_takes_its_partners_matrix_only_where_both_live_on_the_same_trajectories():
+    # the ideal gate's -45/up and +45/down are dead: each keeps its zero state,
+    # and the live -45/down is mixed on its own
+    cols = columns(chain_run(3, random_config(np.random.default_rng(5), IdealGate(), 0.3)))
+    for label in ("-45/up", "+45/down"):
+        assert cols[label].probability == [0.0] and not cols[label].state.matrix.any()
+    assert cols["-45/down"].probability[0] > 0.0
+    assert abs(np.trace(cols["-45/down"].state.matrix).real - 1.0) < 1e-14
+    # element by element: 0 shares; 1 is dead; 2 keeps one trajectory where its
+    # partner keeps two; 3's partner is dead
+    rng, kept = np.random.default_rng(9), (qs.photon(1),)
+    kets = rng.normal(size=(2, 4, 2)) + 1j * rng.normal(size=(2, 4, 2))
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    w = np.array([[0.8] * 4, [0.2] * 4])
+    lead_p = np.array([[0.5, 0.5, 0.5, 0.0], [0.4, 0.4, 0.4, 0.0]])
+    p = np.array([[0.2, 0.0, 0.3, 0.3], [0.1, 0.0, 1e-30, 0.1]])
+    lead = protocols._leaf(w, kets, lead_p, kept)
+    like = (lead, lead_p > protocols.PROBABILITY_FLOOR, protocols._floored(w, lead_p)[1])
+    got, own = (protocols._leaf(w, 1j * kets, p, kept, *extra) for extra in ((like,), ()))
+    assert got.matrix[0].tobytes() == lead.matrix[0].tobytes()
+    assert not got.matrix[1].any()
+    assert got.matrix[2:].tobytes() == own.matrix[2:].tobytes()
+    assert got.matrix[2].tobytes() != lead.matrix[2].tobytes()
+    assert got.norm_tracking.tobytes() == own.norm_tracking.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("t_over_t2", [0.3, np.array([0.1, 0.6])], ids=["single", "batched"])
+def test_a_dephased_chain_mixes_two_matrices_per_run_not_four(monkeypatch, n, t_over_t2):
+    mixed, make_hermitian = [], protocols.make_hermitian
+
+    def counting(mat):
+        mixed.append(mat.shape)
+        return make_hermitian(mat)
+
+    monkeypatch.setattr(protocols, "make_hermitian", counting)
+    result = chain_run(n, random_config(np.random.default_rng(n), GATES["lossy"], t_over_t2))
+    assert all(isinstance(c.state, qs.DensityState) for c in result.columns)
+    assert mixed == [np.shape(t_over_t2) + (2 ** n, 2 ** n)] * 2
 
 
 # --- the stacked scoring against the per-leaf loop it replaced ------------------

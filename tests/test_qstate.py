@@ -344,6 +344,16 @@ def test_sample_unnormalized_rejected():
         qs.sample_outcome(_outcomes([0.5, 0.4]), 0)
 
 
+@pytest.mark.parametrize("probs, rule", [
+    ([math.nan, 1.0], "finite"), ([1.0, math.inf], "finite"), ([-math.inf, 1.0], "finite"),
+    ([-0.5, 1.5], "nonnegative"), ([1.0, -1e-300], "nonnegative"),
+])
+def test_sample_indices_refuse_what_is_not_a_probability(probs, rule):
+    # named before the sum, which NaN, an infinity or a negative may pass or fail
+    with pytest.raises(ValueError, match=f"must be {rule}"):
+        qs.sample_indices(probs, 0, 8)
+
+
 # --- dephasing ---------------------------------------------------------------------
 
 def bell_spins():
