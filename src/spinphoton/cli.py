@@ -18,18 +18,18 @@ reads the run's columns, not its ``branches``. ``sweep`` runs its grid as one
 batched pass, each row the ``protocol`` run at that grid point bit for bit.
 ``sample`` draws all its trials at once; its ``--seed`` (default: the config's
 ``seed`` key) is the only seed any subcommand reads. ``protocol`` writes the
-bytes ``json.dumps(indent=2)`` would, but gathers the document as one list of
-pieces, joined once: each complex array adds a template cached per shape and
-built level by level, and one table, which formats each distinct magnitude
-once, serves every array in the document. ``main`` builds its argument parser
-once per process. Start-up imports only what every command uses: ``json``
-(``protocol``'s encoder), ``floatrows`` (the ``reflectance`` and ``sample``
-CSVs), and ``signal`` and ``traceback`` (error paths) are imported where they
-are first needed. The process entry, ``run`` (``python -m spinphoton.cli`` and
-the ``spinphoton`` script), calls ``gc.freeze()`` before ``main``: interpreter
-shutdown runs full collections, and each would walk again the ~21,000 objects
-the imports leave tracked, about 9 ms a command in all. ``main(argv)`` called
-in-process does not freeze.
+bytes ``json.dumps(indent=2)`` would: ``json`` writes the document, and the CLI
+writes only its complex arrays, each from a template cached per shape and built
+level by level, filled in where ``json`` reached the array; one table, which
+formats each distinct magnitude once, serves every array in the document.
+``main`` builds its argument parser once per process. Start-up imports only
+what every command uses: ``json`` (``protocol``'s writer), ``floatrows`` (the
+``reflectance`` and ``sample`` CSVs), and ``signal`` and ``traceback`` (error
+paths) are imported where they are first needed. The process entry, ``run``
+(``python -m spinphoton.cli`` and the ``spinphoton`` script), calls
+``gc.freeze()`` before ``main``: interpreter shutdown runs full collections,
+and each would walk again the ~21,000 objects the imports leave tracked, about
+9 ms a command in all. ``main(argv)`` called in-process does not freeze.
 
 The ``reflectance`` CSV's numbers are written by ``floatrows.csv_rows``: a
 cell ``%.17g`` writes in fixed notation is rounded to 17 significant digits
@@ -373,55 +373,47 @@ def _fork_share(format_rows, start: int, stop: int):
     return pid, open(read_end, "r", encoding="utf-8")
 
 
-@functools.cache
-def _encoder():
-    """``json.dumps(x, allow_nan=False)`` as a function of ``x``."""
-    import json  # needed only here, so startup does not load it
-    return json.JSONEncoder(allow_nan=False).encode
+class _Chunks(list):
+    """What ``json.dump`` writes to: each chunk ``json`` yields, one item each."""
+    write = list.append
 
 
 def _dump(obj, depth: int = 0) -> str:
     """The text ``json.dumps(obj, indent=2, allow_nan=False)`` writes for ``obj``
     nested ``depth`` levels deep, where a complex array is written as nested
-    lists with an ``[re, im]`` pair per entry. A non-finite number raises
-    ValueError, as in ``json``. The text is gathered as one list of pieces and
-    joined once; the floats of every array come from one ``_reprs`` table."""
-    pieces, arrays = [], []  # arrays: (index of its first piece, the array)
-    _pieces(obj, depth, pieces, arrays)
-    if arrays:
-        strings, at = _reprs([a for _, a in arrays]), 0
-        for start, a in arrays:  # fill the slots between its template's parts
-            n = 2 * a.size
-            pieces[start + 1:start + 2 * n:2] = strings[at:at + n]
-            at += n
+    lists with an ``[re, im]`` pair per entry. ``json`` writes the text; the
+    chunk it yields right after its ``default`` hook takes an array is that
+    array's hole, filled with its ``_template`` at the depth of the hole's line
+    and the floats one ``_reprs`` table formats for every array. What ``json``
+    cannot write raises TypeError; a non-finite number, ValueError."""
+    import json  # needed only here, so startup does not load it
+    chunks, holes = _Chunks(), []  # holes: (index of the array's chunk, the array)
+
+    def hole(a):
+        if not isinstance(a, np.ndarray):
+            raise TypeError(f"Object of type {type(a).__name__} is not JSON serializable")
+        if not np.isfinite(a).all():
+            raise ValueError(f"non-finite value in a complex array of shape {a.shape}")
+        holes.append((len(chunks), a))
+
+    json.dump(obj, chunks, indent=2, allow_nan=False, default=hole)
+    if depth:  # no string json writes holds a raw newline
+        chunks = [c.replace("\n", "\n" + "  " * depth) for c in chunks]
+    pieces, done, at = [], 0, 0
+    strings = _reprs([a for _, a in holes]) if holes else []
+    for i, a in holes:
+        line = i  # the array's line starts after the last newline before it
+        while line and "\n" not in chunks[line - 1]:
+            line -= 1
+        parts = _template(a.shape, len(chunks[line - 1].rpartition("\n")[2]) // 2
+                          if line else depth)
+        pieces += chunks[done:i]
+        start, n, done = len(pieces), 2 * a.size, i + 1
+        pieces += [""] * (2 * n + 1)  # the template's n + 1 parts, a float between each two
+        pieces[start::2], pieces[start + 1::2] = parts, strings[at:at + n]
+        at += n
+    pieces += chunks[done:]
     return "".join(pieces)
-
-
-def _pieces(obj, depth: int, pieces: list, arrays: list) -> None:
-    """Append ``_dump(obj, depth)``'s pieces to ``pieces``; an array's are its
-    template's parts with an empty slot between each two, noted in ``arrays``."""
-    encode = _encoder()
-    if isinstance(obj, np.ndarray):
-        if not np.isfinite(obj).all():
-            raise ValueError(f"non-finite value in a complex array of shape {obj.shape}")
-        parts, start = _template(obj.shape, depth), len(pieces)
-        arrays.append((start, obj))
-        pieces += [""] * (2 * len(parts) - 1)
-        pieces[start::2] = parts
-    elif isinstance(obj, (dict, list)) and obj:
-        keyed = isinstance(obj, dict)
-        items = ((encode(k) + ": ", v) for k, v in obj.items()) if keyed else (
-            ("", v) for v in obj)
-        brackets = "{}" if keyed else "[]"
-        indent = "\n" + "  " * (depth + 1)
-        sep = brackets[0] + indent
-        for key, v in items:
-            pieces.append(sep + key)
-            _pieces(v, depth + 1, pieces, arrays)
-            sep = "," + indent
-        pieces.append("\n" + "  " * depth + brackets[1])
-    else:  # a scalar, or an empty dict or list
-        pieces.append(encode(obj))
 
 
 def _reprs(arrays: list) -> list[str]:

@@ -89,22 +89,30 @@ def spin(qid: int) -> QubitLabel:
     return QubitLabel(QubitKind.SPIN, qid)
 
 
-def _ket(a, b) -> np.ndarray:
-    v = np.array([a, b], dtype=np.complex128)
-    v.flags.writeable = False
-    return v
+def _read_only(x) -> np.ndarray:
+    """``x`` as a complex128 array nothing can write: ``x`` itself if it is a
+    complex128 array read-only all the way down its ``base`` chain and laid out
+    as its copy would be (contiguous), else a read-only copy."""
+    base = x
+    while type(base) is np.ndarray and not base.flags.writeable:
+        base = base.base
+    if base is None and x.dtype == np.complex128 and x.flags.forc:
+        return x
+    x = np.array(x, dtype=np.complex128)
+    x.flags.writeable = False
+    return x
 
 
-KET_R = _ket(1, 0)
-KET_L = _ket(0, 1)
-KET_H = _ket(1 / _SQ2, 1 / _SQ2)
-KET_V = _ket(1 / _SQ2, -1 / _SQ2)
-KET_P45 = _ket(1 / _SQ2, 1j / _SQ2)
-KET_M45 = _ket(1 / _SQ2, -1j / _SQ2)
-KET_UP = _ket(1, 0)
-KET_DOWN = _ket(0, 1)
-KET_XP = _ket(1 / _SQ2, 1 / _SQ2)
-KET_XM = _ket(1 / _SQ2, -1 / _SQ2)
+KET_R = _read_only([1, 0])
+KET_L = _read_only([0, 1])
+KET_H = _read_only([1 / _SQ2, 1 / _SQ2])
+KET_V = _read_only([1 / _SQ2, -1 / _SQ2])
+KET_P45 = _read_only([1 / _SQ2, 1j / _SQ2])
+KET_M45 = _read_only([1 / _SQ2, -1j / _SQ2])
+KET_UP = _read_only([1, 0])
+KET_DOWN = _read_only([0, 1])
+KET_XP = _read_only([1 / _SQ2, 1 / _SQ2])
+KET_XM = _read_only([1 / _SQ2, -1 / _SQ2])
 
 _NAMED_KETS = {
     QubitKind.PHOTON: {
@@ -168,13 +176,11 @@ def _batched(data: np.ndarray, core: int, nt: np.ndarray):
     unbatched."""
     batch = data.shape[:data.ndim - core]
     if not batch and not nt.shape:
-        data.flags.writeable = False
         return data, np.float64(min(max(float(nt), 0.0), 1.0))
     if nt.shape != batch:
         batch = np.broadcast_shapes(batch, nt.shape)
-        data = np.broadcast_to(data, batch + data.shape[data.ndim - core:]).copy()
+        data = _read_only(np.broadcast_to(data, batch + data.shape[data.ndim - core:]))
         nt = np.broadcast_to(nt, batch)
-    data.flags.writeable = False
     nt = np.minimum(np.maximum(nt, 0.0), 1.0)
     if batch:
         nt.flags.writeable = False
@@ -198,7 +204,7 @@ class PureState(Frozen):
 
     def __post_init__(self):  # apart from __init__: bench/tracing.py wraps it to count builds
         reg = _check_register(self.register)
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        amps = _read_only(self.amplitudes)
         if amps.ndim == 0 or amps.shape[-1] != 2 ** len(reg):
             raise ValueError(
                 f"amplitude vector has length {amps.shape[-1] if amps.ndim else 1}, "
@@ -246,7 +252,7 @@ class DensityState(Frozen):
     def __post_init__(self):  # apart from __init__: bench/tracing.py wraps it to count builds
         reg = _check_register(self.register)
         dim = 2 ** len(reg)
-        mat = np.array(self.matrix, dtype=np.complex128)
+        mat = _read_only(self.matrix)
         if mat.shape[-2:] != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected {(dim, dim)}")
         mat, nt = _batched(mat, 2, np.asarray(self.norm_tracking, dtype=float))

@@ -244,6 +244,15 @@ def test_a_dephased_minus_45_leaf_holds_its_plus_45_partners_matrix(n):
             assert batch[label].state.matrix[k].tobytes() == column.state.matrix.tobytes()
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_a_dephased_minus_45_leaf_shares_its_partners_memory(n):
+    # the state keeps the frozen matrix it is given: no copy per shared leaf
+    cols = columns(chain_run(n, random_config(np.random.default_rng(n), GATES["lossy"], 0.4)))
+    for spin in ("up", "down"):
+        plus, minus = cols["+45/" + spin].state.matrix, cols["-45/" + spin].state.matrix
+        assert np.shares_memory(minus, plus) and not minus.flags.writeable
+
+
 @pytest.mark.parametrize("n", [2, 6])
 def test_a_shared_matrix_does_not_depend_on_which_leaf_is_read_first(n):
     cfg = random_config(np.random.default_rng(7), GATES["lossy"], 0.4)

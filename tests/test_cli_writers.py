@@ -10,6 +10,7 @@ write the same bytes.
 import json
 import math
 import os
+import random
 import tempfile
 import time
 from pathlib import Path
@@ -331,6 +332,74 @@ def test_an_empty_array_is_written_as_json_writes_it(shape):
     assert cli._dump(doc, 1) == json.dumps(
         {"a": np.zeros(shape + (2,)).tolist(), "b": [[0.0, 1.0]]}, indent=2).replace(
         "\n", "\n  ")
+
+
+# --- _dump against json on seeded random documents ---------------------------------
+# drawn from random.Random, so a draw does not move when a package literal does
+
+FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-300, 0.1, 1.0 / 3.0, -2.5]
+CHARS = ["a", "Z", " ", ":", ",", "[", "{", '"', "\\", "/", "\n", "\t", "\0", "\x1f", "\x7f",
+         "\u00e9", "\u2028", "\U0001F600"]
+
+
+def _random_float(rng: random.Random) -> float:
+    if rng.random() < 0.5:
+        return rng.choice(FLOATS)
+    return rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+
+
+def _random_string(rng: random.Random) -> str:
+    if rng.random() < 0.1:
+        return "\0"
+    return "".join(rng.choice(CHARS) for _ in range(rng.randrange(5)))
+
+
+def _random_document(rng: random.Random, level: int = 0):
+    """A random document up to 5 levels deep, and what json writes in its
+    place: the same document with each complex array as nested [re, im] lists."""
+    pick = rng.random()
+    if level < 5 and pick < 0.4:
+        items = [_random_document(rng, level + 1) for _ in range(rng.randrange(5))]
+        if rng.random() < 0.5:
+            return [doc for doc, _ in items], [plain for _, plain in items]
+        keys = [_random_string(rng) for _ in items]
+        return (dict(zip(keys, (doc for doc, _ in items))),
+                dict(zip(keys, (plain for _, plain in items))))
+    if pick < 0.65:  # 0-d, empty, or 1 to 3 dims
+        shape = tuple(rng.randrange(4) for _ in range(rng.randrange(4)))
+        a = np.array([complex(_random_float(rng), _random_float(rng))
+                      for _ in range(math.prod(shape))], dtype=complex).reshape(shape)
+        return a, np.stack([a.real, a.imag], -1).tolist()
+    x = [rng.randint(-10 ** 20, 10 ** 20), True, False, None, _random_float(rng),
+         _random_string(rng)][rng.randrange(6)]
+    return x, x
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_dump_equals_json_on_random_documents(depth):
+    rng, pad = random.Random(depth), "\n" + "  " * depth
+    for _ in range(75):
+        doc, plain = _random_document(rng)
+        assert cli._dump(doc, depth) == json.dumps(plain, indent=2).replace("\n", pad)
+    # a string that reads like json's text for an array is written as a string
+    doc = {"\0": "\0", "null": ["null", np.array(1j), "\0"]}
+    plain = {"\0": "\0", "null": ["null", [0.0, 1.0], "\0"]}
+    assert cli._dump(doc, depth) == json.dumps(plain, indent=2).replace("\n", pad)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1, 2}])
+def test_a_value_json_cannot_write_raises_type_error(value):
+    for doc in (value, [value], {"a": [1.0, value]}):
+        with pytest.raises(TypeError):
+            cli._dump(doc)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_a_non_finite_number_raises_value_error(x):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        cli._dump({"a": [1.0, x]})
+    with pytest.raises(ValueError, match=r"non-finite value in a complex array of shape \(2, 1\)"):
+        cli._dump({"a": [np.array([[1j], [complex(0.0, x)]])]})
 
 
 @pytest.mark.parametrize("config", [

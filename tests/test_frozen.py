@@ -47,6 +47,24 @@ def test_a_field_cannot_be_assigned_or_deleted(name):
     assert getattr(record, field) is before
 
 
+@pytest.mark.parametrize("make, field, shape", [(qs.PureState, "amplitudes", (2,)),
+                                                (qs.DensityState, "matrix", (2, 2))])
+def test_a_state_keeps_a_frozen_array_and_copies_one_its_caller_can_write(make, field, shape):
+    register, data = (qs.photon(1),), np.full(shape, 0.5 + 0j)
+    frozen = data.copy()
+    frozen.flags.writeable = False
+    real = frozen.real.copy()
+    real.flags.writeable = False
+    # a read-only view of a writeable array can still change under the state
+    for given in (data, np.broadcast_to(data, shape), real):
+        kept = getattr(make(register, given), field)
+        assert not np.shares_memory(kept, data) and not kept.flags.writeable
+        assert kept.dtype == np.complex128 and kept.tolist() == given.tolist()
+    assert data.flags.writeable
+    for given in (frozen, frozen[...]):  # read-only all the way down its base chain
+        assert getattr(make(register, given), field) is given
+
+
 @pytest.mark.parametrize("record, field, value", [
     (CAVITY, "g", -1.0),
     (CAVITY, "kappa", 0.0),

@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused imports, no dead private helpers,
-no export without a user, no input refusal without the field it refuses, and
-nothing imported at start-up beyond what the package needs."""
+no export without a user, no input refusal without the field it refuses,
+nothing imported at start-up beyond what the package needs, and no JSON writer
+in the CLI beside ``json``."""
 import ast
 import os
 import re
@@ -142,3 +143,15 @@ def test_the_cli_writes_every_run_from_its_columns():
     assert "ProtocolBranch" not in referenced(tree) | {
         a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
         for a in n.names}
+
+
+def test_the_cli_leaves_the_json_text_to_json():
+    # json writes a protocol document and the CLI fills in only its arrays: no
+    # encoder class of its own, and no function that walks a document by
+    # calling itself, so a second JSON writer does not grow back
+    tree = MODULES["cli.py"]
+    assert "JSONEncoder" not in referenced(tree)
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert functions
+    assert [f.name for f in functions if any(
+        isinstance(n, ast.Call) and f.name in referenced(n.func) for n in ast.walk(f))] == []
