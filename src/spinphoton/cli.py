@@ -21,7 +21,9 @@ batched pass, each row the ``protocol`` run at that grid point bit for bit.
 bytes ``json.dumps(indent=2)`` would: ``json`` writes the document, and the CLI
 writes only its complex arrays, each from a template cached per shape and built
 level by level, filled in where ``json`` reached the array; one table, which
-formats each distinct magnitude once, serves every array in the document.
+formats each distinct magnitude once, serves every array in the document. Each
+distinct array is formatted once per document and written at every place it
+appears (a dephased chain's ``±45`` leaves share their matrices).
 ``main`` builds its argument parser once per process. Start-up imports only
 what every command uses: ``json`` (``protocol``'s writer), ``floatrows`` (the
 ``reflectance`` and ``sample`` CSVs), and ``signal`` and ``traceback`` (error
@@ -383,44 +385,50 @@ def _dump(obj, depth: int = 0) -> str:
     nested ``depth`` levels deep, where a complex array is written as nested
     lists with an ``[re, im]`` pair per entry. ``json`` writes the text; the
     chunk it yields right after its ``default`` hook takes an array is that
-    array's hole, filled with its ``_template`` at the depth of the hole's line
-    and the floats one ``_reprs`` table formats for every array. What ``json``
-    cannot write raises TypeError; a non-finite number, ValueError."""
+    array's hole. Each distinct array object is formatted once per document
+    (a dephased chain's ``-45`` leaves hold their ``+45`` partners' matrices):
+    ``_reprs`` formats the floats of every distinct array, each array's text is
+    filled from its ``_template`` once per depth of a hole's line, and that one
+    string is written at each hole holding the array. What ``json`` cannot
+    write raises TypeError; a non-finite number, ValueError."""
     import json  # needed only here, so startup does not load it
-    chunks, holes = _Chunks(), []  # holes: (index of the array's chunk, the array)
+    chunks, holes = _Chunks(), {}  # holes: id -> (a distinct array, indices of its chunks)
 
     def hole(a):
         if not isinstance(a, np.ndarray):
             raise TypeError(f"Object of type {type(a).__name__} is not JSON serializable")
-        if not np.isfinite(a).all():
-            raise ValueError(f"non-finite value in a complex array of shape {a.shape}")
-        holes.append((len(chunks), a))
+        if id(a) not in holes:
+            if not np.isfinite(a).all():
+                raise ValueError(f"non-finite value in a complex array of shape {a.shape}")
+            holes[id(a)] = a, []
+        holes[id(a)][1].append(len(chunks))
 
     json.dump(obj, chunks, indent=2, allow_nan=False, default=hole)
     if depth:  # no string json writes holds a raw newline
         chunks = [c.replace("\n", "\n" + "  " * depth) for c in chunks]
-    pieces, done, at = [], 0, 0
-    strings = _reprs([a for _, a in holes]) if holes else []
-    for i, a in holes:
-        line = i  # the array's line starts after the last newline before it
-        while line and "\n" not in chunks[line - 1]:
-            line -= 1
-        parts = _template(a.shape, len(chunks[line - 1].rpartition("\n")[2]) // 2
-                          if line else depth)
-        pieces += chunks[done:i]
-        start, n, done = len(pieces), 2 * a.size, i + 1
-        pieces += [""] * (2 * n + 1)  # the template's n + 1 parts, a float between each two
-        pieces[start::2], pieces[start + 1::2] = parts, strings[at:at + n]
+    strings, at = _reprs([a for a, _ in holes.values()]) if holes else [], 0
+    for a, places in holes.values():
+        n, texts = 2 * a.size, {}  # texts: depth of a hole's line -> the array's text
+        for i in places:
+            line = i  # the array's line starts after the last newline before it
+            while line and "\n" not in chunks[line - 1]:
+                line -= 1
+            d = len(chunks[line - 1].rpartition("\n")[2]) // 2 if line else depth
+            if d not in texts:
+                pieces = [""] * (2 * n + 1)  # the template's n + 1 parts, a float between each two
+                pieces[::2], pieces[1::2] = _template(a.shape, d), strings[at:at + n]
+                texts[d] = "".join(pieces)
+            chunks[i] = texts[d]
         at += n
-    pieces += chunks[done:]
-    return "".join(pieces)
+    return "".join(chunks)
 
 
 def _reprs(arrays: list) -> list[str]:
     """The repr (what ``json`` writes) of each float of the arrays' ``[re, im]``
-    pairs, in order, array after array. Each distinct magnitude is formatted
-    once: floats are told apart by their bits, sign bit cleared, and
-    ``repr(-x) == "-" + repr(x)`` for every finite double, -0.0 included."""
+    pairs, in order, array after array; ``_dump`` passes each distinct array
+    of a document once. Each distinct magnitude is formatted once: floats are
+    told apart by their bits, sign bit cleared, and ``repr(-x) == "-" + repr(x)``
+    for every finite double, -0.0 included."""
     bits = np.concatenate([a.ravel() for a in arrays]).astype(complex, copy=False).view(np.int64)
     mags, inverse = np.unique(bits & np.int64(2 ** 63 - 1), return_inverse=True)
     table = list(map(repr, mags.view(np.float64).tolist()))

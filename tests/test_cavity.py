@@ -6,6 +6,7 @@ import pytest
 from spinphoton.cavity import (
     CavityParams,
     ParameterError,
+    check_field,
     conditional_phase,
     find_operating_point,
     reflect,
@@ -56,6 +57,35 @@ def test_params_reject_non_finite_field(field):
     for bad in (math.nan, math.inf, -math.inf, np.array([1.0, math.nan, 2.0])):
         with pytest.raises(ValueError, match=rf"^{field} must be finite"):
             CavityParams(**{**base, field: bad})
+
+
+# each rule's verdict on a value: the number in the message, or None if it passes
+RULE_VERDICTS = {
+    "finite": {math.nan: "nan", math.inf: "inf", -math.inf: "-inf", -1.0: None, 0.0: None},
+    "positive": {math.nan: "nan", math.inf: None, -math.inf: "-inf", -1.0: "-1.0", 0.0: "0.0"},
+    "nonnegative": {math.nan: "nan", math.inf: None, -math.inf: "-inf", -1.0: "-1.0",
+                    0.0: None},
+}
+
+
+def _refusal(value, rule):
+    try:
+        check_field("x", value, rule)
+    except ParameterError as exc:
+        assert exc.field == "x"
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("rule", RULE_VERDICTS)
+def test_a_number_and_an_array_get_one_verdict(rule):
+    # a Python number is checked without numpy: the message must not move
+    for value, got in RULE_VERDICTS[rule].items():
+        expected = None if got is None else f"x must be {rule}, got {got}"
+        forms = [value, np.array(value), np.array([value]), np.float64(value)]
+        if math.isfinite(value):  # -1.0 and 0.0 as ints too
+            forms.append(int(value))
+        assert [_refusal(v, rule) for v in forms] == [expected] * len(forms), value
 
 
 def test_strong_coupling_predicate():

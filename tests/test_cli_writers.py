@@ -312,6 +312,63 @@ def test_a_document_formats_each_distinct_magnitude_once(monkeypatch):
     assert {x.hex() for x in calls} == magnitudes
 
 
+def _spy_reprs(monkeypatch) -> list:
+    """The array lists ``_dump`` hands ``_reprs``, one per call."""
+    calls, reprs = [], cli._reprs
+
+    def spy(arrays):
+        calls.append(list(arrays))
+        return reprs(arrays)
+
+    monkeypatch.setattr(cli, "_reprs", spy)
+    return calls
+
+
+def _plain(node):
+    """``node`` with each complex array as nested [re, im] lists."""
+    if isinstance(node, np.ndarray):
+        return np.stack([node.real, node.imag], -1).tolist()
+    if isinstance(node, dict):
+        return {k: _plain(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_plain(v) for v in node]
+    return node
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_a_dephased_chain_formats_its_shared_matrices_once(tmp_path, monkeypatch, n):
+    # the benchmark's lossy realistic gate: every leaf is alive, and each -45
+    # leaf holds its +45 partner's density matrix, the same object
+    cfg = _write(tmp_path / "c.cfg", f"protocol = ghz\nghz.n_photons = {n}\n"
+                 "gate.mode = realistic\ncavity.kappa_s_rel = 0.2\nnoise.t_over_t2 = 0.3\n")
+    run = cli.load_config(cfg)
+    columns = run_protocol(run.protocol, run.config, n_photons=run.n_photons).columns
+    doc = {"protocol": run.protocol, "config": run.echo,
+           "branches": [cli._branch_payload(c) for c in columns]}
+    matrices = [b["density_matrix"] for b in doc["branches"]]
+    assert [m.shape for m in matrices] == [(2 ** n, 2 ** n)] * 4
+    assert len({id(m) for m in matrices}) == 2
+    calls = _spy_reprs(monkeypatch)
+    out = tmp_path / "p.json"
+    assert cli.main(["protocol", "--config", cfg, "--out", str(out)]) == 0
+    [arrays] = calls
+    assert len({id(a) for a in arrays}) == len(arrays)  # each array once
+    assert sum(2 * a.size for a in arrays if a.ndim == 2) == 2 * 2 * 4 ** n
+    assert sum(2 * a.size for a in arrays) == 2 * 2 * 4 ** n + 8  # and the 4 amplitudes
+    assert out.read_text(encoding="utf-8") == json.dumps(_plain(doc), indent=2) + "\n"
+
+
+def test_equal_arrays_that_are_distinct_objects_are_each_written(monkeypatch):
+    matrix = REPEATING_MATRICES["generic-hermitian"]
+    twin = matrix.copy()
+    doc = {"a": matrix, "b": [twin, [matrix]], "c": {"d": twin, "e": matrix}}
+    calls = _spy_reprs(monkeypatch)
+    for depth in (0, 2):
+        assert cli._dump(doc, depth) == json.dumps(_plain(doc), indent=2).replace(
+            "\n", "\n" + "  " * depth)
+        assert [id(a) for a in calls.pop()] == [id(matrix), id(twin)]
+
+
 def _old_template(shape, depth):
     # the construction _template replaced: the recursive writer's text for a
     # zero array (json's, indented by depth), split at each float
@@ -354,22 +411,35 @@ def _random_string(rng: random.Random) -> str:
     return "".join(rng.choice(CHARS) for _ in range(rng.randrange(5)))
 
 
-def _random_document(rng: random.Random, level: int = 0):
+def _random_document(rng: random.Random, drawn, level: int = 0, within: str = "top"):
     """A random document up to 5 levels deep, and what json writes in its
-    place: the same document with each complex array as nested [re, im] lists."""
+    place: the same document with each complex array as nested [re, im] lists.
+    ``drawn.arrays`` holds each array drawn for the document, with its level;
+    about half of the places that take an array take one of those, the same
+    object again, and each time (its level is this one's, the kind of its
+    container) is added to ``drawn.reused``."""
     pick = rng.random()
     if level < 5 and pick < 0.4:
-        items = [_random_document(rng, level + 1) for _ in range(rng.randrange(5))]
-        if rng.random() < 0.5:
+        kind = rng.choice(("list", "dict"))
+        items = [_random_document(rng, drawn, level + 1, kind)
+                 for _ in range(rng.randrange(5))]
+        if kind == "list":
             return [doc for doc, _ in items], [plain for _, plain in items]
         keys = [_random_string(rng) for _ in items]
         return (dict(zip(keys, (doc for doc, _ in items))),
                 dict(zip(keys, (plain for _, plain in items))))
-    if pick < 0.65:  # 0-d, empty, or 1 to 3 dims
+    if pick < 0.65:
+        if drawn.arrays and rng.random() < 0.5:
+            a, plain, at = rng.choice(drawn.arrays)
+            drawn.reused.add((at == level, within))
+            return a, plain
+        # 0-d, empty, or 1 to 3 dims
         shape = tuple(rng.randrange(4) for _ in range(rng.randrange(4)))
         a = np.array([complex(_random_float(rng), _random_float(rng))
                       for _ in range(math.prod(shape))], dtype=complex).reshape(shape)
-        return a, np.stack([a.real, a.imag], -1).tolist()
+        plain = np.stack([a.real, a.imag], -1).tolist()
+        drawn.arrays.append((a, plain, level))
+        return a, plain
     x = [rng.randint(-10 ** 20, 10 ** 20), True, False, None, _random_float(rng),
          _random_string(rng)][rng.randrange(6)]
     return x, x
@@ -377,10 +447,14 @@ def _random_document(rng: random.Random, level: int = 0):
 
 @pytest.mark.parametrize("depth", range(4))
 def test_dump_equals_json_on_random_documents(depth):
-    rng, pad = random.Random(depth), "\n" + "  " * depth
+    rng, pad, reused = random.Random(depth), "\n" + "  " * depth, set()
     for _ in range(75):
-        doc, plain = _random_document(rng)
+        drawn = SimpleNamespace(arrays=[], reused=set())
+        doc, plain = _random_document(rng, drawn)
         assert cli._dump(doc, depth) == json.dumps(plain, indent=2).replace("\n", pad)
+        reused |= drawn.reused
+    # an array came back in a list and as a dict value, at its own level and another
+    assert reused == {(True, "list"), (False, "list"), (True, "dict"), (False, "dict")}
     # a string that reads like json's text for an array is written as a string
     doc = {"\0": "\0", "null": ["null", np.array(1j), "\0"]}
     plain = {"\0": "\0", "null": ["null", [0.0, 1.0], "\0"]}
