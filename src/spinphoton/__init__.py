@@ -7,6 +7,9 @@ engine), ``cavity`` (input-output reflection model), ``gates`` (conditional
 reflection and the unitaries around it), ``protocols`` (the entanglement and
 state-transfer procedures), ``metrics`` (entanglement measures and sweep
 drivers) and ``cli`` (batch front end).
+
+The package exports what the protocols and the CLI use; the register step
+engine in ``qstate`` and ``gates``, which no protocol runs, stays unexported.
 """
 
 from .cavity import (
@@ -19,15 +22,7 @@ from .cavity import (
     reflection_coefficient,
 )
 from .frozen import replace
-from .gates import (
-    ConditionalReflectionGate,
-    IdealGate,
-    RealisticGate,
-    apply_gate,
-    hadamard,
-    make_gate,
-    trion_emission_map,
-)
+from .gates import IdealGate, RealisticGate
 from .metrics import SweepSpec, concurrence, entanglement_entropy, run_sweep
 from .protocols import (
     ProtocolBranch,
@@ -45,26 +40,15 @@ from .protocols import (
 )
 from .qstate import (
     DensityState,
-    ProjectiveOutcome,
     PureState,
     QubitKind,
     QubitLabel,
-    apply_diagonal_pair,
-    apply_unitary,
-    dephase_spin,
-    drop_qubit,
     fidelity,
-    ket_state,
-    measure,
     normalize,
     partial_trace,
     photon,
-    qubit_state,
     sample_indices,
-    sample_outcome,
     spin,
-    tensor,
-    tensor_all,
     to_density,
 )
 

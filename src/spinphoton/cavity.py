@@ -42,25 +42,17 @@ class ParameterError(ValueError):
 
 
 _RULES = {"finite": np.isfinite, "positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0}
-_NUMBER_RULES = {**_RULES, "finite": math.isfinite}  # the rules for a Python number
 _PHASE_TOL = 1e-9  # find_operating_point's stop: |phase - target| <= _PHASE_TOL
 
 
 def check_field(name: str, value, rule: str) -> None:
     """Raise ParameterError naming ``name`` unless every element of ``value``
-    is ``rule``, a key of _RULES. Check "finite" first: NaN fails the others.
-    A Python number is checked without numpy, an array element by element."""
-    if isinstance(value, (int, float)):
-        if _NUMBER_RULES[rule](value):
-            return
-        bad = value
-    else:
-        v = np.asarray(value, dtype=float)
-        mask = ~_RULES[rule](v)
-        if not mask.any():
-            return
-        bad = v[mask].flat[0]
-    raise ParameterError(f"{name} must be {rule}, got {float(bad)!r}", field=name)
+    is ``rule``, a key of _RULES. Check "finite" first: NaN fails the others."""
+    v = np.asarray(value, dtype=float)
+    bad = ~_RULES[rule](v)
+    if bad.any():
+        raise ParameterError(f"{name} must be {rule}, got {float(v[bad].flat[0])!r}",
+                             field=name)
 
 
 class CavityParams(Frozen):

@@ -232,7 +232,7 @@ def load_config(path: str | None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is skipped
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     return resolve_config(parse_config_text(text))
 
@@ -380,17 +380,17 @@ class _Chunks(list):
     write = list.append
 
 
-def _dump(obj, depth: int = 0) -> str:
-    """The text ``json.dumps(obj, indent=2, allow_nan=False)`` writes for ``obj``
-    nested ``depth`` levels deep, where a complex array is written as nested
-    lists with an ``[re, im]`` pair per entry. ``json`` writes the text; the
-    chunk it yields right after its ``default`` hook takes an array is that
-    array's hole. Each distinct array object is formatted once per document
-    (a dephased chain's ``-45`` leaves hold their ``+45`` partners' matrices):
-    ``_reprs`` formats the floats of every distinct array, each array's text is
-    filled from its ``_template`` once per depth of a hole's line, and that one
-    string is written at each hole holding the array. What ``json`` cannot
-    write raises TypeError; a non-finite number, ValueError."""
+def _dump(obj) -> str:
+    """The text ``json.dumps(obj, indent=2, allow_nan=False)`` writes for ``obj``,
+    where a complex array is written as nested lists with an ``[re, im]`` pair
+    per entry. ``json`` writes the text; the chunk it yields right after its
+    ``default`` hook takes an array is that array's hole. Each distinct array
+    object is formatted once per document (a dephased chain's ``-45`` leaves
+    hold their ``+45`` partners' matrices): ``_reprs`` formats the floats of
+    every distinct array, each array's text is filled from its ``_template``
+    once per depth of a hole's line, and that one string is written at each
+    hole holding the array. What ``json`` cannot write raises TypeError; a
+    non-finite number, ValueError."""
     import json  # needed only here, so startup does not load it
     chunks, holes = _Chunks(), {}  # holes: id -> (a distinct array, indices of its chunks)
 
@@ -404,8 +404,6 @@ def _dump(obj, depth: int = 0) -> str:
         holes[id(a)][1].append(len(chunks))
 
     json.dump(obj, chunks, indent=2, allow_nan=False, default=hole)
-    if depth:  # no string json writes holds a raw newline
-        chunks = [c.replace("\n", "\n" + "  " * depth) for c in chunks]
     strings, at = _reprs([a for a, _ in holes.values()]) if holes else [], 0
     for a, places in holes.values():
         n, texts = 2 * a.size, {}  # texts: depth of a hole's line -> the array's text
@@ -413,7 +411,7 @@ def _dump(obj, depth: int = 0) -> str:
             line = i  # the array's line starts after the last newline before it
             while line and "\n" not in chunks[line - 1]:
                 line -= 1
-            d = len(chunks[line - 1].rpartition("\n")[2]) // 2 if line else depth
+            d = len(chunks[line - 1].rpartition("\n")[2]) // 2 if line else 0
             if d not in texts:
                 pieces = [""] * (2 * n + 1)  # the template's n + 1 parts, a float between each two
                 pieces[::2], pieces[1::2] = _template(a.shape, d), strings[at:at + n]

@@ -8,10 +8,12 @@ pick up the cold one. In the ideal limit that is a pure pi/2 conditional phase
 as an unobservable global factor). Each gate mode carries its (coupled,
 uncoupled) coefficient pair, evaluated once per mode.
 
-Also here: the polarization and spin unitaries the protocols need (Hadamard,
-the circular-to-pole pulse, the table of feed-forward corrections) and the
-trion-emission map that converts a stored spin qubit into a flying
-polarization qubit (selection rule: up -> L, down -> R).
+Also here: the circular-to-pole pulse and the table of feed-forward
+corrections the protocols use. The step functions (``make_gate``,
+``apply_gate``, ``apply_correction`` and the trion-emission map, which
+relabels a spin qubit as a photon by the selection rule up -> L, down -> R)
+act on a register no protocol steps; they stay, unexported, for the
+benchmark's per-layer tracer and as the tests' step-by-step reference.
 
 All 2x2 photon matrices are expressed in the circular {R, L} computational
 basis.
@@ -94,16 +96,11 @@ def apply_gate(state, gate: ConditionalReflectionGate):
 
 # --- single-qubit unitaries ------------------------------------------------
 
-def hadamard() -> np.ndarray:
-    """Standard Hadamard: |0> -> (|0>+|1>)/sqrt2, involutive."""
-    return np.array([[1, 1], [1, -1]], dtype=np.complex128) / SQ2
-
-
 def circular_to_z() -> np.ndarray:
     """Maps (|0>+i|1>)/sqrt2 to |0> and (|0>-i|1>)/sqrt2 to |1>.
 
     As a spin pulse this reads out the circular superpositions left behind by
-    a pi/2 conditional phase; equals hadamard() @ diag(1, -i). As a
+    a pi/2 conditional phase; equals H @ diag(1, -i), H the Hadamard. As a
     polarization rotation it sends |+45> to |R> and |-45> to |L>.
     """
     return np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / SQ2

@@ -66,7 +66,6 @@ from .qstate import (
     photon,
     spin,
     to_density,
-    unstack,
 )
 
 SQH = 1.0 / math.sqrt(2.0)
@@ -176,10 +175,16 @@ class ProtocolResult(Frozen):
         self.__dict__.update(protocol=protocol, batch_shape=batch_shape, columns=columns)
 
     def _column_branches(self, c: BranchColumn) -> list[ProtocolBranch]:
-        """Column ``c``'s ProtocolBranch in each batch element, in C order."""
-        return [ProtocolBranch(c.label, c.probability[i], s, c.target, c.fidelity[i],
+        """Column ``c``'s ProtocolBranch in each batch element, in C order; each
+        element's state is a read-only view of the column's."""
+        s = c.state
+        data = s.amplitudes if isinstance(s, PureState) else s.matrix
+        data = data.reshape((-1,) + data.shape[len(self.batch_shape):])
+        nt = np.reshape(s.norm_tracking, -1)
+        return [ProtocolBranch(c.label, c.probability[i], type(s)(s.register, data[i], nt[i]),
+                               c.target, c.fidelity[i],
                                None if c.concurrence is None else c.concurrence[i])
-                for i, s in enumerate(unstack(c.state, self.batch_shape))]
+                for i in range(len(data))]
 
     @cached_property
     def branches(self) -> tuple[ProtocolBranch, ...]:

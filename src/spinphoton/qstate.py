@@ -1,4 +1,8 @@
-"""Dense state-vector engine for small labeled qubit registers.
+"""Labeled qubit registers: the state types, their scores and a dense
+state-vector step engine. No protocol runs the steps (``tensor``,
+``apply_unitary``, ``measure`` and the rest) and the package does not export
+them: they stay for the benchmark's per-layer tracer, which wraps them by
+name, and as the tests' step-by-step reference.
 
 Basis conventions, fixed once and relied on everywhere:
 
@@ -113,16 +117,6 @@ KET_UP = _read_only([1, 0])
 KET_DOWN = _read_only([0, 1])
 KET_XP = _read_only([1 / _SQ2, 1 / _SQ2])
 KET_XM = _read_only([1 / _SQ2, -1 / _SQ2])
-
-_NAMED_KETS = {
-    QubitKind.PHOTON: {
-        "R": KET_R, "L": KET_L, "H": KET_H, "V": KET_V,
-        "+45": KET_P45, "-45": KET_M45,
-    },
-    QubitKind.SPIN: {
-        "up": KET_UP, "down": KET_DOWN, "+x": KET_XP, "-x": KET_XM,
-    },
-}
 
 # Measurement bases: ordered (outcome label, projection ket) pairs.
 _BASES = {
@@ -281,40 +275,6 @@ class ProjectiveOutcome(Frozen):
 
     def __init__(self, label: str, probability: float, post_state: PureState | None):
         self.__dict__.update(label=label, probability=probability, post_state=post_state)
-
-
-def unstack(state, batch: tuple[int, ...]) -> list:
-    """The unbatched states of ``state`` broadcast to ``batch``, in C order.
-
-    The elements are read-only views of one array, built without the
-    constructor's checks: they are slices of a state that passed them.
-    """
-    pure = isinstance(state, PureState)
-    data = state.amplitudes if pure else state.matrix
-    core = data.shape[len(state.batch_shape):]
-    data = np.broadcast_to(data, batch + core).reshape((-1,) + core)
-    nts = np.broadcast_to(state.norm_tracking, batch).reshape(-1)
-    out = []
-    for d, nt in zip(data, nts):
-        element = object.__new__(type(state))
-        object.__setattr__(element, "register", state.register)
-        object.__setattr__(element, "amplitudes" if pure else "matrix", d)
-        object.__setattr__(element, "norm_tracking", nt)
-        out.append(element)
-    return out
-
-
-def qubit_state(label: QubitLabel, alpha: complex, beta: complex) -> PureState:
-    """Single-qubit state alpha|0> + beta|1> in the label's own basis."""
-    return PureState((label,), np.array([alpha, beta], dtype=np.complex128))
-
-
-def ket_state(label: QubitLabel, name: str) -> PureState:
-    """Single-qubit state named in the label's kind, e.g. "H" or "+x"."""
-    try:
-        return PureState((label,), _NAMED_KETS[label.kind][name])
-    except KeyError:
-        raise ValueError(f"no state named {name!r} for a {label.kind.value} qubit")
 
 
 def tensor(a: PureState, b: PureState) -> PureState:

@@ -21,6 +21,7 @@ from spinphoton import qstate as qs
 from spinphoton.gates import IdealGate, apply_gate, circular_to_z, make_gate
 from spinphoton.protocols import _chain_inputs, _result
 from matrix_oracle import RY90, Z
+from reference_engine import ket_state, qubit_state
 
 
 def gfr_spin_readout(state, spin_q, ancilla_photon, gate=IdealGate()):
@@ -31,7 +32,7 @@ def gfr_spin_readout(state, spin_q, ancilla_photon, gate=IdealGate()):
     ancilla leaves the register. The outcomes are ``measure``'s, renormalized
     at any probability: the floor is applied where a run's leaves are closed.
     """
-    full = qs.tensor(state, qs.ket_state(ancilla_photon, "H"))
+    full = qs.tensor(state, ket_state(ancilla_photon, "H"))
     full = apply_gate(full, make_gate(ancilla_photon, spin_q, gate))
     return qs.measure(full, ancilla_photon, "45")
 
@@ -69,9 +70,9 @@ def reference_run(config, n, target_of):
     (``protocols._result``, ``qstate.fidelity``)."""
     photons = [qs.photon(i) for i in range(1, n + 1)]
     s = qs.spin(1)
-    state = qs.tensor_all([qs.qubit_state(p, *ab)
+    state = qs.tensor_all([qubit_state(p, *ab)
                            for p, ab in zip(photons, _chain_inputs(config, n))]
-                          + [qs.ket_state(s, "+x")])
+                          + [ket_state(s, "+x")])
     for p in photons:
         state = apply_gate(state, make_gate(p, s, config.gate))
     # one waiting interval after each photon, merged ahead of the pulse

@@ -31,6 +31,7 @@ from spinphoton.protocols import (
     transfer_photon_to_spin,
     transfer_spin_to_photon,
 )
+from reference_engine import ket_state, qubit_state
 from reference_states import (
     cold_phase_closed_form,
     double_reflection_state,
@@ -110,9 +111,9 @@ def test_criterion_3_equation_reproduction():
         from matrix_oracle import RY90
         from spinphoton.gates import IdealGate
         st = qs.tensor_all([
-            qs.qubit_state(qs.photon(1), a1, b1),
-            qs.qubit_state(qs.photon(2), a2, b2),
-            qs.qubit_state(qs.spin(1), SQH, SQH),
+            qubit_state(qs.photon(1), a1, b1),
+            qubit_state(qs.photon(2), a2, b2),
+            qubit_state(qs.spin(1), SQH, SQH),
         ])
         st = apply_gate(st, make_gate(qs.photon(1), qs.spin(1), IdealGate()))
         st = apply_gate(st, make_gate(qs.photon(2), qs.spin(1), IdealGate()))
@@ -120,10 +121,10 @@ def test_criterion_3_equation_reproduction():
         worst = max(worst, float(np.max(np.abs(st.amplitudes - ref))))
 
         st3 = qs.tensor_all([
-            qs.qubit_state(qs.photon(1), a1, b1),
-            qs.qubit_state(qs.photon(2), a2, b2),
-            qs.ket_state(qs.photon(3), "H"),
-            qs.qubit_state(qs.spin(1), SQH, SQH),
+            qubit_state(qs.photon(1), a1, b1),
+            qubit_state(qs.photon(2), a2, b2),
+            ket_state(qs.photon(3), "H"),
+            qubit_state(qs.spin(1), SQH, SQH),
         ])
         for p in (qs.photon(1), qs.photon(2)):
             st3 = apply_gate(st3, make_gate(p, qs.spin(1), IdealGate()))

@@ -79,7 +79,7 @@ def _refusal(value, rule):
 
 @pytest.mark.parametrize("rule", RULE_VERDICTS)
 def test_a_number_and_an_array_get_one_verdict(rule):
-    # a Python number is checked without numpy: the message must not move
+    # a Python number, a numpy scalar and an array get one message
     for value, got in RULE_VERDICTS[rule].items():
         expected = None if got is None else f"x must be {rule}, got {got}"
         forms = [value, np.array(value), np.array([value]), np.float64(value)]

@@ -179,6 +179,22 @@ def test_bad_input_exits_2_naming_its_key(tmp_path, capsys, config, args, named)
     assert not out.exists()
 
 
+# a config file that is not UTF-8 is the input's fault, as an unreadable one is
+@pytest.mark.parametrize("content", [
+    "protocol = scheme-b\n".encode("utf-8") + b"\xff\xfe = 1\n",
+    "protocol = scheme-b\n".encode("utf-16"),  # with its byte-order mark
+], ids=["stray-0xff", "utf-16"])
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(content)
+    out = tmp_path / "o.txt"
+    assert run_cli(["protocol", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # a plain ValueError inside the run is the program's fault, whatever its type's base
 @pytest.mark.parametrize("patched, args", [
     ("run_protocol", ["protocol"]),

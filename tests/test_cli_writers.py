@@ -272,10 +272,7 @@ def _counting_repr(monkeypatch) -> list:
 @pytest.mark.parametrize("name", REPEATING_MATRICES)
 def test_dump_equals_json_on_matrices_that_repeat_values(name):
     matrix = REPEATING_MATRICES[name]
-    for depth in (0, 3):
-        expected = json.dumps(_json_pairs(matrix), indent=2).replace(
-            "\n", "\n" + "  " * depth)
-        assert cli._dump(matrix, depth) == expected
+    assert cli._dump(matrix) == json.dumps(_json_pairs(matrix), indent=2)
 
 
 @pytest.mark.parametrize("name", REPEATING_MATRICES)
@@ -363,10 +360,8 @@ def test_equal_arrays_that_are_distinct_objects_are_each_written(monkeypatch):
     twin = matrix.copy()
     doc = {"a": matrix, "b": [twin, [matrix]], "c": {"d": twin, "e": matrix}}
     calls = _spy_reprs(monkeypatch)
-    for depth in (0, 2):
-        assert cli._dump(doc, depth) == json.dumps(_plain(doc), indent=2).replace(
-            "\n", "\n" + "  " * depth)
-        assert [id(a) for a in calls.pop()] == [id(matrix), id(twin)]
+    assert cli._dump(doc) == json.dumps(_plain(doc), indent=2)
+    assert [id(a) for a in calls.pop()] == [id(matrix), id(twin)]
 
 
 def _old_template(shape, depth):
@@ -386,9 +381,8 @@ def test_template_equals_the_recursive_construction(shape, depth):
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 0)])
 def test_an_empty_array_is_written_as_json_writes_it(shape):
     doc = {"a": np.zeros(shape, dtype=complex), "b": [np.array(1j)]}
-    assert cli._dump(doc, 1) == json.dumps(
-        {"a": np.zeros(shape + (2,)).tolist(), "b": [[0.0, 1.0]]}, indent=2).replace(
-        "\n", "\n  ")
+    assert cli._dump(doc) == json.dumps(
+        {"a": np.zeros(shape + (2,)).tolist(), "b": [[0.0, 1.0]]}, indent=2)
 
 
 # --- _dump against json on seeded random documents ---------------------------------
@@ -445,20 +439,20 @@ def _random_document(rng: random.Random, drawn, level: int = 0, within: str = "t
     return x, x
 
 
-@pytest.mark.parametrize("depth", range(4))
-def test_dump_equals_json_on_random_documents(depth):
-    rng, pad, reused = random.Random(depth), "\n" + "  " * depth, set()
+@pytest.mark.parametrize("seed", range(4))
+def test_dump_equals_json_on_random_documents(seed):
+    rng, reused = random.Random(seed), set()
     for _ in range(75):
         drawn = SimpleNamespace(arrays=[], reused=set())
         doc, plain = _random_document(rng, drawn)
-        assert cli._dump(doc, depth) == json.dumps(plain, indent=2).replace("\n", pad)
+        assert cli._dump(doc) == json.dumps(plain, indent=2)
         reused |= drawn.reused
     # an array came back in a list and as a dict value, at its own level and another
     assert reused == {(True, "list"), (False, "list"), (True, "dict"), (False, "dict")}
     # a string that reads like json's text for an array is written as a string
     doc = {"\0": "\0", "null": ["null", np.array(1j), "\0"]}
     plain = {"\0": "\0", "null": ["null", [0.0, 1.0], "\0"]}
-    assert cli._dump(doc, depth) == json.dumps(plain, indent=2).replace("\n", pad)
+    assert cli._dump(doc) == json.dumps(plain, indent=2)
 
 
 @pytest.mark.parametrize("value", [np.int64(3), {1, 2}])
@@ -587,8 +581,6 @@ def test_sweep_builds_no_per_point_branch_or_state(tmp_path, monkeypatch, config
         raise AssertionError("a sweep built a per-point object")
 
     monkeypatch.setattr(protocols, "ProtocolBranch", refuse)
-    monkeypatch.setattr(protocols, "unstack", refuse)
-    monkeypatch.setattr(qs, "unstack", refuse)
     assert cli.main(argv + [str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
@@ -614,8 +606,6 @@ def test_sample_builds_no_branch_or_state(tmp_path, monkeypatch):
 
     monkeypatch.setattr(protocols, "_leaf", counting)
     monkeypatch.setattr(protocols, "ProtocolBranch", refuse)
-    monkeypatch.setattr(protocols, "unstack", refuse)
-    monkeypatch.setattr(qs, "unstack", refuse)
     out = tmp_path / "s.csv"
     assert cli.main(["sample", "--config", cfg, "--trials", "1000", "--seed", "5",
                      "--out", str(out)]) == 0
@@ -628,7 +618,7 @@ def _refuse(monkeypatch, *names):
     def refuse(*args, **kwargs):
         raise AssertionError("a writer built a per-branch object or a target")
 
-    modules = {"protocols": protocols, "qs": qs}
+    modules = {"protocols": protocols}
     for name in names:
         module, attribute = name.split(".")
         monkeypatch.setattr(modules[module], attribute, refuse)
@@ -647,8 +637,7 @@ def test_protocol_json_builds_no_branch_unstacked_state_or_chain_target(tmp_path
     run = cli.load_config(cfg)
     expected = reference_protocol_json(run, run_protocol(run.protocol, run.config,
                                                          n_photons=run.n_photons))
-    _refuse(monkeypatch, "protocols.ProtocolBranch", "protocols.unstack", "qs.unstack",
-            "protocols._target_state")
+    _refuse(monkeypatch, "protocols.ProtocolBranch", "protocols._target_state")
     out = tmp_path / "p.json"
     assert cli.main(["protocol", "--config", cfg, "--out", str(out)]) == 0
     assert _lines(out.read_text(encoding="utf-8")) == _lines(expected)

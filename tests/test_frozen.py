@@ -1,6 +1,7 @@
 """The package's records (``frozen.Frozen`` subclasses): immutability,
 ``replace``, ``QubitLabel`` equality and hashing, the cached gate
-coefficients, ``unstack`` and the construction hook the tracer counts."""
+coefficients, the per-element branch states and the construction hook the
+tracer counts."""
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from spinphoton.cavity import CavityParams, ParameterError, ReflectionResponse
 from spinphoton.gates import ConditionalReflectionGate, IdealGate, RealisticGate
 from spinphoton.metrics import SweepSpec
 from spinphoton.protocols import ProtocolBranch, ProtocolConfig, run_protocol
+from reference_engine import ket_state
 
 CAVITY = CavityParams(g=10.0, kappa=1.0, gamma=0.1)
 PAIR = qs.PureState((qs.photon(1), qs.spin(1)), [0.6, 0.0, 0.0, 0.8])
@@ -107,16 +109,22 @@ def test_the_realistic_gate_evaluates_its_coefficients_once(monkeypatch):
 
 
 @pytest.mark.parametrize("density", [False, True])
-def test_unstacked_elements_read_back_their_fields(density):
-    state = qs.PureState(PAIR.register, np.stack([PAIR.amplitudes, PAIR.amplitudes[::-1]]),
-                         np.array([0.25, 0.5]))
-    if density:
-        state = qs.to_density(state)
-    data = state.matrix if density else state.amplitudes
-    for i, element in enumerate(qs.unstack(state, (2,))):
-        assert type(element) is type(state) and element.register == PAIR.register
-        assert element.batch_shape == () and element.norm_tracking == [0.25, 0.5][i]
-        assert np.array_equal(element.matrix if density else element.amplitudes, data[i])
+def test_branch_elements_read_back_their_fields(density):
+    result = run_protocol("scheme-b", ProtocolConfig(t_over_t2=np.array([0.1, 0.3]) if density
+                                                     else np.zeros(2)))
+    n = len(result.columns)
+    for k, c in enumerate(result.columns):
+        state = c.state
+        assert isinstance(state, qs.DensityState if density else qs.PureState)
+        data = state.matrix if density else state.amplitudes
+        for i, branch in enumerate(result.branches[k::n]):
+            element = branch.state
+            assert type(element) is type(state) and element.register == state.register
+            assert element.batch_shape == () and element.norm_tracking == state.norm_tracking[i]
+            element_data = element.matrix if density else element.amplitudes
+            assert np.array_equal(element_data, data[i])
+            # a read-only view of the column's state, not a copy
+            assert not element_data.flags.writeable and np.shares_memory(element_data, data)
 
 
 def test_every_state_constructor_calls_post_init(monkeypatch):
@@ -127,5 +135,5 @@ def test_every_state_constructor_calls_post_init(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__",
                             lambda self, original=original: built.append(type(self)) or
                             original(self))
-    qs.to_density(qs.tensor(qs.ket_state(qs.photon(1), "H"), qs.ket_state(qs.spin(1), "up")))
+    qs.to_density(qs.tensor(ket_state(qs.photon(1), "H"), ket_state(qs.spin(1), "up")))
     assert built == [qs.PureState] * 3 + [qs.DensityState]

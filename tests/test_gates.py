@@ -13,11 +13,11 @@ from spinphoton.gates import (
     apply_correction,
     apply_gate,
     circular_to_z,
-    hadamard,
     make_gate,
     trion_emission_map,
 )
 from matrix_oracle import RY90, embed
+from reference_engine import hadamard, ket_state, qubit_state
 from reference_states import double_reflection_state, rand_amp_pair
 
 SQH = 1.0 / math.sqrt(2.0)
@@ -29,7 +29,7 @@ P1, P2, S1, S2 = qs.photon(1), qs.photon(2), qs.spin(1), qs.spin(2)
 def test_ideal_gate_entangles_h_photon_with_spin():
     # |H> against (|up>+|down>)/sqrt2: every amplitude alpha=beta=1/sqrt2 and
     # the coupled pair picks up i
-    st = qs.tensor(qs.ket_state(P1, "H"), qs.qubit_state(S1, SQH, SQH))
+    st = qs.tensor(ket_state(P1, "H"), qubit_state(S1, SQH, SQH))
     out = apply_gate(st, make_gate(P1, S1, IdealGate()))
     expected = np.array([1, 1j, 1j, 1]) / 2.0
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
@@ -38,7 +38,7 @@ def test_ideal_gate_entangles_h_photon_with_spin():
 def test_ideal_gate_zero_phase_is_identity():
     rng = np.random.default_rng(4)
     a, b = rand_amp_pair(rng)
-    st = qs.tensor(qs.qubit_state(P1, a, b), qs.qubit_state(S1, SQH, SQH))
+    st = qs.tensor(qubit_state(P1, a, b), qubit_state(S1, SQH, SQH))
     out = apply_gate(st, ConditionalReflectionGate(P1, S1, 1.0 + 0.0j, 1.0 + 0.0j))
     assert np.max(np.abs(out.amplitudes - st.amplitudes)) < 1e-15
 
@@ -49,9 +49,9 @@ def test_ideal_gate_twice_reproduces_double_reflection():
         a1, b1 = rand_amp_pair(rng)
         a2, b2 = rand_amp_pair(rng)
         st = qs.tensor_all([
-            qs.qubit_state(P1, a1, b1),
-            qs.qubit_state(P2, a2, b2),
-            qs.qubit_state(S1, SQH, SQH),
+            qubit_state(P1, a1, b1),
+            qubit_state(P2, a2, b2),
+            qubit_state(S1, SQH, SQH),
         ])
         st = apply_gate(st, make_gate(P1, S1, IdealGate()))
         st = apply_gate(st, make_gate(P2, S1, IdealGate()))
@@ -112,7 +112,7 @@ def test_realistic_gate_records_survival_in_norm_tracking():
           f"delta_phi={conditional_phase(p, 0.5):.12f}",
           f"|r_hot|={abs(g.coeff_coupled):.12f}",
           f"|r_cold|={abs(g.coeff_uncoupled):.12f}")
-    st = qs.tensor(qs.ket_state(P1, "H"), qs.qubit_state(S1, SQH, SQH))
+    st = qs.tensor(ket_state(P1, "H"), qubit_state(S1, SQH, SQH))
     out = apply_gate(st, g)
     assert out.norm_tracking == pytest.approx(out.squared_norm(), abs=1e-12)
     assert out.norm_tracking < 1.0
@@ -176,7 +176,7 @@ def test_emission_map_anticorrelated_pair():
 
 
 def test_emission_map_single_up_becomes_left():
-    out = trion_emission_map(qs.ket_state(S1, "up"), S1, P1)
+    out = trion_emission_map(ket_state(S1, "up"), S1, P1)
     assert np.array_equal(out.amplitudes, [0, 1])
 
 
@@ -194,7 +194,7 @@ def test_emission_map_preserves_inner_products():
 
 
 def test_emission_map_label_collision_and_kind_checks():
-    st = qs.tensor(qs.ket_state(S1, "up"), qs.ket_state(P1, "R"))
+    st = qs.tensor(ket_state(S1, "up"), ket_state(P1, "R"))
     with pytest.raises(ValueError, match="already present"):
         trion_emission_map(st, S1, P1)
     with pytest.raises(ValueError, match="not a spin"):

@@ -8,6 +8,7 @@ from spinphoton.cavity import CavityParams
 from spinphoton.gates import RealisticGate
 from spinphoton.metrics import SweepSpec, concurrence, entanglement_entropy, run_sweep
 from spinphoton.protocols import ProtocolConfig
+from reference_engine import ket_state
 from reference_states import rand_amp_pair
 
 P1, P2 = qs.photon(1), qs.photon(2)
@@ -72,7 +73,7 @@ def test_concurrence_of_dephased_bell_state():
 
 def test_concurrence_register_size_check():
     with pytest.raises(ValueError, match="2 qubits"):
-        concurrence(qs.ket_state(P1, "R"))
+        concurrence(ket_state(P1, "R"))
 
 
 # --- entanglement entropy -----------------------------------------------------------

