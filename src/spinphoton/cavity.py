@@ -115,16 +115,16 @@ def reflect(params: CavityParams, omega, coupled: bool) -> ReflectionResponse:
     return ReflectionResponse(r, np.abs(r), np.angle(r))
 
 
-def phase_difference(hot: ReflectionResponse, cold: ReflectionResponse):
-    """arg r_hot - arg r_cold of two responses, wrapped to (-pi, pi], elementwise."""
-    w = np.mod(np.asarray(hot.phase - cold.phase) + math.pi, 2.0 * math.pi) - math.pi
+def phase_difference(hot_phase, cold_phase):
+    """arg r_hot - arg r_cold from the two phases, wrapped to (-pi, pi], elementwise."""
+    w = np.mod(np.asarray(hot_phase - cold_phase) + math.pi, 2.0 * math.pi) - math.pi
     return np.where(w <= -math.pi, w + 2.0 * math.pi, w)[()]
 
 
 def conditional_phase(params: CavityParams, omega):
     """Phase difference arg r_hot - arg r_cold, wrapped to (-pi, pi]."""
-    return phase_difference(reflect(params, omega, coupled=True),
-                            reflect(params, omega, coupled=False))
+    return phase_difference(reflect(params, omega, coupled=True).phase,
+                            reflect(params, omega, coupled=False).phase)
 
 
 def find_operating_point(params: CavityParams, target_phase: float) -> float:

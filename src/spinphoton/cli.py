@@ -13,8 +13,10 @@ library checks each model rule once and raises ParameterError naming the
 field; ``_naming`` names the key or flag that field came from, by the field
 -> key table of the config or the sweep.
 
-``reflectance`` evaluates its whole grid as one array; each other writer
-reads the run's columns, not its ``branches``. ``sweep`` runs its grid as one
+``reflectance`` evaluates the cold and hot r over its grid ``_CHUNK_ROWS``
+points at a time and builds each chunk of rows only as it formats it, so it
+grows by 40 bytes a point, not by the whole table. Each other writer reads
+the run's columns, not its ``branches``. ``sweep`` runs its grid as one
 batched pass, each row the ``protocol`` run at that grid point bit for bit.
 ``sample`` draws all its trials at once; its ``--seed`` (default: the config's
 ``seed`` key) is the only seed any subcommand reads. ``protocol`` writes the
@@ -65,7 +67,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cavity import CavityParams, ParameterError, phase_difference, reflect
+from .cavity import CavityParams, ParameterError, phase_difference, reflection_coefficient
 from .frozen import Frozen
 from .gates import GateMode, IdealGate, RealisticGate
 from .metrics import SWEEP_PARAMETERS, SweepSpec, sweep_columns
@@ -257,7 +259,7 @@ def parse_grid(spec: str) -> np.ndarray:
     return grid
 
 
-_CHUNK_ROWS = 4096  # rows formatted per write, to bound the text held at once
+_CHUNK_ROWS = 4096  # points evaluated, and rows built and formatted, at once
 # A table of at least this many rows (16 chunks) is formatted on every usable
 # CPU; a shorter one stays in one process.
 _SPLIT_ROWS = 16 * _CHUNK_ROWS
@@ -453,16 +455,17 @@ def cmd_reflectance(args) -> int:
     run = load_config(args.config)
     grid = parse_grid(args.grid)
     params = run.cavity
-    # parse_grid's linspace can fit while the responses and the table do not
+    # parse_grid's linspace can fit while the two responses do not
     with np.errstate(all="ignore"):  # extreme values are refused just below
         try:
-            omega = params.omega_c + grid * params.kappa
-            cold = reflect(params, omega, coupled=False)
-            hot = reflect(params, omega, coupled=True)
-            table = np.column_stack([grid, cold.r.real, cold.r.imag, cold.phase,
-                                     hot.r.real, hot.r.imag, hot.phase,
-                                     phase_difference(hot, cold)])
-            finite = np.isfinite(table).all()
+            cold, hot = np.empty(len(grid), complex), np.empty(len(grid), complex)
+            for a in range(0, len(grid), _CHUNK_ROWS):
+                rows = slice(a, a + _CHUNK_ROWS)
+                omega = params.omega_c + grid[rows] * params.kappa
+                cold[rows] = reflection_coefficient(params, omega, coupled=False)
+                hot[rows] = reflection_coefficient(params, omega, coupled=True)
+            # the grid is finite, and so are a finite r's phase and phase difference
+            finite = np.isfinite(cold).all() and np.isfinite(hot).all()
         except MemoryError:
             raise ConfigError(f"--grid count must be small enough to allocate its "
                               f"reflectance table, got {len(grid)}")
@@ -470,9 +473,16 @@ def cmd_reflectance(args) -> int:
         raise ConfigError("the reflectance table is not finite: "
                           "check the cavity.* keys and --grid")
     from .floatrows import csv_rows  # needed only here, so startup does not load it
+
+    def format_rows(a, b):
+        c, h = cold[a:b], hot[a:b]
+        phase_c, phase_h = np.angle(c), np.angle(h)
+        return csv_rows(np.column_stack([grid[a:b], c.real, c.imag, phase_c,
+                                         h.real, h.imag, phase_h,
+                                         phase_difference(phase_h, phase_c)]))
+
     _emit(_csv_chunks("detuning_rel,r_cold_re,r_cold_im,phase_cold,"
-                      "r_hot_re,r_hot_im,phase_hot,delta_phi", len(table),
-                      lambda a, b: csv_rows(table[a:b])),
+                      "r_hot_re,r_hot_im,phase_hot,delta_phi", len(grid), format_rows),
           args.out)
     return 0
 

@@ -11,10 +11,13 @@ imports it only inside the commands that use it. A pass runs every command
 of the workload (``bench/workloads.build`` of this checkout, seed 11)
 through that tree's ``cli.main``, as ``tests/output_digest.py`` does. One
 untimed pass per tree comes first; if any output's bytes differ between the
-trees, their names are printed and the exit code is 1. Then ``--rounds``
-pairs are timed, tree A first in even rounds and tree B first in odd ones.
-Printed: each tree's median and minimum pass time, B's over A's, and how
-many pairs each tree won.
+trees, their names are printed and the exit code is 1. Then each tree runs
+one more untimed pass under ``tracemalloc``, and its traced peak is printed:
+this process's allocations only (a forked CSV share is not traced), after
+both trees have paid every first-use cost, so that neither pays the ones the
+two share. Then ``--rounds`` pairs are timed, untraced, tree A first in even
+rounds and tree B first in odd ones. Printed: each tree's median and minimum
+pass time, B's over A's, and how many pairs each tree won.
 """
 import argparse
 import contextlib
@@ -24,6 +27,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +95,14 @@ def main(argv=None) -> int:
             print(f"{name}: the two trees wrote different bytes")
         if differing:
             return 1
+        for tag, src in (("A", args.src_a), ("B", args.src_b)):
+            tracemalloc.start()
+            try:
+                run_pass(trees[tag], commands, Path(tmp, tag))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print(f"{tag} {src}: traced peak {peak / 2 ** 20:.2f} MiB over an untimed pass")
         for r in range(args.rounds):
             for tag in ("AB" if r % 2 == 0 else "BA"):
                 times[tag].append(run_pass(trees[tag], commands, Path(tmp, tag)))

@@ -214,18 +214,16 @@ def test_internal_error_exits_1(tmp_path, capsys, monkeypatch, patched, args):
     assert not out.exists()
 
 
-# a grid whose linspace fits can still leave no room for the responses or the table
-@pytest.mark.parametrize("holder, patched", [("cli", "reflect"), ("numpy", "column_stack"),
-                                             ("numpy", "isfinite")])
+# a grid whose linspace fits can still leave no room for the two responses,
+# or for one chunk's evaluation
+@pytest.mark.parametrize("holder, patched", [("numpy", "empty"),
+                                             ("cli", "reflection_coefficient")])
 def test_reflectance_table_too_large_to_allocate_names_grid(tmp_path, capsys, monkeypatch,
                                                             holder, patched):
     from spinphoton import cli
     module = cli if holder == "cli" else np
-    real = getattr(module, patched)
 
     def out_of_memory(*args, **kwargs):
-        if patched == "isfinite" and np.ndim(args[0]) == 1:  # parse_grid's check
-            return real(*args, **kwargs)
         raise MemoryError
 
     monkeypatch.setattr(module, patched, out_of_memory)
@@ -318,18 +316,54 @@ def test_reflectance_empty_range_exit_code(capsys):
     assert run_cli(["reflectance", "--grid", "0:1:0"]) == 2
 
 
-def test_reflectance_rows_equal_single_point_evaluations(tmp_path):
-    out = tmp_path / "r.csv"
-    run_cli(["reflectance", "--grid=-3:3:41", "--out", str(out)])
+def test_reflectance_rows_equal_single_point_evaluations(tmp_path, monkeypatch):
+    # 41 rows: every row. Past _SPLIT_ROWS, split over 3 CPUs, with a count no
+    # multiple of _CHUNK_ROWS: the first and last row of every chunk the
+    # responses are evaluated in, and of every chunk and share the rows are
+    # formatted in
+    import os
+    from spinphoton import cli
     from spinphoton.cavity import CavityParams, conditional_phase, reflect
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     params = CavityParams(g=10, kappa=1, gamma=0.1)
-    for line in out.read_text().strip().split("\n")[1:]:
-        d = float(line.split(",")[0])
-        cold = reflect(params, d, coupled=False)
-        hot = reflect(params, d, coupled=True)
-        expected = (d, cold.r.real, cold.r.imag, cold.phase, hot.r.real, hot.r.imag,
-                    hot.phase, conditional_phase(params, d))
-        assert line == ",".join(f"{x:.17g}" for x in expected)
+    out = tmp_path / "r.csv"
+    for n in (41, cli._SPLIT_ROWS + cli._CHUNK_ROWS // 2 + 1):
+        assert run_cli(["reflectance", f"--grid=-3:3:{n}", "--out", str(out)]) == 0
+        lines = out.read_text().split("\n")[1:-1]
+        assert len(lines) == n
+        shares = [n * i // 3 for i in range(4)] if n >= cli._SPLIT_ROWS else [0, n]
+        chunks = [(a, min(a + cli._CHUNK_ROWS, stop)) for start, stop
+                  in zip(shares, shares[1:]) for a in range(start, stop, cli._CHUNK_ROWS)]
+        chunks += [(a, min(a + cli._CHUNK_ROWS, n)) for a in range(0, n, cli._CHUNK_ROWS)]
+        rows = {i for a, b in chunks for i in (a, b - 1)} if n > 41 else range(n)
+        for i in rows:
+            d = float(lines[i].split(",")[0])
+            cold = reflect(params, d, coupled=False)
+            hot = reflect(params, d, coupled=True)
+            expected = (d, cold.r.real, cold.r.imag, cold.phase, hot.r.real, hot.r.imag,
+                        hot.phase, conditional_phase(params, d))
+            assert lines[i] == ",".join(f"{x:.17g}" for x in expected)
+
+
+# One call holds the grid and the two responses, 40 bytes a point, and one
+# chunk's rows at a time: its tracemalloc peak grows by less than a row of the
+# 8-column table per point, above _SPLIT_ROWS (forked shares) and below it
+def test_reflectance_memory_grows_by_less_than_a_table_row_per_point(tmp_path):
+    import tracemalloc
+    from spinphoton import cli
+    small, large = 20_000, 120_000
+    assert small < cli._SPLIT_ROWS < large
+    out = str(tmp_path / "r.csv")
+    assert run_cli(["reflectance", "--grid=-3:3:2", "--out", out]) == 0  # first-use caches
+    peaks = []
+    for n in (small, large):
+        tracemalloc.start()
+        try:
+            assert run_cli(["reflectance", f"--grid=-3:3:{n}", "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (large - small) < 8 * 8
 
 
 def test_reflectance_numbers_round_trip(tmp_path):

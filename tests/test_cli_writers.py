@@ -270,12 +270,6 @@ def _counting_repr(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name", REPEATING_MATRICES)
-def test_dump_equals_json_on_matrices_that_repeat_values(name):
-    matrix = REPEATING_MATRICES[name]
-    assert cli._dump(matrix) == json.dumps(_json_pairs(matrix), indent=2)
-
-
-@pytest.mark.parametrize("name", REPEATING_MATRICES)
 def test_a_matrix_formats_each_distinct_magnitude_once(monkeypatch, name):
     matrix = REPEATING_MATRICES[name]
     calls = _counting_repr(monkeypatch)
@@ -629,8 +623,7 @@ def _refuse(monkeypatch, *names):
     "protocol = ghz\nghz.n_photons = 3\n",
     "protocol = ghz\nghz.n_photons = 6\ngate.mode = realistic\nnoise.t_over_t2 = 0.3\n",
 ], ids=["scheme-b", "ghz-3", "ghz-6-dephased"])
-def test_protocol_json_builds_no_branch_unstacked_state_or_chain_target(tmp_path, monkeypatch,
-                                                                        config):
+def test_protocol_json_builds_no_protocol_branch_or_target_state(tmp_path, monkeypatch, config):
     # the document is written from the run's columns, as sweep and sample
     # write theirs, and the chain scores its fidelity without its targets
     cfg = _write(tmp_path / "c.cfg", config)
