@@ -234,6 +234,37 @@ def test_reflectance_table_too_large_to_allocate_names_grid(tmp_path, capsys, mo
     assert not out.exists()
 
 
+# the responses are evaluated a chunk at a time, and one non-finite r in
+# either, at the first or last row or either side of a chunk seam, is refused
+# before --out is opened
+@pytest.mark.parametrize("response", ["cold", "hot"])
+@pytest.mark.parametrize("where", ["first", "chunk-end", "chunk-start", "last"])
+def test_reflectance_refuses_one_non_finite_r_at_any_row(tmp_path, capsys, monkeypatch,
+                                                         response, where):
+    from spinphoton import cli
+    n = 2 * cli._CHUNK_ROWS + 3
+    row = {"first": 0, "chunk-end": cli._CHUNK_ROWS - 1, "chunk-start": cli._CHUNK_ROWS,
+           "last": n - 1}[where]
+    real = cli.reflection_coefficient
+    evaluated = {False: 0, True: 0}  # rows of each response evaluated so far
+
+    def one_nan(params, omega, coupled):
+        r = np.array(real(params, omega, coupled=coupled))
+        start = evaluated[coupled]
+        evaluated[coupled] += len(r)
+        if coupled == (response == "hot") and start <= row < start + len(r):
+            r[row - start] = complex("nan")
+        return r
+
+    monkeypatch.setattr(cli, "reflection_coefficient", one_nan)
+    out = tmp_path / "o.txt"
+    assert run_cli(["reflectance", f"--grid=-3:3:{n}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: the reflectance table is not finite: "
+                                       "check the cavity.* keys and --grid\n")
+    assert evaluated == {False: n, True: n}
+    assert not out.exists()
+
+
 def test_negative_detuning_sweep_accepted(tmp_path):
     cfg = write(tmp_path / "c.cfg", "gate.mode = realistic\n")
     out = str(tmp_path / "o.csv")
