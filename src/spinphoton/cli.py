@@ -37,13 +37,15 @@ and each would walk again the ~21,000 objects the imports leave tracked, about
 
 The ``reflectance`` CSV's numbers are written by ``floatrows.csv_rows``: a
 cell ``%.17g`` writes in fixed notation is rounded to 17 significant digits
-with exact integer arithmetic on whole arrays, and every other cell goes
-through ``%``; which way a cell goes follows from its value alone. The bytes
-are those of one ``%`` per float, and there is nothing to configure. The
-``sample`` CSV's rows are written by ``floatrows.indexed_rows``, as one byte
-table per chunk: each row's index digits, its leading zeros left as pad bytes,
-then its ``",label\n"`` bytes, gathered by draw from a table of the labels.
-The bytes are those of ``str(i) + ",label\n"`` per row.
+on whole arrays, exactly (Dekker's error-free product with an exact power of
+ten), and its text built by table lookups, a few thousand cells at a time;
+every other cell goes through ``%``, and which way a cell goes follows from
+its value alone. The bytes are those of one ``%`` per float, and there is
+nothing to configure. The ``sample`` CSV's rows are written by
+``floatrows.indexed_rows``, as one byte table per chunk: each row's index
+digits, its leading zeros left as pad bytes, then its ``",label\n"`` bytes,
+gathered by draw from a table of the labels. The bytes are those of
+``str(i) + ",label\n"`` per row.
 
 The ``reflectance`` and ``sample`` CSVs of at least ``_SPLIT_ROWS`` rows are
 formatted across the CPUs this process may use: the rows are cut into one

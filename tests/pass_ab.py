@@ -17,7 +17,9 @@ this process's allocations only (a forked CSV share is not traced), after
 both trees have paid every first-use cost, so that neither pays the ones the
 two share. Then ``--rounds`` pairs are timed, untraced, tree A first in even
 rounds and tree B first in odd ones. Printed: each tree's median and minimum
-pass time, B's over A's, and how many pairs each tree won.
+pass time; each command's median in A and in B and B's over A's, so that a
+pass's change can be split between its commands; then B's pass over A's, and
+how many pairs each tree won.
 """
 import argparse
 import contextlib
@@ -49,18 +51,21 @@ def load(src: str) -> dict:
         sys.modules.update(saved)
 
 
-def run_pass(modules: dict, commands: list, out: Path) -> float:
-    """Seconds one pass of ``commands``, (name, argv) pairs, takes through the
-    tree's ``cli.main``; each writes its output to ``out / name``."""
+def run_pass(modules: dict, commands: list, out: Path) -> dict:
+    """Seconds each of ``commands``, (name, argv) pairs, takes through the
+    tree's ``cli.main`` in one pass, by name; each writes its output to
+    ``out / name``."""
     sys.modules.update(modules)
     main = modules["spinphoton.cli"].main
-    start = time.perf_counter()
+    seconds = {}
     for name, argv in commands:
+        start = time.perf_counter()
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv + ["--out", str(out / name)])
+        seconds[name] = time.perf_counter() - start
         if code != 0:
             raise SystemExit(f"{name}: exit {code}\n{err.getvalue()}")
-    return time.perf_counter() - start
+    return seconds
 
 
 def main(argv=None) -> int:
@@ -79,7 +84,7 @@ def main(argv=None) -> int:
     trees = {"A": load(args.src_a), "B": load(args.src_b)}
     gc.collect()
     gc.freeze()  # as cli.run does: no collection walks the imports again
-    times = {tag: [] for tag in trees}
+    times = {tag: [] for tag in trees}  # one {command: seconds} per pass
     with tempfile.TemporaryDirectory() as tmp:
         commands = []
         for cmd in build(args.workload, 11, args.size).commands:
@@ -108,13 +113,18 @@ def main(argv=None) -> int:
                 times[tag].append(run_pass(trees[tag], commands, Path(tmp, tag)))
     if not args.rounds:
         return 0
-    median = {tag: statistics.median(t) for tag, t in times.items()}
+    totals = {tag: [sum(p.values()) for p in passes] for tag, passes in times.items()}
+    median = {tag: statistics.median(t) for tag, t in totals.items()}
     for tag, src in (("A", args.src_a), ("B", args.src_b)):
         print(f"{tag} {src}: median {median[tag] * 1e3:.2f} ms, "
-              f"min {min(times[tag]) * 1e3:.2f} ms")
-    pairs = list(zip(times["A"], times["B"]))
+              f"min {min(totals[tag]) * 1e3:.2f} ms")
+    for name, _ in commands:
+        a, b = (statistics.median(p[name] for p in times[tag]) for tag in "AB")
+        print(f"{name}: A median {a * 1e3:.2f} ms, B median {b * 1e3:.2f} ms, "
+              f"B / A {b / a:.3f}")
+    pairs = list(zip(totals["A"], totals["B"]))
     print(f"B / A: median {median['B'] / median['A']:.3f}, "
-          f"min {min(times['B']) / min(times['A']):.3f}; "
+          f"min {min(totals['B']) / min(totals['A']):.3f}; "
           f"pairs won: A {sum(a < b for a, b in pairs)}, B {sum(b < a for a, b in pairs)} "
           f"of {args.rounds} "
           f"({args.workload}, {args.size} size, seed 11)")

@@ -3,6 +3,8 @@
 The reference is the row template the ``reflectance`` CSV was written with
 before: one ``%`` conversion per float. Every set below must give its bytes.
 """
+import decimal
+import json
 import math
 import os
 import subprocess
@@ -58,6 +60,37 @@ def test_exact_ties_round_half_to_even(k):
     assert_cells_match(odd / 2.0 ** j)
 
 
+def _digits_class(value: float) -> tuple:
+    """(k, sign, trailing zeros) of ``value``'s 17 significant digits, rounded
+    half to even as ``%.17g`` rounds them, with ``10**k <= |digits| < 10**(k + 1)``."""
+    sign, digits, exponent = decimal.Context(prec=17).create_decimal(value).as_tuple()
+    zeros = 17 - len(bytes(digits).rstrip(b"\0"))  # also those the Decimal leaves out
+    return len(digits) + exponent - 1, sign, zeros
+
+
+def test_every_exponent_sign_and_trailing_zero_count():
+    # Random bits almost never end in zeros, so each row of the slot tables
+    # gets a cell of its own: k = -4..14, either sign, and t = 0..16 trailing
+    # zeros among the 17 digits. For k >= 0 and t >= 16 - k nothing follows
+    # the point, and the point is dropped too.
+    rng = np.random.default_rng(6)
+    cells, seen = [], set()
+    for k in range(-4, 15):
+        for sign in (0, 1):
+            for t in range(17):
+                for _ in range(100):  # 16 or 17 digits may not survive a double
+                    m = int(rng.integers(10 ** (16 - t), 10 ** (17 - t)))
+                    m += m % 10 == 0  # its last digit is not a zero
+                    value = (-1) ** sign * float(f"{m}e{t + k - 16}")
+                    if _digits_class(value) == (k, sign, t):
+                        break
+                cells.append(value)
+                seen.add(_digits_class(value))
+    assert seen == {(k, sign, t) for k in range(-4, 15) for sign in (0, 1) for t in range(17)}
+    assert sum("." not in "%.17g" % v for v in cells) == 2 * sum(range(1, 16))
+    assert_cells_match(cells)
+
+
 def test_powers_of_ten_and_their_neighbours():
     powers = 10.0 ** np.arange(-5, 17)
     down = np.nextafter(powers, 0.0)
@@ -94,6 +127,15 @@ def test_tables_of_one_row_or_one_column():
     values = np.random.default_rng(4).standard_normal(40)
     for table in (values.reshape(1, -1), values.reshape(-1, 1)):
         assert floatrows.csv_rows(table) == reference(table)
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 8, 9000])
+def test_tables_formatted_in_several_blocks(n_cols):
+    # more than two blocks of _BLOCK_CELLS cells, the last one partial; a row
+    # wider than a block is a block of its own
+    n_rows = max(2, 2 * floatrows._BLOCK_CELLS // n_cols + 5)
+    table = np.random.default_rng(n_cols).standard_normal((n_rows, n_cols))
+    assert floatrows.csv_rows(table) == reference(table)
 
 
 @settings(DERANDOMIZED, max_examples=200)
@@ -134,11 +176,17 @@ def test_reflectance_writes_every_cell_as_percent_does(tmp_path, monkeypatch):
 
 
 def test_startup_loads_no_formatting_module_and_builds_no_table():
-    code = ("import sys, spinphoton.cli\n"
+    # every functools.cache of the module, each a table built on first use
+    code = ("import json, sys, spinphoton.cli\n"
             "loaded = 'spinphoton.floatrows' in sys.modules\n"
             "from spinphoton import floatrows\n"
-            "print(loaded, floatrows._tables.cache_info().currsize)\n")
+            "sizes = {name: f.cache_info().currsize for name, f in vars(floatrows).items()\n"
+            "         if hasattr(f, 'cache_info')}\n"
+            "print(json.dumps([loaded, sizes]))\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert done.stdout == "False 0\n"
+    loaded, sizes = json.loads(done.stdout)
+    assert not loaded
+    assert {"_quads", "_tables"} <= set(sizes)
+    assert set(sizes.values()) == {0}

@@ -18,11 +18,16 @@ def test_a_tree_against_itself_reports_both_and_every_pair():
     src = ROOT / "src"
     proc = _pass_ab(src, src, "--rounds", "2")
     assert proc.returncode == 0, proc.stderr
-    peak_a, peak_b, a, b, ratio = proc.stdout.splitlines()
+    peak_a, peak_b, a, b, *per_command, ratio = proc.stdout.splitlines()
     for tag, line in (("A", peak_a), ("B", peak_b)):
         assert re.fullmatch(rf"{tag} {src}: traced peak \d+\.\d\d MiB over an untimed pass", line)
     assert re.fullmatch(rf"A {src}: median \d+\.\d\d ms, min \d+\.\d\d ms", a)
     assert re.fullmatch(rf"B {src}: median \d+\.\d\d ms, min \d+\.\d\d ms", b)
+    names = [f"{kind}-ghz{n}" for n in range(3, 7) for kind in ("protocol", "sweep")]
+    assert len(per_command) == len(names)
+    for name, line in zip(names, per_command):
+        assert re.fullmatch(rf"{name}: A median \d+\.\d\d ms, B median \d+\.\d\d ms, "
+                            r"B / A \d+\.\d{3}", line)
     won = re.fullmatch(r"B / A: median \d+\.\d{3}, min \d+\.\d{3}; pairs won: A (\d), B (\d) "
                        r"of 2 \(ghz-dephased, smoke size, seed 11\)", ratio)
     assert won and int(won[1]) + int(won[2]) == 2
